@@ -9,7 +9,7 @@ Library layout:
   estimator  -- virtual covariance recursion and state estimator
   precoder   -- drift-minimizing water-filling precoder and five baselines
   analysis   -- stability condition, design requirements, MSE bound
-  sim        -- per-slot loop, Monte Carlo harness, sweeps, region scans
+  sim        -- stacked slot step, Monte Carlo harness, sweeps, region scans
   config/cli -- experiment files and the command-line runner
 """
 

@@ -19,31 +19,60 @@ DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    H: np.ndarray  # (N_c, N_s) complex
+    """One channel draw, or P stacked draws with a leading path axis."""
+
+    H: np.ndarray  # (..., N_c, N_s) complex
     svd: SvdResult
-    Pi_K: np.ndarray  # (K,) leading singular values, descending
+    Pi_K: np.ndarray  # (..., K) leading singular values, descending
 
     @property
     def K(self) -> int:
-        return len(self.Pi_K)
+        return self.Pi_K.shape[-1]
 
 
-def sample_channel(rng: np.random.Generator, N_c: int, N_s: int, K: int) -> ChannelDraw:
-    """One i.i.d. CN(0,1)-entry channel draw with cached SVD."""
+def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """CN(0, 1) entries from standard normal real and imaginary parts."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def sample_channel(rng, N_c: int, N_s: int, K: int) -> ChannelDraw:
+    """One i.i.d. CN(0,1)-entry channel draw with cached SVD.
+
+    rng is one generator, or a sequence of one generator per path: each path
+    draws what a single draw would, and the stacked draw (every field with a
+    leading path axis) is decomposed in one SVD.
+    """
     if K > min(N_s, N_c):
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
-    H = (rng.standard_normal((N_c, N_s)) + 1j * rng.standard_normal((N_c, N_s))) / np.sqrt(2.0)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal((2, N_c, N_s))
+    else:
+        z = np.array([g.standard_normal((2, N_c, N_s)) for g in rng])
+    H = _complex_normal(z[..., 0, :, :], z[..., 1, :, :])
     dec = svd(H)
-    return ChannelDraw(H=H, svd=dec, Pi_K=dec.singular_values[:K])
+    return ChannelDraw(H=H, svd=dec, Pi_K=dec.singular_values[..., :K])
 
 
-def receive(draw: ChannelDraw, F: np.ndarray, q: np.ndarray,
-            rng: np.random.Generator, noiseless: bool = False) -> np.ndarray:
-    """Received signal y = H F q + z with z ~ CN(0, I_{N_c})."""
-    N_c = draw.H.shape[0]
-    y = draw.H @ (np.asarray(F) @ np.asarray(q, dtype=float))
-    if not noiseless:
-        y = y + (rng.standard_normal(N_c) + 1j * rng.standard_normal(N_c)) / np.sqrt(2.0)
+def receive(draw: ChannelDraw, F: np.ndarray, q: np.ndarray, rng,
+            noiseless=False) -> np.ndarray:
+    """Received signal y = H F q + z with z ~ CN(0, I_{N_c}).
+
+    For a stacked draw, F and q carry its path axis, rng is a sequence of one
+    generator per path and noiseless may be one flag per path; a noiseless
+    path draws nothing from its generator.
+    """
+    q = np.asarray(q, dtype=float)
+    y = (draw.H @ (np.asarray(F) @ q[..., None]))[..., 0]
+    N_c = draw.H.shape[-2]
+    if isinstance(rng, np.random.Generator):
+        if noiseless:
+            return y
+        re, im = rng.standard_normal((2, N_c))
+        return y + _complex_normal(re, im)
+    noisy = np.flatnonzero(~(np.zeros(len(rng), dtype=bool) | noiseless))
+    if noisy.size:
+        z = np.array([rng[p].standard_normal((2, N_c)) for p in noisy])
+        y[noisy] += _complex_normal(z[:, 0], z[:, 1])
     return y
 
 

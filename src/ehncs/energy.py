@@ -9,7 +9,10 @@ from .numerics import InputDomainError
 
 @dataclass(frozen=True)
 class EnergyQueue:
-    """Battery state: 0 <= E <= theta at all times.  Units: Joules, seconds."""
+    """Battery state: 0 <= E <= theta at all times.  Units: Joules, seconds.
+
+    E and overspend_count hold one value per path for stacked paths.
+    """
 
     E: float
     theta: float
@@ -42,7 +45,7 @@ class ArrivalModel:
             raise InputDomainError("ArrivalModel: mean must be non-negative")
 
 
-def sample_arrival(model: ArrivalModel, rng: np.random.Generator) -> float:
+def _draw_arrival(model: ArrivalModel, rng: np.random.Generator) -> float:
     if model.kind == "poisson":
         return float(rng.poisson(model.mean))
     if model.kind == "deterministic":
@@ -50,22 +53,36 @@ def sample_arrival(model: ArrivalModel, rng: np.random.Generator) -> float:
     return float(rng.choice(model.values))
 
 
-def spend_and_harvest(queue: EnergyQueue, spend: float, alpha: float) -> EnergyQueue:
+def sample_arrival(model: ArrivalModel, rng):
+    """One harvest draw; with a sequence of one generator per path, one draw
+    per path."""
+    if isinstance(rng, np.random.Generator):
+        return _draw_arrival(model, rng)
+    return np.array([_draw_arrival(model, g) for g in rng])
+
+
+def spend_and_harvest(queue: EnergyQueue, spend, alpha) -> EnergyQueue:
     """Queue update E <- min([E - spend]^+ + alpha, theta).
 
     Spend happens before harvest within the slot; feasibility of the spend
     is enforced upstream, here an overspend only bumps a warning counter.
+    A queue whose E holds one battery per path takes one spend and one
+    arrival per path.
     """
-    if spend < 0 or alpha < 0:
+    if np.min(spend) < 0 or np.min(alpha) < 0:
         raise InputDomainError("spend_and_harvest: spend and alpha must be >= 0")
-    overspend = queue.overspend_count + (1 if spend > queue.E + 1e-9 else 0)
-    E_next = min(max(queue.E - spend, 0.0) + alpha, queue.theta)
+    overspend = queue.overspend_count + (spend > queue.E + 1e-9)
+    E_next = np.minimum(np.maximum(queue.E - spend, 0.0) + alpha, queue.theta)
     return replace(queue, E=E_next, overspend_count=overspend)
 
 
-def check_feasible(queue: EnergyQueue, F: np.ndarray, M: float) -> bool:
-    """Energy-availability test M^2 Tr(F^H F) tau <= E (absolute slack 1e-9)."""
-    budget = M**2 * float(np.real(np.vdot(F, F))) * queue.tau
+def check_feasible(queue: EnergyQueue, F: np.ndarray, M: float):
+    """Energy-availability test M^2 Tr(F^H F) tau <= E (absolute slack 1e-9).
+
+    F may stack one precoder per path, against one battery per path.
+    """
+    F = np.asarray(F)
+    budget = M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * queue.tau
     return budget <= queue.E + 1e-9
 
 
@@ -80,7 +97,7 @@ def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,
         if model.mean <= 0:
             raise InputDomainError("estimate_inverse_mean: deterministic mean is 0")
         return 1.0 / model.mean, 0.0
-    draws = np.array([sample_arrival(model, rng) for _ in range(n)])
+    draws = np.array([_draw_arrival(model, rng) for _ in range(n)])
     pos = draws[draws > 0]
     if pos.size == 0:
         raise InputDomainError("estimate_inverse_mean: all draws were zero")

@@ -4,14 +4,16 @@ The effective channel Ftilde = H F g is complex while the plant state is
 real, so the measurement is stacked with its conjugate ("augmented" form)
 before the usual Kalman algebra.  The covariance recursion is shared by
 sensor and controller; it depends only on Ftilde and the saturation
-indicator gamma, never on the realized state.
+indicator gamma, never on the realized state.  `filter_step` advances a
+stack of paths at once; `sigma_step` and `estimate_step` are its one-path
+halves and share its kernels.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputDomainError
+from .numerics import InputDomainError, herm
 
 IMAG_RESIDUAL_TOL = 1e-6
 
@@ -27,13 +29,13 @@ class EstimatorState:
 
 
 def augment(Ftilde: np.ndarray) -> np.ndarray:
-    """Stack Ftilde over its elementwise conjugate: (2 N_c, K)."""
-    return np.vstack([Ftilde, Ftilde.conj()])
+    """Stack Ftilde over its elementwise conjugate: (..., 2 N_c, K)."""
+    return np.concatenate([Ftilde, Ftilde.conj()], axis=-2)
 
 
 def gram_2re(Ftilde: np.ndarray) -> np.ndarray:
     """2 Re{Ftilde^H Ftilde}; equals (Ftilde^a)^H Ftilde^a and is real PSD."""
-    G = Ftilde.conj().T @ Ftilde
+    G = herm(Ftilde) @ Ftilde
     return 2.0 * np.real(G)
 
 
@@ -45,6 +47,47 @@ def _check_psd(Sigma: np.ndarray) -> np.ndarray:
     if np.linalg.eigvalsh(Sigma).min() < -1e-9 * scale:
         raise InputDomainError("sigma_step: Sigma must be PSD")
     return Sigma
+
+
+def _real(z: np.ndarray, core_ndim: int, what: str) -> np.ndarray:
+    """Real part of z, after checking per path (the leading axes) that its
+    imaginary part is round-off."""
+    axes = tuple(range(-core_ndim, 0))
+    scale = np.maximum(1.0, np.abs(z).max(axis=axes))
+    if (np.abs(z.imag).max(axis=axes) > IMAG_RESIDUAL_TOL * scale).any():
+        raise NumericalConsistencyError(f"{what}: update has large imaginary part")
+    return z.real
+
+
+def _innovation_solve(Sigma: np.ndarray, Ftilde: np.ndarray):
+    """F^a, F^a Sigma and X = (F^a Sigma F^aH + I)^{-1} F^a Sigma.
+
+    The Kalman gain is K = Sigma F^aH (F^a Sigma F^aH + I)^{-1} = X^H and
+    the covariance update is (F^a Sigma)^H X, so one solve serves both.
+    """
+    Fa = augment(Ftilde)
+    FS = Fa @ Sigma
+    innov = FS @ herm(Fa) + np.eye(Fa.shape[-2])
+    return Fa, FS, np.linalg.solve(innov, FS)
+
+
+def _updated_covariance(Sigma: np.ndarray, FS: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return Sigma - _real(herm(FS) @ X, 2, "sigma_step")
+
+
+def _correction(x_hat: np.ndarray, y: np.ndarray, Fa: np.ndarray, X: np.ndarray,
+                A: np.ndarray) -> np.ndarray:
+    """A K (y^a - F^a x_hat) with K = X^H."""
+    ya = np.concatenate([y, y.conj()], axis=-1)
+    innovation = ya - (Fa @ x_hat[..., None])[..., 0]
+    corr = (herm(X) @ innovation[..., None])[..., 0] @ A.T
+    return _real(corr, 1, "estimate_step")
+
+
+def _propagate(core: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """A core A^T + W, symmetrized."""
+    out = A @ core @ A.T + W
+    return (out + np.swapaxes(out, -1, -2)) / 2
 
 
 def sigma_step(Sigma: np.ndarray, Ftilde: np.ndarray | None, gamma: int,
@@ -61,8 +104,7 @@ def sigma_step(Sigma: np.ndarray, Ftilde: np.ndarray | None, gamma: int,
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if gamma == 0 or Ftilde is None or not np.any(Ftilde):
-        out = A @ Sigma @ A.T + W
-        return (out + out.T) / 2
+        return _propagate(Sigma, A, W)
 
     if method == "auto":
         lam = np.linalg.eigvalsh(Sigma)
@@ -73,26 +115,16 @@ def sigma_step(Sigma: np.ndarray, Ftilde: np.ndarray | None, gamma: int,
         G = gram_2re(Ftilde)
         core = np.linalg.inv(G + np.linalg.inv(Sigma))
     elif method == "augmented":
-        Fa = augment(Ftilde)
-        FS = Fa @ Sigma  # (2Nc, K)
-        innov = FS @ Fa.conj().T + np.eye(Fa.shape[0])
-        upd = FS.conj().T @ np.linalg.solve(innov, FS)
-        if np.abs(upd.imag).max() > IMAG_RESIDUAL_TOL * max(1.0, np.abs(upd).max()):
-            raise NumericalConsistencyError("sigma_step: update has large imaginary part")
-        core = Sigma - upd.real
+        _, FS, X = _innovation_solve(Sigma, Ftilde)
+        core = _updated_covariance(Sigma, FS, X)
     else:
         raise InputDomainError(f"sigma_step: unknown method {method!r}")
-
-    out = A @ core @ A.T + W
-    return (out + out.T) / 2
+    return _propagate(core, A, W)
 
 
 def kalman_gain(Sigma: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
     """K = Sigma (F^a)^H (F^a Sigma (F^a)^H + I)^{-1} on the augmented stack."""
-    Fa = augment(Ftilde)
-    FS = Fa @ Sigma
-    innov = FS @ Fa.conj().T + np.eye(Fa.shape[0])
-    return np.linalg.solve(innov.conj().T, FS).conj().T  # Sigma Fa^H innov^{-1}
+    return herm(_innovation_solve(Sigma, Ftilde)[2])
 
 
 def estimate_step(x_hat: np.ndarray, Sigma: np.ndarray, y: np.ndarray | None,
@@ -105,19 +137,30 @@ def estimate_step(x_hat: np.ndarray, Sigma: np.ndarray, y: np.ndarray | None,
     round-off (the augmented stack enforces conjugate symmetry).
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    pred = A @ x_hat + B @ np.asarray(u_prev, dtype=float)
+    pred = x_hat @ A.T + np.asarray(u_prev, dtype=float) @ B.T
     if gamma == 0 or Ftilde is None or not np.any(Ftilde):
         return pred
-    Fa = augment(Ftilde)
-    ya = np.concatenate([y, y.conj()])
-    Kg = kalman_gain(Sigma, Ftilde)
-    corr = A @ (Kg @ (ya - Fa @ x_hat))
-    if np.abs(corr.imag).max() > IMAG_RESIDUAL_TOL * max(1.0, np.abs(corr).max()):
-        raise NumericalConsistencyError("estimate_step: update has large imaginary part")
-    return pred + corr.real
+    Fa, _, X = _innovation_solve(Sigma, Ftilde)
+    return pred + _correction(x_hat, y, Fa, X, A)
 
 
-def mse_sample(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Squared estimation error ||x - x_hat||^2."""
+def filter_step(x_hat: np.ndarray, Sigma: np.ndarray, y: np.ndarray,
+                Ftilde: np.ndarray, A: np.ndarray, B: np.ndarray, u: np.ndarray,
+                W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-slot estimate and covariance of stacked paths, from one solve.
+
+    x_hat (P, K), Sigma (P, K, K), y (P, N_c), Ftilde (P, N_c, K), u (P, D).
+    Ftilde is zero on every path without a measurement update (silent or
+    saturated slot): there X = 0, so the path reduces exactly to the
+    prediction A x_hat + B u and A Sigma A^T + W.  Sigma is not checked here;
+    the caller's eigendecomposition of it does that.
+    """
+    Fa, FS, X = _innovation_solve(Sigma, Ftilde)
+    x_next = x_hat @ A.T + u @ B.T + _correction(x_hat, y, Fa, X, A)
+    return x_next, _propagate(_updated_covariance(Sigma, FS, X), A, W)
+
+
+def mse_sample(x: np.ndarray, x_hat: np.ndarray):
+    """Squared estimation error ||x - x_hat||^2 (one per path when stacked)."""
     d = np.asarray(x, dtype=float) - np.asarray(x_hat, dtype=float)
-    return float(d @ d)
+    return (d * d).sum(axis=-1)

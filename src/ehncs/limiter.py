@@ -31,6 +31,8 @@ class LimiterParams:
 
 @dataclass(frozen=True)
 class LimiterOutput:
+    """Limiter output; g and saturated hold one value per path when stacked."""
+
     q: np.ndarray
     g: float
     saturated: bool
@@ -67,7 +69,8 @@ def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
 
     with coeff = ||B Psi A|| (normative) or ||B Psi|| (gain_norm="BPsi",
     the variant needed to reproduce some published constants).  The radicand
-    is clamped at 0, which only matters at the Sigma(0) = 0 start-up.
+    is clamped at 0, which only matters at the Sigma(0) = 0 start-up.  A
+    stack of covariances gives one range per covariance.
     """
     if gain_norm == "BPsiA":
         coeff = model.norm_BPsiA
@@ -75,22 +78,24 @@ def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
         coeff = model.norm_BPsi
     else:
         raise InputDomainError(f"dynamic_range: unknown gain_norm {gain_norm!r}")
-    tr_sigma = float(np.trace(Sigma))
+    tr_sigma = np.trace(Sigma, axis1=-2, axis2=-1)
     tr_w = float(np.trace(model.W))
-    excess = max(tr_sigma - tr_w, 0.0)
+    excess = np.maximum(tr_sigma - tr_w, 0.0)
     prefactor = (1.0 + model.norm_closed_loop * params.Theta) / np.sqrt(params.eps)
-    return float(prefactor * (coeff * np.sqrt(excess) + np.sqrt(tr_w)))
+    L = prefactor * (coeff * np.sqrt(excess) + np.sqrt(tr_w))
+    return L if np.ndim(L) else float(L)
 
 
-def clip(x: np.ndarray, L: float, M: float) -> LimiterOutput:
+def clip(x: np.ndarray, L, M: float) -> LimiterOutput:
     """Amplitude limiter q = g x: linear gain M/L inside the range, hard
-    attenuation to amplitude M beyond it."""
-    if L <= 0 or M <= 0:
+    attenuation to amplitude M beyond it.
+
+    x may stack one state per path, with one range L per path.
+    """
+    if np.min(L) <= 0 or M <= 0:
         raise InputDomainError("clip: L and M must be > 0")
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm <= L:
-        g = M / L
-        return LimiterOutput(q=g * x, g=g, saturated=False)
-    g = M / norm
-    return LimiterOutput(q=g * x, g=g, saturated=True)
+    norm = np.sqrt((x * x).sum(axis=-1))
+    saturated = norm > L
+    g = M / np.where(saturated, norm, L)
+    return LimiterOutput(q=g[..., None] * x, g=g, saturated=saturated)

@@ -35,60 +35,83 @@ PSD_CLAMP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SvdResult:
-    """H = V @ Pi @ U^H with Pi rectangular diagonal, descending."""
+    """H = V @ Pi @ U^H with Pi rectangular diagonal, descending.
 
-    U: np.ndarray  # (N_s, N_s) unitary
-    Pi: np.ndarray  # (N_c, N_s) real, non-negative diagonal
-    V: np.ndarray  # (N_c, N_c) unitary
+    Stacked decompositions carry the leading axes of the stacked input.
+    """
+
+    U: np.ndarray  # (..., N_s, N_s) unitary
+    Pi: np.ndarray  # (..., N_c, N_s) real, non-negative diagonal
+    V: np.ndarray  # (..., N_c, N_c) unitary
 
     @property
     def singular_values(self) -> np.ndarray:
-        k = min(self.Pi.shape)
-        return np.diag(self.Pi)[:k].copy()
+        k = min(self.Pi.shape[-2:])
+        return np.diagonal(self.Pi, axis1=-2, axis2=-1)[..., :k].copy()
 
     def reconstruct(self) -> np.ndarray:
-        return self.V @ self.Pi @ self.U.conj().T
+        return self.V @ self.Pi @ herm(self.U)
 
 
 @dataclass(frozen=True)
 class EigSymResult:
-    """Sigma = S @ diag(Lam) @ S.T with Lam descending, clamped to >= 0."""
+    """Sigma = S @ diag(Lam) @ S.T with Lam descending, clamped to >= 0.
 
-    S: np.ndarray  # (K, K) real orthogonal
-    Lam: np.ndarray  # (K,) real, descending
+    Stacked decompositions carry the leading axes of the stacked input.
+    """
+
+    S: np.ndarray  # (..., K, K) real orthogonal
+    Lam: np.ndarray  # (..., K) real, descending
 
     def reconstruct(self) -> np.ndarray:
-        return (self.S * self.Lam) @ self.S.T
+        return (self.S * self.Lam[..., None, :]) @ np.swapaxes(self.S, -1, -2)
+
+
+def herm(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(X, -1, -2).conj()
 
 
 def svd(H: np.ndarray) -> SvdResult:
-    """Singular value decomposition in the H = V Pi U^H convention."""
+    """Singular value decomposition in the H = V Pi U^H convention.
+
+    H may be one (N_c, N_s) matrix or a stack (..., N_c, N_s), decomposed in
+    one LAPACK call.
+    """
     H = np.asarray(H)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise InputDomainError("svd: input has non-finite entries")
-    n_c, n_s = H.shape
     # numpy convention H = V_ @ diag(s) @ Uh_; map onto H = V Pi U^H
     V_, s, Uh_ = np.linalg.svd(H, full_matrices=True)
-    Pi = np.zeros((n_c, n_s))
-    Pi[: len(s), : len(s)] = np.diag(s)
-    return SvdResult(U=Uh_.conj().T, Pi=Pi, V=V_)
+    Pi = np.zeros(H.shape)
+    k = np.arange(s.shape[-1])
+    Pi[..., k, k] = s
+    return SvdResult(U=herm(Uh_), Pi=Pi, V=V_)
 
 
 def eig_sym(Sigma: np.ndarray) -> EigSymResult:
-    """Eigendecomposition of a real symmetric PSD matrix, descending order."""
+    """Eigendecomposition of a real symmetric PSD matrix, descending order.
+
+    Sigma may be one (K, K) matrix or a stack (..., K, K), decomposed in one
+    LAPACK call; each matrix is checked against its own scale.
+    """
     Sigma = np.asarray(Sigma, dtype=float)
-    if not np.all(np.isfinite(Sigma)):
+    if not np.isfinite(Sigma).all():
         raise InputDomainError("eig_sym: input has non-finite entries")
-    scale = max(1.0, np.abs(Sigma).max())
-    if np.abs(Sigma - Sigma.T).max() > 1e-10 * scale:
+    scale = np.maximum(1.0, np.abs(Sigma).max(axis=(-2, -1)))
+    asymmetry = np.abs(Sigma - np.swapaxes(Sigma, -1, -2)).max(axis=(-2, -1))
+    if (asymmetry > 1e-10 * scale).any():
         raise InputDomainError("eig_sym: input is not symmetric")
     lam, S = np.linalg.eigh(Sigma)  # ascending
-    lam = lam[::-1].copy()
-    S = S[:, ::-1].copy()
-    if lam.size and lam.min() < -PSD_CLAMP_TOL * scale:
-        raise InputDomainError(
-            f"eig_sym: input is not PSD (min eigenvalue {lam.min():.3e})"
-        )
+    lam = lam[..., ::-1].copy()
+    S = S[..., ::-1].copy()
+    if lam.shape[-1]:
+        lam_min = lam[..., -1]
+        bad = lam_min < -PSD_CLAMP_TOL * scale
+        if bad.any():
+            raise InputDomainError(
+                f"eig_sym: input is not PSD (min eigenvalue {np.min(lam_min[bad]):.3e})"
+            )
     np.clip(lam, 0.0, None, out=lam)
     return EigSymResult(S=S, Lam=lam)
 

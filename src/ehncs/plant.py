@@ -90,18 +90,23 @@ class PlantModel:
 
 
 def step(model: PlantModel, x, u, w) -> np.ndarray:
-    """One slot of the plant recursion: A x + B u + w."""
+    """One slot of the plant recursion: A x + B u + w.
+
+    x, u and w may stack one vector per path along their leading axes.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape != (model.K,) or u.shape != (model.D,) or w.shape != (model.K,):
+    if (x.shape[-1:] != (model.K,) or u.shape[-1:] != (model.D,)
+            or w.shape[-1:] != (model.K,)
+            or not x.shape[:-1] == u.shape[:-1] == w.shape[:-1]):
         raise InputDomainError("step: dimension mismatch")
-    return model.A @ x + model.B @ u + w
+    return x @ model.A.T + u @ model.B.T + w
 
 
 def control(model: PlantModel, x_hat) -> np.ndarray:
-    """Control action u = -Psi A x_hat."""
-    return -model.Psi @ (model.A @ np.asarray(x_hat, dtype=float))
+    """Control action u = -Psi A x_hat (x_hat may stack one estimate per path)."""
+    return -(np.asarray(x_hat, dtype=float) @ model.A.T) @ model.Psi.T
 
 
 def instability_measure(Mtx: np.ndarray) -> float:

@@ -180,8 +180,7 @@ def kkt_residual(ctx: DriftContext, decision: PrecoderDecision) -> float:
     if s > 0:
         c = ctx.norm_AAT
         a_i = ctx.L**2 * ctx.tau / ctx.Pi_K**2  # budget weights
-        with np.errstate(divide="ignore"):
-            seabed = np.where(ctx.Lam > 0, 1.0 / np.where(ctx.Lam > 0, ctx.Lam, 1.0), np.inf)
+        seabed = _seabed(ctx.Lam)
         # stationarity: a_i s = c / (2 y_i + 1/Lam_i)^2 on active streams
         term1 = a_i * s
         with np.errstate(over="ignore"):

@@ -1,9 +1,13 @@
-"""Per-slot closed-loop state machine and the Monte Carlo experiment harness.
+"""Stacked closed-loop slot step and the Monte Carlo experiment harness.
 
 A slot runs: channel draw, dynamic range, precoding decision, limiter,
 transmission, estimator and covariance updates, control, plant step, energy
-spend and harvest.  Paths are independent (per-path RNG streams derived from
-(seed, path index)) so aggregates do not depend on execution order.
+spend and harvest.  `run_slot` advances every live path of a run at once:
+the state is stacked along a leading path axis and each stage is one NumPy
+call over all paths, except the random draws and the policy, which stay per
+path.  Paths are independent (per-path RNG streams derived from (seed, path
+index), each drawn in the same order as a lone path would draw) so results
+do not depend on which other paths share the run.
 """
 
 import math
@@ -11,13 +15,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# The stacked clip, estimator update and queue update are reached through
+# their modules: bench/tracing.py attaches per-path outcome observers to the
+# names `clip`, `sigma_step` and `spend_and_harvest` in this module.
+from . import energy, estimator, limiter
 from .channel import receive, sample_channel
-from .energy import ArrivalModel, EnergyQueue, check_feasible, sample_arrival, spend_and_harvest
-from .estimator import estimate_step, mse_sample, sigma_step
-from .limiter import LimiterParams, clip, dynamic_range
+from .energy import ArrivalModel, EnergyQueue, check_feasible, sample_arrival
+from .estimator import mse_sample
+from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, SvdResult, eig_sym
 from .plant import PlantModel, control, step
-from .precoder import DriftContext, PrecoderDecision, solve_theorem1
+from .precoder import DriftContext, solve_theorem1
 
 
 class FeasibilityError(RuntimeError):
@@ -57,16 +65,21 @@ class SimSetup:
 
 @dataclass
 class SimState:
-    n: int
-    x: np.ndarray
-    x_hat: np.ndarray
-    Sigma: np.ndarray
-    queue: EnergyQueue
-    diverged: bool = False
+    """Closed-loop state of P paths, stacked along the leading axis."""
+
+    n: int  # slot index, shared by all paths
+    x: np.ndarray  # (P, K)
+    x_hat: np.ndarray  # (P, K)
+    Sigma: np.ndarray  # (P, K, K)
+    queue: EnergyQueue  # E and overspend_count of shape (P,)
+    diverged: np.ndarray  # (P,) bool
 
 
 @dataclass(frozen=True)
 class SlotTrace:
+    """One slot of one path; `run_slot` returns one whose fields (except n)
+    hold one entry per path."""
+
     n: int
     E_before: float
     L: float
@@ -79,11 +92,14 @@ class SlotTrace:
     alpha: float
 
 
-def initial_state(setup: SimSetup) -> SimState:
+def initial_state(setup: SimSetup, n_paths: int = 1) -> SimState:
     K = setup.K
     return SimState(
-        n=0, x=np.zeros(K), x_hat=np.zeros(K), Sigma=np.zeros((K, K)),
-        queue=EnergyQueue(E=setup.E0, theta=setup.theta, tau=setup.tau),
+        n=0, x=np.zeros((n_paths, K)), x_hat=np.zeros((n_paths, K)),
+        Sigma=np.zeros((n_paths, K, K)),
+        queue=EnergyQueue(E=np.full(n_paths, float(setup.E0)), theta=setup.theta,
+                          tau=setup.tau, overspend_count=np.zeros(n_paths, dtype=int)),
+        diverged=np.zeros(n_paths, dtype=bool),
     )
 
 
@@ -92,68 +108,69 @@ def _noise_sqrt(W: np.ndarray) -> np.ndarray:
     return dec.S * np.sqrt(dec.Lam)
 
 
-def make_context(setup: SimSetup, state: SimState, draw, L: float) -> DriftContext:
-    dec = eig_sym(state.Sigma)
-    return DriftContext(
-        S=dec.S, Lam=dec.Lam, svd=draw.svd, Pi_K=draw.Pi_K, E=state.queue.E,
-        theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
-        norm_AAT=setup.model.norm_AAT, eps=setup.limiter.eps, slot=state.n,
-    )
-
-
-def run_slot(setup: SimSetup, state: SimState, policy, rng: np.random.Generator,
+def run_slot(setup: SimSetup, state: SimState, policy, rngs,
              noise_sqrt: np.ndarray | None = None) -> tuple[SimState, SlotTrace]:
-    """Advance the closed loop by one slot.
+    """Advance the P stacked paths of `state` by one slot.
 
-    The control u(n) = -Psi A x_hat(n) uses the estimate formed from
-    measurements through slot n-1; the same u(n) drives both the estimator
-    prediction and the plant.  Energy spent on air is the realized
-    ||F q||^2 tau while feasibility is checked on the budget
+    rngs holds one generator per path.  The policy is called once per path
+    with that path's DriftContext.  The control u(n) = -Psi A x_hat(n) uses
+    the estimate formed from measurements through slot n-1; the same u(n)
+    drives both the estimator prediction and the plant.  Energy spent on air
+    is the realized ||F q||^2 tau while feasibility is checked on the budget
     M^2 Tr(F^H F) tau (the limiter makes the former <= the latter).
     """
-    model = setup.model
+    model, lim_params = setup.model, setup.limiter
     if noise_sqrt is None:
         noise_sqrt = _noise_sqrt(model.W)
+    E = state.queue.E
 
-    draw = sample_channel(rng, setup.N_c, setup.N_s, setup.K)
-    L = dynamic_range(model, setup.limiter, state.Sigma, gain_norm=setup.gain_norm)
-    ctx = make_context(setup, state, draw, L)
-    decision: PrecoderDecision = policy(ctx)
-    if not check_feasible(state.queue, decision.F, setup.limiter.M):
+    draw = sample_channel(rngs, setup.N_c, setup.N_s, setup.K)
+    L = dynamic_range(model, lim_params, state.Sigma, gain_norm=setup.gain_norm)
+    dec = eig_sym(state.Sigma)
+    decisions = [
+        policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, Pi=Pi, V=V), Pi_K=Pi_K,
+                            E=E_p, theta=setup.theta, tau=setup.tau, M=lim_params.M,
+                            L=L_p, norm_AAT=model.norm_AAT, eps=lim_params.eps,
+                            slot=state.n))
+        for S, Lam, U, Pi, V, Pi_K, E_p, L_p in zip(
+            dec.S, dec.Lam, draw.svd.U, draw.svd.Pi, draw.svd.V, draw.Pi_K,
+            E.tolist(), L.tolist())]
+    F = np.array([d.F for d in decisions])
+    feasible = check_feasible(state.queue, F, lim_params.M)
+    if not feasible.all():
+        p = int(np.argmin(feasible))
         raise FeasibilityError(
-            f"slot {state.n}: policy budget {decision.energy_used:.6g} J "
-            f"exceeds stored energy {state.queue.E:.6g} J")
+            f"slot {state.n}: policy budget {decisions[p].energy_used:.6g} J "
+            f"exceeds stored energy {E[p]:.6g} J")
 
-    lim = clip(state.x, L, setup.limiter.M)
-    gamma = 0 if lim.saturated else 1
-    transmitting = decision.mode != "dormant" and np.any(decision.F)
-    if transmitting:
-        y = receive(draw, decision.F, lim.q, rng)
-        Ftilde = draw.H @ decision.F * lim.g
-        spend = float(np.linalg.norm(decision.F @ lim.q) ** 2) * setup.tau
-    else:
-        y, Ftilde, spend = None, None, 0.0
+    lim = limiter.clip(state.x, L, lim_params.M)
+    mode = np.array([d.mode for d in decisions])
+    transmitting = (mode != "dormant") & F.any(axis=(1, 2))
+    y = receive(draw, F, lim.q, rngs, noiseless=~transmitting)
+    Fq = (F @ lim.q[:, :, None])[:, :, 0]
+    spend = np.where(transmitting, np.linalg.norm(Fq, axis=1) ** 2 * setup.tau, 0.0)
+    update = transmitting & ~lim.saturated
+    Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)
 
     sq_error = mse_sample(state.x, state.x_hat)
-    sq_state = float(state.x @ state.x)
+    sq_state = (state.x * state.x).sum(axis=1)
     u = control(model, state.x_hat)
-    x_hat_next = estimate_step(state.x_hat, state.Sigma, y, Ftilde, gamma,
-                               model.A, model.B, u)
-    Sigma_next = sigma_step(state.Sigma, Ftilde, gamma, model.A, model.W)
-    w = noise_sqrt @ rng.standard_normal(setup.K)
+    x_hat_next, Sigma_next = estimator.filter_step(
+        state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
+    w = np.array([g.standard_normal(setup.K) for g in rngs]) @ noise_sqrt.T
     x_next = step(model, state.x, u, w)
 
-    alpha = sample_arrival(setup.arrivals, rng)
-    queue_next = spend_and_harvest(state.queue, spend, alpha)
+    alpha = sample_arrival(setup.arrivals, rngs)
+    queue_next = energy.spend_and_harvest(state.queue, spend, alpha)
 
     trace = SlotTrace(
-        n=state.n, E_before=state.queue.E, L=L, mode=decision.mode, gamma=gamma,
-        energy_used=spend, Tr_Sigma=float(np.trace(state.Sigma)),
+        n=state.n, E_before=E, L=L, mode=mode, gamma=(~lim.saturated).astype(int),
+        energy_used=spend, Tr_Sigma=np.trace(state.Sigma, axis1=1, axis2=2),
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
-    diverged = state.diverged or sq_state > setup.divergence_guard
     next_state = SimState(n=state.n + 1, x=x_next, x_hat=x_hat_next,
-                          Sigma=Sigma_next, queue=queue_next, diverged=diverged)
+                          Sigma=Sigma_next, queue=queue_next,
+                          diverged=state.diverged | (sq_state > setup.divergence_guard))
     return next_state, trace
 
 
@@ -192,33 +209,66 @@ class RunResult:
         return self.n_diverged > 0
 
 
+def _take(state: SimState, keep: np.ndarray) -> SimState:
+    queue = replace(state.queue, E=state.queue.E[keep],
+                    overspend_count=state.queue.overspend_count[keep])
+    return SimState(n=state.n, x=state.x[keep], x_hat=state.x_hat[keep],
+                    Sigma=state.Sigma[keep], queue=queue, diverged=state.diverged[keep])
+
+
+def _run_paths(setup: SimSetup, policy, n_slots: int, rngs: list,
+               keep_traces: bool) -> list[PathResult]:
+    """One path per generator in rngs, all advanced together by `run_slot`.
+
+    A path leaves the live set after the slot on which it trips the
+    divergence guard; its means divide by the slots it ran.
+    """
+    P, K = len(rngs), setup.K
+    noise_sqrt = _noise_sqrt(setup.model.W)
+    state = initial_state(setup, P)
+    live = np.arange(P)
+    # per-path sums of squared error, Tr(Sigma), spend, harvest, saturated
+    # and active slots: `sums` for the live paths, `totals` once they stop
+    sums = np.zeros((6, P))
+    totals = np.zeros((6, P))
+    n_run = np.zeros(P)
+    diverged = np.zeros(P, dtype=bool)
+    traces = [[] for _ in range(P)]
+    for _ in range(n_slots):
+        state, t = run_slot(setup, state, policy, rngs, noise_sqrt=noise_sqrt)
+        sums += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
+                 t.mode == "active")
+        if keep_traces:
+            for p, *fields in zip(live.tolist(), t.E_before.tolist(), t.L.tolist(),
+                                  t.mode.tolist(), t.gamma.tolist(),
+                                  t.energy_used.tolist(), t.Tr_Sigma.tolist(),
+                                  t.sq_error.tolist(), t.sq_state.tolist(),
+                                  t.alpha.tolist()):
+                traces[p].append(SlotTrace(t.n, *fields))
+        if state.diverged.any():
+            gone, keep = state.diverged, ~state.diverged
+            diverged[live[gone]] = True
+            totals[:, live[gone]] = sums[:, gone]
+            n_run[live[gone]] = state.n
+            live, sums = live[keep], sums[:, keep]
+            if not live.size:
+                break
+            state = _take(state, keep)
+            rngs = [g for g, k in zip(rngs, keep) if k]
+    totals[:, live] = sums
+    n_run[live] = state.n
+    sq_err, tr_sigma, spent, harvested, n_sat, n_active = totals
+    return [PathResult(*fields) for fields in zip(
+        (sq_err / (n_run * K)).tolist(), (tr_sigma / n_run).tolist(),
+        (n_sat / n_run).tolist(), (n_active / n_run).tolist(), spent.tolist(),
+        harvested.tolist(), diverged.tolist(),
+        traces if keep_traces else [None] * P)]
+
+
 def run_path(setup: SimSetup, policy, n_slots: int,
              rng: np.random.Generator, keep_traces: bool = False) -> PathResult:
-    noise_sqrt = _noise_sqrt(setup.model.W)
-    state = initial_state(setup)
-    traces = []
-    sq_err_sum = tr_sigma_sum = spend_sum = harvest_sum = 0.0
-    n_sat = n_active = 0
-    for _ in range(n_slots):
-        state, trace = run_slot(setup, state, policy, rng, noise_sqrt=noise_sqrt)
-        if keep_traces:
-            traces.append(trace)
-        sq_err_sum += trace.sq_error
-        tr_sigma_sum += trace.Tr_Sigma
-        spend_sum += trace.energy_used
-        harvest_sum += trace.alpha
-        n_sat += 1 - trace.gamma
-        n_active += trace.mode == "active"
-        if state.diverged:
-            # freeze the path at the guard: remaining slots inherit the flag
-            break
-    n_done = state.n
-    return PathResult(
-        mse=sq_err_sum / (n_done * setup.K), mean_tr_sigma=tr_sigma_sum / n_done,
-        saturation_rate=n_sat / n_done, duty_cycle=n_active / n_done,
-        energy_used=spend_sum, energy_harvested=harvest_sum,
-        diverged=state.diverged, traces=traces if keep_traces else None,
-    )
+    """One path on generator rng: the one-path case of `run_monte_carlo`."""
+    return _run_paths(setup, policy, n_slots, [rng], keep_traces)[0]
 
 
 def _metric(values: np.ndarray) -> Metric:
@@ -235,10 +285,8 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
     """Independent paths with per-path RNG streams default_rng([seed, path])."""
     if n_paths < 1 or n_slots < 1:
         raise InputDomainError("run_monte_carlo: n_paths and n_slots must be >= 1")
-    paths = []
-    for p in range(n_paths):
-        rng = np.random.default_rng([seed, p])
-        paths.append(run_path(setup, policy, n_slots, rng, keep_traces=keep_traces))
+    rngs = [np.random.default_rng([seed, p]) for p in range(n_paths)]
+    paths = _run_paths(setup, policy, n_slots, rngs, keep_traces)
     return RunResult(
         n_paths=n_paths, n_slots=n_slots, seed=seed,
         mse=_metric([p.mse for p in paths]),
@@ -261,6 +309,11 @@ def sweep(setup: SimSetup, policy_factories: dict, axis: str, values,
     values = list(values)
     if any(b < a for a, b in zip(values, values[1:])):
         raise InputDomainError("sweep: values must be ascending")
+    if axis == "mean_alpha" and setup.arrivals.kind == "empirical":
+        # an empirical model's mean is that of its values, whatever is asked
+        raise InputDomainError(
+            "sweep: axis 'mean_alpha' cannot set the mean of an 'empirical' "
+            "ArrivalModel")
     rows = []
     for value in values:
         if axis == "theta":

@@ -379,24 +379,24 @@ def test_criterion_10_event_driven_reset():
     last_dormant = -1
     n_slots = n_at_capacity = 0
     for p in range(100):
-        rng = np.random.default_rng([SEED + 2, p])  # run_monte_carlo's streams
-        state = initial_state(setup)
+        rngs = [np.random.default_rng([SEED + 2, p])]  # run_monte_carlo's streams
+        state = initial_state(setup)  # a stack of one path
         for _ in range(DESK_SLOTS):
-            nxt, trace = run_slot(setup, state, solve_theorem1, rng)
+            nxt, trace = run_slot(setup, state, solve_theorem1, rngs)
             n_slots += 1
-            n_at_capacity += trace.E_before == setup.theta
-            if trace.mode == "active":
-                u = control(model, state.x_hat)
-                prior = estimate_step(state.x_hat, state.Sigma, None, None, 0,
+            n_at_capacity += trace.E_before[0] == setup.theta
+            if trace.mode[0] == "active":
+                u = control(model, state.x_hat[0])
+                prior = estimate_step(state.x_hat[0], state.Sigma[0], None, None, 0,
                                       model.A, model.B, u)
-                updated.append(mse_sample(nxt.x, nxt.x_hat))
-                predicted.append(mse_sample(nxt.x, prior))
+                updated.append(mse_sample(nxt.x[0], nxt.x_hat[0]))
+                predicted.append(mse_sample(nxt.x[0], prior))
             else:
                 last_dormant = max(last_dormant, trace.n)
             state = nxt
-            if state.diverged:
+            if state.diverged[0]:
                 break
-        final_tr_sigma.append(trace.Tr_Sigma)
+        final_tr_sigma.append(trace.Tr_Sigma[0])
     updated = np.asarray(updated)
     predicted = np.asarray(predicted)
     paired = updated - predicted

@@ -42,6 +42,16 @@ class TestSvd:
             s = r.singular_values
             assert np.all(np.diff(s) <= 1e-12)
 
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(2)
+        H = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        r = svd(H)
+        assert np.abs(r.reconstruct() - H).max() < 1e-10
+        for p in range(4):
+            one = svd(H[p])
+            assert np.allclose(r.singular_values[p], one.singular_values)
+            assert np.allclose(r.Pi[p], one.Pi)
+
 
 class TestEigSym:
     def test_diagonal(self):
@@ -78,6 +88,24 @@ class TestEigSym:
             assert abs(r.Lam.sum() - np.trace(Sigma)) < 1e-10 * max(1, np.trace(Sigma))
             assert abs(np.linalg.norm(r.Lam) - np.linalg.norm(Sigma)) < 1e-8
             assert np.abs(r.reconstruct() - Sigma).max() < 1e-10 * max(1.0, np.abs(Sigma).max())
+
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((5, 3, 3))
+        stack = X @ np.swapaxes(X, -1, -2)
+        r = eig_sym(stack)
+        for Sigma, S, Lam in zip(stack, r.S, r.Lam):
+            one = eig_sym(Sigma)
+            assert np.allclose(Lam, one.Lam)
+            assert np.allclose(np.abs(S), np.abs(one.S))
+        assert np.allclose(r.reconstruct(), stack)
+
+    def test_stack_checks_each_matrix_on_its_own_scale(self):
+        # -1e-10 is round-off next to 1e6 but not next to 1
+        with pytest.raises(InputDomainError):
+            eig_sym(np.stack([1e6 * np.eye(2), np.diag([1.0, -1e-10])]))
+        with pytest.raises(InputDomainError):
+            eig_sym(np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]))
 
 
 class TestStein:

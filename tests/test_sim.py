@@ -1,6 +1,14 @@
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import reference_path  # noqa: E402
+
+from ehncs.cli import policy_factory
 from ehncs.energy import ArrivalModel
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
@@ -31,27 +39,28 @@ def zero_policy(ctx):
 
 
 class TestRunSlot:
+    # one path, driven as a stack of one
     def test_silent_policy_gives_pure_prediction(self):
         setup = small_setup()
         state = initial_state(setup)
-        rng = np.random.default_rng(0)
+        rngs = [np.random.default_rng(0)]
         A, W = setup.model.A, setup.model.W
         Sigma = np.zeros((2, 2))
         for _ in range(5):
-            state, trace = run_slot(setup, state, zero_policy, rng)
+            state, trace = run_slot(setup, state, zero_policy, rngs)
             Sigma = A @ Sigma @ A.T + W
-            assert np.allclose(state.Sigma, Sigma)
-            assert trace.energy_used == 0.0
-            assert trace.mode == "dormant"
+            assert np.allclose(state.Sigma[0], Sigma)
+            assert trace.energy_used[0] == 0.0
+            assert trace.mode[0] == "dormant"
 
     def test_unstable_open_loop_covariance_grows(self):
         setup = small_setup()
         state = initial_state(setup)
-        rng = np.random.default_rng(1)
+        rngs = [np.random.default_rng(1)]
         traces = []
         for _ in range(50):
-            state, trace = run_slot(setup, state, zero_policy, rng)
-            traces.append(trace.Tr_Sigma)
+            state, trace = run_slot(setup, state, zero_policy, rngs)
+            traces.append(trace.Tr_Sigma[0])
         assert traces[-1] > 100.0 * max(traces[1], 1.0)
 
     def test_infeasible_policy_raises(self):
@@ -67,16 +76,16 @@ class TestRunSlot:
                                     energy_used=1e12)
 
         with pytest.raises(FeasibilityError):
-            run_slot(setup, state, greedy, np.random.default_rng(2))
+            run_slot(setup, state, greedy, [np.random.default_rng(2)])
 
     def test_battery_stays_in_range(self):
         setup = small_setup()
         state = initial_state(setup)
-        rng = np.random.default_rng(3)
+        rngs = [np.random.default_rng(3)]
         for _ in range(200):
-            state, trace = run_slot(setup, state, solve_theorem1, rng)
-            assert 0.0 <= state.queue.E <= setup.theta + 1e-12
-            assert trace.energy_used <= trace.E_before + 1e-9
+            state, trace = run_slot(setup, state, solve_theorem1, rngs)
+            assert 0.0 <= state.queue.E[0] <= setup.theta + 1e-12
+            assert trace.energy_used[0] <= trace.E_before[0] + 1e-9
 
 
 class TestMonteCarlo:
@@ -120,6 +129,53 @@ class TestMonteCarlo:
             run_monte_carlo(small_setup(), solve_theorem1, 0, 10, seed=1)
 
 
+class TestStackedEngine:
+    POLICIES = ("proposed", "baseline1", "baseline2", "baseline3", "baseline4",
+                "baseline5")
+    FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle",
+              "energy_used", "energy_harvested")
+    SEED = 3
+    # at 60 slots no path reaches the default 1e12 guard; at 1e6 two
+    # baseline2 paths at theta 40 trip it (paths 3 and 16 at SEED)
+    GUARD = 1e6
+
+    def setup_at(self, theta):
+        return replace(small_setup(theta=theta), divergence_guard=self.GUARD)
+
+    def test_matches_per_path_reference(self):
+        n_paths, n_slots = 20, 60
+        n_tripped = None
+        for theta in (40.0, 120.0):
+            setup = self.setup_at(theta)
+            for name in self.POLICIES:
+                policy = policy_factory(name)(setup)
+                run = run_monte_carlo(setup, policy, n_paths, n_slots, self.SEED,
+                                      keep_traces=True)
+                for p, path in enumerate(run.paths):
+                    ref, ref_slots = reference_path(
+                        setup, policy, n_slots, np.random.default_rng([self.SEED, p]))
+                    assert path.diverged == ref.diverged, (name, theta, p)
+                    assert len(path.traces) == ref_slots, (name, theta, p)
+                    for f in self.FIELDS:
+                        assert getattr(path, f) == pytest.approx(
+                            getattr(ref, f), rel=1e-9), (name, theta, p, f)
+                if (name, theta) == ("baseline2", 40.0):
+                    n_tripped = run.n_diverged
+        assert n_tripped >= 1
+
+        # a path does not depend on which other paths share its run, nor on
+        # one of them leaving it at the guard
+        setup = self.setup_at(40.0)
+        policy = policy_factory("baseline2")(setup)
+        wide = run_monte_carlo(setup, policy, 8, n_slots, self.SEED)
+        narrow = run_monte_carlo(setup, policy, 3, n_slots, self.SEED)
+        assert any(p.diverged for p in wide.paths[3:])
+        for a, b in zip(wide.paths[:3], narrow.paths):
+            assert a.diverged == b.diverged
+            for f in self.FIELDS:
+                assert getattr(a, f) == pytest.approx(getattr(b, f), rel=1e-12)
+
+
 class TestSweep:
     def factories(self):
         return {"proposed": lambda setup: solve_theorem1}
@@ -144,6 +200,14 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(InputDomainError):
             sweep(small_setup(), self.factories(), "tau", [0.1], 1, 5, 1)
+
+    def test_mean_alpha_axis_rejects_empirical_arrivals(self):
+        # an empirical model's mean is that of its values, so the swept
+        # value could not take effect
+        setup = replace(small_setup(),
+                        arrivals=ArrivalModel(kind="empirical", values=[1.0, 2.0, 3.0]))
+        with pytest.raises(InputDomainError, match="mean_alpha.*empirical"):
+            sweep(setup, self.factories(), "mean_alpha", [50.0], 1, 5, 1)
 
 
 class TestDecisionRegions:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ehncs.limiter import make_params
 from ehncs.plant import PlantModel
-from ehncs.sim import decision_region_scan
+from ehncs.precoder import decision_region_scan
 
 GLYPH = {0: ".", 1: "o", 2: "#"}
 

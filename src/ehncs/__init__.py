@@ -1,15 +1,16 @@
 """Networked control with an energy-harvesting MIMO sensor.
 
 Library layout:
-  numerics   -- decomposition/equation kernels (SVD, Stein, Riccati, bisection)
+  numerics   -- decomposition/equation kernels (SVD, eig, Stein, Riccati)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel and singular-value statistics
   energy     -- arrival models and the battery queue
   limiter    -- saturation limiter and its adaptive dynamic range
   estimator  -- virtual covariance recursion and state estimator
-  precoder   -- drift-minimizing water-filling precoder and five baselines
+  precoder   -- drift-minimizing water-filling precoder, five baselines,
+                decision-region scans
   analysis   -- stability condition, design requirements, MSE bound
-  sim        -- stacked slot step, Monte Carlo harness, sweeps, region scans
+  sim        -- stacked slot step, Monte Carlo harness, sweeps
   config/cli -- experiment files and the command-line runner
 """
 
@@ -24,8 +25,8 @@ from .numerics import eig_sym, solve_dare, solve_stein, svd
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step
 from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,
-                       baseline_periodic_wf, kkt_residual, solve_theorem1)
-from .sim import (RunResult, SimSetup, decision_region_scan, run_monte_carlo,
-                  run_path, run_slot, sweep)
+                       baseline_periodic_wf, decision_region_scan,
+                       kkt_residual, solve_theorem1)
+from .sim import RunResult, SimSetup, run_monte_carlo, run_path, run_slot, sweep
 
 __version__ = "0.1.0"

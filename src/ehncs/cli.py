@@ -18,8 +18,9 @@ from .config import (ConfigError, ExperimentConfig, build_limiter, build_model,
                      build_setup, parse_config)
 from .energy import estimate_inverse_mean
 from .precoder import (baseline_capacity_wf, baseline_constant_power,
-                       baseline_mmse_wf, baseline_periodic_wf, solve_theorem1)
-from .sim import decision_region_scan, run_monte_carlo, sweep
+                       baseline_mmse_wf, baseline_periodic_wf,
+                       decision_region_scan, solve_theorem1)
+from .sim import run_monte_carlo, sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -45,12 +45,16 @@ class ArrivalModel:
             raise InputDomainError("ArrivalModel: mean must be non-negative")
 
 
-def _draw_arrival(model: ArrivalModel, rng: np.random.Generator) -> float:
+def _draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):
+    """One harvest draw as a float, or `size` draws as an array (the same
+    values as `size` single draws)."""
     if model.kind == "poisson":
-        return float(rng.poisson(model.mean))
-    if model.kind == "deterministic":
-        return model.mean
-    return float(rng.choice(model.values))
+        draw = rng.poisson(model.mean, size)
+    elif model.kind == "empirical":
+        draw = rng.choice(model.values, size)
+    else:
+        draw = model.mean if size is None else np.full(size, model.mean)
+    return float(draw) if size is None else draw.astype(float)
 
 
 def sample_arrival(model: ArrivalModel, rng):
@@ -97,7 +101,7 @@ def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,
         if model.mean <= 0:
             raise InputDomainError("estimate_inverse_mean: deterministic mean is 0")
         return 1.0 / model.mean, 0.0
-    draws = np.array([_draw_arrival(model, rng) for _ in range(n)])
+    draws = _draw_arrival(model, rng, size=n)
     pos = draws[draws > 0]
     if pos.size == 0:
         raise InputDomainError("estimate_inverse_mean: all draws were zero")

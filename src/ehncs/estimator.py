@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputDomainError, herm
+from .numerics import InputDomainError, eig_sym, herm
 
 IMAG_RESIDUAL_TOL = 1e-6
 
@@ -37,16 +37,6 @@ def gram_2re(Ftilde: np.ndarray) -> np.ndarray:
     """2 Re{Ftilde^H Ftilde}; equals (Ftilde^a)^H Ftilde^a and is real PSD."""
     G = herm(Ftilde) @ Ftilde
     return 2.0 * np.real(G)
-
-
-def _check_psd(Sigma: np.ndarray) -> np.ndarray:
-    Sigma = np.asarray(Sigma, dtype=float)
-    scale = max(1.0, np.abs(Sigma).max())
-    if np.abs(Sigma - Sigma.T).max() > 1e-9 * scale:
-        raise InputDomainError("sigma_step: Sigma must be symmetric")
-    if np.linalg.eigvalsh(Sigma).min() < -1e-9 * scale:
-        raise InputDomainError("sigma_step: Sigma must be PSD")
-    return Sigma
 
 
 def _real(z: np.ndarray, core_ndim: int, what: str) -> np.ndarray:
@@ -100,15 +90,15 @@ def sigma_step(Sigma: np.ndarray, Ftilde: np.ndarray | None, gamma: int,
     the Gram-form identity (2 Re{Ftilde^H Ftilde} + Sigma^{-1})^{-1}
     (method="gram").  method="auto" picks by conditioning.
     """
-    Sigma = _check_psd(Sigma)
+    Sigma = np.asarray(Sigma, dtype=float)
+    lam = eig_sym(Sigma).Lam  # raises on asymmetric or indefinite Sigma
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if gamma == 0 or Ftilde is None or not np.any(Ftilde):
         return _propagate(Sigma, A, W)
 
     if method == "auto":
-        lam = np.linalg.eigvalsh(Sigma)
-        near_singular = lam.min() < 1e-12 * max(lam.max(), 1.0)
+        near_singular = lam[-1] < 1e-12 * max(lam[0], 1.0)
         method = "augmented" if near_singular else "gram"
 
     if method == "gram":

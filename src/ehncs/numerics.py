@@ -1,7 +1,7 @@
 """Matrix decomposition and equation-solving kernels shared by all modules.
 
 Every nontrivial linear-algebra operation used elsewhere lives behind one of
-the functions here so it can be validated in isolation.  Ordering conventions
+the functions here so it can be validated in isolation.  Ordering rules
 (descending singular values / eigenvalues) are enforced here once, so the
 per-stream pairing done by the precoder is deterministic.
 """
@@ -9,7 +9,7 @@ per-stream pairing done by the precoder is deterministic.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import LinAlgError, solve_discrete_are, solve_discrete_lyapunov
 
 
 class InputDomainError(ValueError):
@@ -21,11 +21,7 @@ class NotSchurStableError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver failed to converge within its iteration budget."""
-
-
-class BracketError(ValueError):
-    """Root bracket does not contain a sign change."""
+    """Equation solver found no finite solution."""
 
 
 # eigenvalues of a PSD matrix may round off slightly negative; anything more
@@ -73,7 +69,7 @@ def herm(X: np.ndarray) -> np.ndarray:
 
 
 def svd(H: np.ndarray) -> SvdResult:
-    """Singular value decomposition in the H = V Pi U^H convention.
+    """Singular value decomposition in the form H = V Pi U^H.
 
     H may be one (N_c, N_s) matrix or a stack (..., N_c, N_s), decomposed in
     one LAPACK call.
@@ -81,7 +77,7 @@ def svd(H: np.ndarray) -> SvdResult:
     H = np.asarray(H)
     if not np.isfinite(H).all():
         raise InputDomainError("svd: input has non-finite entries")
-    # numpy convention H = V_ @ diag(s) @ Uh_; map onto H = V Pi U^H
+    # numpy gives H = V_ @ diag(s) @ Uh_; map onto H = V Pi U^H
     V_, s, Uh_ = np.linalg.svd(H, full_matrices=True)
     Pi = np.zeros(H.shape)
     k = np.arange(s.shape[-1])
@@ -132,55 +128,14 @@ def solve_stein(F: np.ndarray, T: np.ndarray) -> np.ndarray:
     return (Q + Q.T) / 2
 
 
-def solve_dare(
-    A: np.ndarray,
-    B: np.ndarray,
-    P: np.ndarray,
-    R: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> np.ndarray:
-    """Fixed-point solve of Z = A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P.
+def solve_dare(A: np.ndarray, B: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Stabilizing solution of Z = A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P.
 
-    Iterates the recursion from Z0 = P until successive iterates differ by
-    less than ``tol`` in max-norm.
+    SciPy's generalized-eigenproblem solver (Arnold & Laub, Proc. IEEE 1984),
+    symmetrized; raises ConvergenceError when it finds no finite solution.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    P = np.asarray(P, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Z = P.copy()
-    for _ in range(max_iter):
-        BtZ = B.T @ Z
-        gain = np.linalg.solve(BtZ @ B + R, BtZ @ A)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Z_next = A.T @ Z @ A - (A.T @ Z @ B) @ gain + P
-        Z_next = (Z_next + Z_next.T) / 2
-        if not np.all(np.isfinite(Z_next)):
-            raise ConvergenceError("solve_dare: iteration diverged")
-        if np.abs(Z_next - Z).max() < tol:
-            return Z_next
-        Z = Z_next
-    raise ConvergenceError(f"solve_dare: no convergence in {max_iter} iterations")
-
-
-def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of a monotone scalar function by bisection on [lo, hi]."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise BracketError(f"bisect: no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol * max(1.0, abs(mid)):
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    try:
+        Z = solve_discrete_are(A, B, P, R)
+    except (LinAlgError, ValueError) as exc:
+        raise ConvergenceError(f"solve_dare: {exc}") from exc
+    return (Z + Z.T) / 2

@@ -116,14 +116,10 @@ def instability_measure(Mtx: np.ndarray) -> float:
     return float(np.prod(np.maximum(1.0, mods)))
 
 
-def design_gain_ce(A, B, P, R, convention: str = "standard") -> np.ndarray:
-    """Certainty-equivalent gain Psi for the control law u = -Psi A x_hat.
-
-    convention="standard": Psi = (B^T Z B + R)^{-1} B^T Z, which combined with
-    the -Psi A x_hat law yields the usual LQR feedback.
-    convention="negated": Psi carries an extra minus sign (the sign then
-    cancels against the one in the control law).  The resulting closed loop
-    is checked for Schur stability either way.
+def design_gain_ce(A, B, P, R) -> np.ndarray:
+    """Certainty-equivalent gain Psi = (B^T Z B + R)^{-1} B^T Z for the control
+    law u = -Psi A x_hat, which makes it the usual LQR feedback.  The closed
+    loop is checked for Schur stability.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -132,13 +128,7 @@ def design_gain_ce(A, B, P, R, convention: str = "standard") -> np.ndarray:
     except Exception as exc:
         raise GainDesignError(f"design_gain_ce: DARE solve failed ({exc})") from exc
     BtZ = B.T @ Z
-    core = np.linalg.solve(BtZ @ B + np.asarray(R, dtype=float), BtZ)
-    if convention == "standard":
-        Psi = core
-    elif convention == "negated":
-        Psi = -core
-    else:
-        raise InputDomainError(f"design_gain_ce: unknown convention {convention!r}")
+    Psi = np.linalg.solve(BtZ @ B + np.asarray(R, dtype=float), BtZ)
     cl = A - B @ Psi @ A
     if spectral_radius(cl) >= 1.0:
         raise GainDesignError("design_gain_ce: closed loop is not Schur-stable")

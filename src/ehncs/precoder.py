@@ -1,4 +1,5 @@
-"""Drift-minimizing event-driven water-filling precoder and the baselines.
+"""Drift-minimizing event-driven water-filling precoder, the baselines and the
+decision-region scan.
 
 The proposed policy solves, per slot, the drift minimization
 
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputDomainError, SvdResult, bisect
+from .limiter import LimiterParams, dynamic_range
+from .numerics import InputDomainError, SvdResult
+from .plant import PlantModel
 
 ALLOC_TOL = 1e-12
 
@@ -104,7 +107,7 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
 
     Dormant iff theta - (||AA^T|| (Lam_ii Pi_ii)^2 / (tau L^2) + E) > 0 for
     every stream; otherwise allocations follow the water-filling rule with
-    beta = 0 when the budget is slack and beta > 0 (bisection) when binding.
+    beta = 0 when the budget is slack and beta > 0 when binding.
     """
     K = len(ctx.Pi_K)
     thresholds = ctx.theta - (ctx.norm_AAT * (ctx.Lam * ctx.Pi_K) ** 2
@@ -126,35 +129,25 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     # Budget binds: solve energy(s) = E exactly.  Stream i is active iff
     # s < t_i = c (Pi_ii Lam_ii / L)^2 / tau, and on a fixed active set
     # energy(s) = a/sqrt(s) - b, so each candidate interval inverts in
-    # closed form.  Walk intervals from large s (few streams) downward.
+    # closed form.  Walk intervals from large s (few streams) downward and
+    # stop at the first candidate at or above the next breakpoint (0 after
+    # the last stream): energy(s) is continuous and decreasing, so that
+    # candidate is the root; the clamps only absorb round-off.
     t = ctx.norm_AAT * (ctx.Pi_K * ctx.Lam / ctx.L) ** 2 / ctx.tau
     order = np.argsort(t)[::-1]  # activation order as s decreases
+    if t[order[0]] <= 0:
+        # every threshold is 0 (Sigma = 0): no stream switches on
+        return _dormant_decision(ctx, mode="active")
     half_sqrt = 0.5 * ctx.L * np.sqrt(ctx.norm_AAT * ctx.tau) / ctx.Pi_K  # a_i terms
     half_seabed = 0.5 * ctx.L**2 * ctx.tau * seabed / ctx.Pi_K**2  # b_i terms
     a = b = 0.0
-    s_star = None
     for m, i in enumerate(order):
-        if t[i] <= 0:
-            break
         a += half_sqrt[i]
         b += half_seabed[i]
-        s_cand = (a / (ctx.E + b)) ** 2
-        upper = t[i]
-        lower = t[order[m + 1]] if m + 1 < len(order) else 0.0
-        if lower <= s_cand <= upper:
-            s_star = s_cand
+        s = (a / (ctx.E + b)) ** 2
+        if s >= (t[order[m + 1]] if m + 1 < K else 0.0):
             break
-    if s_star is None or s_star < s0:
-        # fall back to bisection (degenerate ties / round-off at interval edges)
-        def gap(s):
-            return _energy_of_alloc(ctx, _alloc(ctx, s, seabed)) - ctx.E
-
-        lo = max(s0, 1e-300)
-        hi = float(t.max())
-        if hi <= lo or gap(lo) < 0:
-            # battery cannot be emptied above s0: spend all we can at s0
-            return _assemble(ctx, _alloc(ctx, lo, seabed), beta=0.0, mode="active")
-        s_star = bisect(gap, lo, hi, tol=1e-12 * max(ctx.E, 1.0))
+    s_star = max(min(s, t[i]), s0)
     y = _alloc(ctx, s_star, seabed)
     return _assemble(ctx, y, beta=s_star - s0, mode="active")
 
@@ -193,6 +186,45 @@ def kkt_residual(ctx: DriftContext, decision: PrecoderDecision) -> float:
             else:
                 residuals.append(max(0.0, -station[i]))  # derivative >= 0 at 0
     return float(max(residuals))
+
+
+def _diagonal_context(E: float, theta: float, tau: float, M: float, L: float,
+                      norm_AAT: float, h: np.ndarray, sigma: np.ndarray) -> DriftContext:
+    """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
+    reordering so stream i keeps the pair (h_i, sigma_i)."""
+    K = len(h)
+    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, dtype=float)), V=np.eye(K))
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
+                        Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
+                        M=M, L=L, norm_AAT=norm_AAT)
+
+
+def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
+                         h1: float, sigma1: float, h2_values, sigma2_values,
+                         theta: float, tau: float,
+                         gain_norm: str = "BPsi") -> dict:
+    """Count of activated spatial channels over a (h2, sigma2) grid.
+
+    Stream 1 is held at (h1, sigma1); the scan reports, for each grid point,
+    how many streams the drift-minimizing precoder switches on (0, 1 or 2)
+    for a decoupled diagonal plant/channel.  The dynamic range is recomputed
+    per point from Sigma = diag(sigma1, sigma2); gain_norm defaults to the
+    ||B Psi|| variant used by the published decision-region plots.
+    Rows index sigma2_values, columns index h2_values.
+    """
+    h2_values = np.asarray(h2_values, dtype=float)
+    sigma2_values = np.asarray(sigma2_values, dtype=float)
+    norm_AAT = model.norm_AAT
+    counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
+    for i, s2 in enumerate(sigma2_values):
+        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm=gain_norm)
+        for j, h2 in enumerate(h2_values):
+            ctx = _diagonal_context(E, theta, tau, limiter.M, L, norm_AAT,
+                                    h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
+            decision = solve_theorem1(ctx)
+            counts[i, j] = int(np.count_nonzero(decision.allocations > 0))
+    return {"h2": h2_values, "sigma2": sigma2_values, "active_streams": counts,
+            "E": E, "theta": theta}
 
 
 # ---------------------------------------------------------------------------

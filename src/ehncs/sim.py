@@ -25,7 +25,7 @@ from .estimator import mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, SvdResult, eig_sym
 from .plant import PlantModel, control, step
-from .precoder import DriftContext, solve_theorem1
+from .precoder import DriftContext
 
 
 class FeasibilityError(RuntimeError):
@@ -335,41 +335,3 @@ def sweep(setup: SimSetup, policy_factories: dict, axis: str, values,
             })
     return rows
 
-
-def _diagonal_context(E: float, theta: float, tau: float, M: float, L: float,
-                      norm_AAT: float, h: np.ndarray, sigma: np.ndarray) -> DriftContext:
-    """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
-    reordering so stream i keeps the pair (h_i, sigma_i)."""
-    K = len(h)
-    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, dtype=float)), V=np.eye(K))
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
-                        Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
-                        M=M, L=L, norm_AAT=norm_AAT)
-
-
-def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
-                         h1: float, sigma1: float, h2_values, sigma2_values,
-                         theta: float, tau: float,
-                         gain_norm: str = "BPsi") -> dict:
-    """Count of activated spatial channels over a (h2, sigma2) grid.
-
-    Stream 1 is held at (h1, sigma1); the scan reports, for each grid point,
-    how many streams the drift-minimizing precoder switches on (0, 1 or 2)
-    for a decoupled diagonal plant/channel.  The dynamic range is recomputed
-    per point from Sigma = diag(sigma1, sigma2); gain_norm defaults to the
-    ||B Psi|| variant used by the published decision-region plots.
-    Rows index sigma2_values, columns index h2_values.
-    """
-    h2_values = np.asarray(h2_values, dtype=float)
-    sigma2_values = np.asarray(sigma2_values, dtype=float)
-    norm_AAT = model.norm_AAT
-    counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
-    for i, s2 in enumerate(sigma2_values):
-        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm=gain_norm)
-        for j, h2 in enumerate(h2_values):
-            ctx = _diagonal_context(E, theta, tau, limiter.M, L, norm_AAT,
-                                    h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
-            decision = solve_theorem1(ctx)
-            counts[i, j] = int(np.count_nonzero(decision.allocations > 0))
-    return {"h2": h2_values, "sigma2": sigma2_values, "active_streams": counts,
-            "E": E, "theta": theta}

@@ -27,9 +27,9 @@ from ehncs.numerics import eig_sym, svd
 from ehncs.plant import PlantModel, control, instability_measure
 from ehncs.precoder import (DriftContext, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
-                            baseline_periodic_wf, kkt_residual, solve_theorem1)
-from ehncs.sim import (SimSetup, decision_region_scan, initial_state,
-                       run_monte_carlo, run_slot)
+                            baseline_periodic_wf, decision_region_scan,
+                            kkt_residual, solve_theorem1)
+from ehncs.sim import SimSetup, _take, initial_state, run_monte_carlo, run_slot
 
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
 SEED = 20260823
@@ -375,30 +375,35 @@ def test_criterion_10_event_driven_reset():
                      limiter=make_params(model, M=cfg.M, eps=0.01),
                      arrivals=ArrivalModel(kind="poisson", mean=5.0),
                      N_c=cfg.N_c, N_s=cfg.N_s, tau=cfg.tau, theta=30.0)
-    updated, predicted, final_tr_sigma = [], [], []
+    # the 100 paths advance as one stack on run_monte_carlo's streams; a
+    # path leaves the stack after the slot on which it trips the guard
+    rngs = [np.random.default_rng([SEED + 2, p]) for p in range(100)]
+    state = initial_state(setup, len(rngs))
+    live = np.arange(len(rngs))
+    updated, predicted = [], []
+    final_tr_sigma = np.zeros(len(rngs))
     last_dormant = -1
     n_slots = n_at_capacity = 0
-    for p in range(100):
-        rngs = [np.random.default_rng([SEED + 2, p])]  # run_monte_carlo's streams
-        state = initial_state(setup)  # a stack of one path
-        for _ in range(DESK_SLOTS):
-            nxt, trace = run_slot(setup, state, solve_theorem1, rngs)
-            n_slots += 1
-            n_at_capacity += trace.E_before[0] == setup.theta
-            if trace.mode[0] == "active":
-                u = control(model, state.x_hat[0])
-                prior = estimate_step(state.x_hat[0], state.Sigma[0], None, None, 0,
-                                      model.A, model.B, u)
-                updated.append(mse_sample(nxt.x[0], nxt.x_hat[0]))
-                predicted.append(mse_sample(nxt.x[0], prior))
-            else:
-                last_dormant = max(last_dormant, trace.n)
-            state = nxt
-            if state.diverged[0]:
-                break
-        final_tr_sigma.append(trace.Tr_Sigma[0])
-    updated = np.asarray(updated)
-    predicted = np.asarray(predicted)
+    for _ in range(DESK_SLOTS):
+        nxt, trace = run_slot(setup, state, solve_theorem1, rngs)
+        n_slots += live.size
+        n_at_capacity += np.count_nonzero(trace.E_before == setup.theta)
+        active = trace.mode == "active"
+        u = control(model, state.x_hat[active])
+        prior = estimate_step(state.x_hat[active], state.Sigma[active], None, None, 0,
+                              model.A, model.B, u)
+        updated.append(mse_sample(nxt.x[active], nxt.x_hat[active]))
+        predicted.append(mse_sample(nxt.x[active], prior))
+        if not active.all():
+            last_dormant = trace.n
+        final_tr_sigma[live] = trace.Tr_Sigma
+        keep = ~nxt.diverged
+        state, live = _take(nxt, keep), live[keep]
+        rngs = [g for g, k in zip(rngs, keep) if k]
+        if not live.size:
+            break
+    updated = np.concatenate(updated)
+    predicted = np.concatenate(predicted)
     paired = updated - predicted
     diff = paired.mean()
     se = paired.std(ddof=1) / np.sqrt(paired.size)

@@ -6,6 +6,8 @@ import pytest
 
 from ehncs.cli import main
 from ehncs.config import ConfigError, build_setup, parse_config, parse_config_text
+from ehncs.numerics import spectral_radius
+from ehncs.plant import design_gain_ce
 
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
 
@@ -84,8 +86,20 @@ class TestParse:
         text = "\n".join(line for line in text.splitlines()
                          if not line.startswith("Psi"))
         cfg = parse_config_text(text)
-        assert cfg.Psi.shape == (2, 2)
-        build_setup(cfg)  # closed loop must be stable
+        assert np.array_equal(cfg.Psi, design_gain_ce(cfg.A, cfg.B, np.eye(2), np.eye(2)))
+        assert spectral_radius(cfg.A - cfg.B @ cfg.Psi @ cfg.A) < 1.0
+        build_setup(cfg)
+
+    def test_unstabilizable_weights_rejected(self):
+        # B = 0 leaves the unstable plant out of reach of any gain
+        text = small_config_text(B="[[0.0, 0.0], [0.0, 0.0]]",
+                                 P="[[1.0, 0.0], [0.0, 1.0]]",
+                                 R="[[1.0, 0.0], [0.0, 1.0]]")
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith("Psi"))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert any(v.startswith("P/R: gain design failed") for v in err.value.violations)
 
 
 class TestCli:

@@ -77,6 +77,18 @@ class TestInverseMean:
         inv, zero_frac = estimate_inverse_mean(m, np.random.default_rng(0))
         assert inv == 0.25 and zero_frac == 0.0
 
+    def test_matches_per_draw_loop(self):
+        # one call for n draws gives the values of n single draws
+        for m in (ArrivalModel(kind="poisson", mean=2.0),
+                  ArrivalModel(kind="empirical", values=[0.0, 1.5, 4.0])):
+            rng = np.random.default_rng(12)
+            singles = [sample_arrival(m, rng) for _ in range(5000)]
+            assert all(type(a) is float for a in singles)
+            draws = np.array(singles)
+            pos = draws[draws > 0]
+            expect = (float((1.0 / pos).mean()), 1.0 - pos.size / draws.size)
+            assert estimate_inverse_mean(m, np.random.default_rng(12), n=5000) == expect
+
     def test_poisson_matches_series(self):
         # series oracle: E[1/a | a > 0] = sum_{k>=1} e^-m m^k / (k! k) / (1 - e^-m)
         mean = 5.0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ehncs.numerics import (BracketError, ConvergenceError, InputDomainError,
-                            NotSchurStableError, bisect, eig_sym, solve_dare,
-                            solve_stein, spectral_radius, svd)
+from ehncs.numerics import (ConvergenceError, InputDomainError, NotSchurStableError,
+                            eig_sym, solve_dare, solve_stein, spectral_radius, svd)
 
 
 class TestSvd:
@@ -162,15 +161,3 @@ class TestDare:
         with pytest.raises(ConvergenceError):
             solve_dare(np.array([[2.0]]), np.array([[0.0]]),
                        np.array([[1.0]]), np.array([[1.0]]))
-
-
-class TestBisect:
-    def test_linear(self):
-        assert abs(bisect(lambda x: x - 1.0, 0.0, 2.0) - 1.0) < 1e-12
-
-    def test_sqrt_two(self):
-        assert abs(bisect(lambda x: x * x - 2.0, 0.0, 2.0) - np.sqrt(2.0)) < 1e-10
-
-    def test_no_bracket(self):
-        with pytest.raises(BracketError):
-            bisect(lambda x: x + 10.0, 0.0, 1.0)

@@ -49,6 +49,17 @@ class TestDormantActive:
         assert d.mode == "active"
         assert np.any(d.allocations > 0)
 
+    def test_zero_covariance_with_full_battery(self):
+        # Sigma = 0 leaves nothing to report; with E >= theta the dormant
+        # test cannot fire, so the decision is active and silent
+        for E in (36.0, 40.0):
+            ctx = diagonal_ctx([4.0, 3.0], [0.0, 0.0], E=E, theta=36.0)
+            d = solve_theorem1(ctx)
+            assert d.mode == "active"
+            assert not np.any(d.F)
+            assert d.beta == 0.0 and d.energy_used == 0.0
+            assert kkt_residual(ctx, d) == 0.0
+
     def test_empty_battery_transmits_nothing(self):
         ctx = diagonal_ctx([4.0, 3.0], [70.0, 50.0], E=0.0, theta=36.0)
         d = solve_theorem1(ctx)
@@ -71,23 +82,43 @@ class TestBudget:
             assert d.beta == 0.0
 
     def test_binding_budget_meets_energy(self):
+        # K = 1..4 streams: random contexts, and decoupled ones where two
+        # streams share an activation threshold or one eigenvalue is zero
         rng = np.random.default_rng(0)
-        n_binding = 0
-        for trial in range(400):
-            if trial % 2:
+        n_binding = np.zeros((4, 3), dtype=int)  # by K and by kind of context
+        for trial in range(2400):
+            K = trial % 4 + 1
+            kind = (trial // 4) % 3
+            theta = rng.uniform(1.0, 100.0)
+            if (trial // 4) % 2:
                 # near-full battery with a small threshold gap favors the
                 # budget-binding regime
-                theta = rng.uniform(1.0, 100.0)
-                ctx = make_ctx(rng, theta=theta, E=rng.uniform(0.9, 1.0) * theta,
-                               L=rng.uniform(10.0, 30.0))
+                E = rng.uniform(0.9, 1.0) * theta
             else:
-                ctx = make_ctx(rng)
+                E = rng.uniform(0.01, theta)
+            L = rng.uniform(10.0, 30.0)
+            if kind == 0:
+                ctx = make_ctx(rng, K=K, E=E, theta=theta, L=L)
+            else:
+                h = rng.uniform(0.1, 5.0, K)
+                sigma = rng.uniform(0.1, 100.0, K)
+                if kind == 1:
+                    h[-1], sigma[-1] = h[0], sigma[0]  # tied thresholds
+                else:
+                    sigma[rng.integers(K)] = 0.0  # one zero eigenvalue
+                ctx = diagonal_ctx(h, sigma, E=E, theta=theta, L=L,
+                                   tau=rng.uniform(0.01, 1.0),
+                                   norm_AAT=rng.uniform(1.0, 4.0))
             d = solve_theorem1(ctx)
             assert d.energy_used <= ctx.E * (1.0 + 1e-9)
             if d.mode == "active" and d.beta > 0:
-                n_binding += 1
+                n_binding[K - 1, kind] += 1
                 assert d.energy_used == pytest.approx(ctx.E, rel=1e-9)
-        assert n_binding > 10  # the regime is actually exercised
+                assert kkt_residual(ctx, d) < 1e-9
+        # the regime is exercised for every K and every kind of context (a
+        # lone stream cannot tie, and with a zero eigenvalue it never binds)
+        assert n_binding.sum(axis=1).min() > 10
+        assert n_binding.sum(axis=0).min() > 10
 
     def test_energy_used_matches_frobenius(self):
         rng = np.random.default_rng(1)

@@ -13,10 +13,9 @@ from ehncs.energy import ArrivalModel
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
-from ehncs.precoder import PrecoderDecision, solve_theorem1
-from ehncs.sim import (FeasibilityError, SimSetup, decision_region_scan,
-                       initial_state, run_monte_carlo, run_path, run_slot,
-                       sweep)
+from ehncs.precoder import PrecoderDecision, decision_region_scan, solve_theorem1
+from ehncs.sim import (FeasibilityError, SimSetup, initial_state, run_monte_carlo,
+                       run_path, run_slot, sweep)
 
 
 def reference_model():

@@ -19,7 +19,7 @@ from .analysis import (MseBoundReport, StabilityReport, check_stability,
 from .channel import ChannelDraw, PiTildeStats, estimate_pitilde_stats, sample_channel
 from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel, EnergyQueue
-from .estimator import estimate_step, sigma_step
+from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
 from .numerics import eig_sym, solve_dare, solve_stein, svd
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step

@@ -18,6 +18,10 @@ from .plant import PlantModel, instability_measure
 from .precoder import DriftContext
 
 
+# grid resolution of the search for the stability maximizer xi*
+_N_XI_QUANTILES = 200
+
+
 class BoundUndefinedError(RuntimeError):
     """The MSE bound requires eta > 0, which the configuration fails."""
 
@@ -39,8 +43,6 @@ class StabilityReport:
     delta: float
     margin: float  # rhs_max - lhs
     requirements: list[Requirement] = field(default_factory=list)
-    xi_grid: np.ndarray | None = None
-    rhs_grid: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,7 @@ def _rhs_curve(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
 
 
 def check_stability(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
-                    E_inv_alpha: float, theta: float, tau: float,
-                    xi_grid: np.ndarray | None = None,
-                    n_grid: int = 200) -> StabilityReport:
+                    E_inv_alpha: float, theta: float, tau: float) -> StabilityReport:
     """Sufficient stability condition
 
         E[1/alpha] + 1/theta
@@ -86,14 +86,12 @@ def check_stability(model: PlantModel, params: LimiterParams, stats: PiTildeStat
                      / (delta^2 K tau E[pt^{-1} | pt >= xi] M(A) M(AA^T))
 
     with pt the normalized unordered channel singular value.  The maximizer
-    is found by grid search over the empirical quantiles (resolution
-    n_grid), and the three derived design requirements are evaluated at it.
+    is found by grid search over _N_XI_QUANTILES empirical quantiles, and
+    the three derived design requirements are evaluated at it.
     """
     if theta <= 0 or tau <= 0 or E_inv_alpha < 0:
         raise InputDomainError("check_stability: theta, tau > 0 and E_inv_alpha >= 0")
-    if xi_grid is None:
-        xi_grid = stats.quantiles(n_grid)
-    xi_grid = np.asarray(xi_grid, dtype=float)
+    xi_grid = stats.quantiles(_N_XI_QUANTILES)
     rhs, delta = _rhs_curve(model, params, stats, tau, xi_grid)
     i_star = int(np.argmax(rhs))
     rhs_max = float(rhs[i_star])
@@ -128,24 +126,21 @@ def check_stability(model: PlantModel, params: LimiterParams, stats: PiTildeStat
 
     return StabilityReport(satisfied=satisfied, lhs=lhs, rhs_max=rhs_max,
                            xi_star=xi_star, delta=delta, margin=rhs_max - lhs,
-                           requirements=reqs, xi_grid=xi_grid, rhs_grid=rhs)
+                           requirements=reqs)
 
 
 def mse_bound(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
               E_inv_alpha: float, theta: float, tau: float,
-              xi_star: float | None = None, period_factor: float = 1.0) -> MseBoundReport:
+              xi_star: float | None = None) -> MseBoundReport:
     """Steady-state MSE upper bound
 
         (1/eta)(1 + K tau (delta^2/||B Psi||^2) E[pt^{-1}|pt>=xi*]
                     (E[1/alpha] + 1/theta) M(A) M(AA^T)) Tr(W) + theta^2/eta
 
     with eta = 1 - (eps + K Pr(pt<xi*)) M(AA^T)
-             - (E[1/alpha] + 1/theta) K delta^2 tau E[pt^{-1}|pt>=xi*] M(A) M(AA^T)
-             * period_factor.
+             - (E[1/alpha] + 1/theta) K delta^2 tau E[pt^{-1}|pt>=xi*] M(A) M(AA^T).
 
-    period_factor defaults to 1 (no extra horizon multiplier in eta); if a
-    horizon-length multiplier is wanted it can be supplied explicitly.  If
-    xi_star is omitted it is taken from a fresh check_stability run.
+    If xi_star is omitted it is taken from a fresh check_stability run.
     """
     if xi_star is None:
         xi_star = check_stability(model, params, stats, E_inv_alpha, theta, tau).xi_star
@@ -156,8 +151,7 @@ def mse_bound(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
     inv_mean = stats.inv_mean_above(xi_star)
     lhs = E_inv_alpha + 1.0 / theta
     drift_term = lhs * K * delta**2 * tau * inv_mean * m_a * m_aat
-    eta = 1.0 - (params.eps + K * stats.prob_below(xi_star)) * m_aat \
-        - period_factor * drift_term
+    eta = 1.0 - (params.eps + K * stats.prob_below(xi_star)) * m_aat - drift_term
     if eta <= 0:
         raise BoundUndefinedError(f"mse_bound: eta = {eta:.4g} <= 0, bound undefined")
     n_bpsi = model.norm_BPsi

@@ -7,7 +7,6 @@ drives the stability condition, and its tail statistics are estimated here
 empirically (they would come from offline measurements in a deployment).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +122,3 @@ def estimate_pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
     t = (1.0 / s).sum(axis=1, keepdims=True)
     return PiTildeStats(samples=(s / t).ravel(), n_excluded=n_excluded)
 
-
-def save_samples_csv(stats: PiTildeStats, path) -> None:
-    """Audit export: one pi_tilde sample per line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pi_tilde"])
-        for v in stats.samples:
-            writer.writerow([repr(float(v))])

@@ -14,9 +14,10 @@ import numpy as np
 
 from .analysis import BoundUndefinedError, check_stability, mse_bound
 from .channel import estimate_pitilde_stats
-from .config import (ConfigError, ExperimentConfig, build_limiter, build_model,
-                     build_setup, parse_config)
-from .energy import estimate_inverse_mean
+from .config import (POLICY_NAMES, ConfigError, ExperimentConfig, build_limiter,
+                     build_model, build_setup, parse_config)
+from .energy import ArrivalModel, estimate_inverse_mean
+from .numerics import InputDomainError
 from .precoder import (baseline_capacity_wf, baseline_constant_power,
                        baseline_mmse_wf, baseline_periodic_wf,
                        decision_region_scan, solve_theorem1)
@@ -30,6 +31,7 @@ EXIT_DIVERGENCE = 3
 # clear of the per-path stream indices
 _STATS_STREAM = 1_000_003
 _ALPHA_STREAM = 1_000_019
+_N_CHANNEL_SAMPLES = 100_000
 
 
 def policy_factory(name: str, period: int = 3):
@@ -94,9 +96,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.sweep_axis or not cfg.sweep_values:
         raise ConfigError(["sweep_axis/sweep_values: required for the sweep command"])
     setup = build_setup(cfg)
-    factories = {name: policy_factory(name, cfg.period)
-                 for name in ("proposed", "baseline1", "baseline2", "baseline3",
-                              "baseline4", "baseline5")}
+    factories = {name: policy_factory(name, cfg.period) for name in POLICY_NAMES}
     rows = sweep(setup, factories, cfg.sweep_axis, cfg.sweep_values,
                  cfg.n_paths, cfg.n_slots, cfg.seed)
     table = [[r["policy"], r["axis"], r["value"], r["mse"], r["mse_ci"],
@@ -109,18 +109,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_DIVERGENCE if n_div else EXIT_OK
 
 
-def cmd_analyze(cfg: ExperimentConfig, out_dir: Path, n_channel_samples: int = 100_000) -> int:
+def cmd_analyze(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = build_model(cfg)
     params = build_limiter(cfg, model)
     stats = estimate_pitilde_stats(np.random.default_rng([cfg.seed, _STATS_STREAM]),
-                                   cfg.N_c, cfg.N_s, cfg.K, n_channel_samples)
-    if cfg.arrival == "deterministic":
-        e_inv, zero_frac = 1.0 / cfg.mean_alpha, 0.0
-    else:
-        from .energy import ArrivalModel
-        e_inv, zero_frac = estimate_inverse_mean(
-            ArrivalModel(kind=cfg.arrival, mean=cfg.mean_alpha),
-            np.random.default_rng([cfg.seed, _ALPHA_STREAM]))
+                                   cfg.N_c, cfg.N_s, cfg.K, _N_CHANNEL_SAMPLES)
+    e_inv, zero_frac = estimate_inverse_mean(
+        ArrivalModel(kind=cfg.arrival, mean=cfg.mean_alpha),
+        np.random.default_rng([cfg.seed, _ALPHA_STREAM]))
     report = check_stability(model, params, stats, e_inv, cfg.theta, cfg.tau)
     lines = [
         f"# config_hash={cfg.config_hash}",
@@ -221,7 +217,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, out_dir)
         return cmd_regions(cfg, out_dir, energies=args.energy, n_grid=args.grid)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, InputDomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

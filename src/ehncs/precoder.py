@@ -201,15 +201,14 @@ def _diagonal_context(E: float, theta: float, tau: float, M: float, L: float,
 
 def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
                          h1: float, sigma1: float, h2_values, sigma2_values,
-                         theta: float, tau: float,
-                         gain_norm: str = "BPsi") -> dict:
+                         theta: float, tau: float) -> dict:
     """Count of activated spatial channels over a (h2, sigma2) grid.
 
     Stream 1 is held at (h1, sigma1); the scan reports, for each grid point,
     how many streams the drift-minimizing precoder switches on (0, 1 or 2)
     for a decoupled diagonal plant/channel.  The dynamic range is recomputed
-    per point from Sigma = diag(sigma1, sigma2); gain_norm defaults to the
-    ||B Psi|| variant used by the published decision-region plots.
+    per point from Sigma = diag(sigma1, sigma2) with the ||B Psi|| variant
+    used by the published decision-region plots.
     Rows index sigma2_values, columns index h2_values.
     """
     h2_values = np.asarray(h2_values, dtype=float)
@@ -217,7 +216,7 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
     norm_AAT = model.norm_AAT
     counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
     for i, s2 in enumerate(sigma2_values):
-        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm=gain_norm)
+        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm="BPsi")
         for j, h2 in enumerate(h2_values):
             ctx = _diagonal_context(E, theta, tau, limiter.M, L, norm_AAT,
                                     h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# The stacked clip, estimator update and queue update are reached through
-# their modules: bench/tracing.py attaches per-path outcome observers to the
-# names `clip`, `sigma_step` and `spend_and_harvest` in this module.
-from . import energy, estimator, limiter
+# The stacked clip and queue update are reached through their modules:
+# bench/tracing.py attaches per-path outcome observers to the names `clip`
+# and `spend_and_harvest` in this module.
+from . import energy, limiter
 from .channel import receive, sample_channel
 from .energy import ArrivalModel, EnergyQueue, check_feasible, sample_arrival
-from .estimator import mse_sample
+from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, SvdResult, eig_sym
 from .plant import PlantModel, control, step
@@ -44,7 +44,6 @@ class SimSetup:
     tau: float
     theta: float
     E0: float | None = None  # initial battery level, default theta/2
-    gain_norm: str = "BPsiA"
     divergence_guard: float = 1e12
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ def run_slot(setup: SimSetup, state: SimState, policy, rngs,
     E = state.queue.E
 
     draw = sample_channel(rngs, setup.N_c, setup.N_s, setup.K)
-    L = dynamic_range(model, lim_params, state.Sigma, gain_norm=setup.gain_norm)
+    L = dynamic_range(model, lim_params, state.Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [
         policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, Pi=Pi, V=V), Pi_K=Pi_K,
@@ -155,7 +154,7 @@ def run_slot(setup: SimSetup, state: SimState, policy, rngs,
     sq_error = mse_sample(state.x, state.x_hat)
     sq_state = (state.x * state.x).sum(axis=1)
     u = control(model, state.x_hat)
-    x_hat_next, Sigma_next = estimator.filter_step(
+    x_hat_next, Sigma_next = filter_step(
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
     w = np.array([g.standard_normal(setup.K) for g in rngs]) @ noise_sqrt.T
     x_next = step(model, state.x, u, w)

@@ -4,7 +4,8 @@ Nothing here calls into the closed-form precoder path; the projected
 gradient solver below works directly on the diagonalized convex program so
 the closed-form solution can be checked against it.  The per-path slot loop
 at the end is the reference the stacked simulation engine is checked
-against: one path at a time, one kernel call per stage.
+against: one path at a time, one kernel call per stage, with its own
+textbook estimator update.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from ehncs.channel import receive, sample_channel
 from ehncs.energy import EnergyQueue, check_feasible, sample_arrival, spend_and_harvest
-from ehncs.estimator import estimate_step, mse_sample, sigma_step
+from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs.numerics import eig_sym
 from ehncs.plant import control, step
@@ -120,6 +121,27 @@ def random_feasible_precoder(ctx, rng):
 
 # -- per-path reference of the closed loop ----------------------------------
 
+def reference_update(x_hat, Sigma, y, Ftilde, A, B, u, W):
+    """Textbook Kalman step of one path on the augmented measurement stack.
+
+    Gain K = Sigma F^aH (F^a Sigma F^aH + I)^{-1} by explicit inverse; the
+    estimate is A x_hat + B u + A K (y^a - F^a x_hat) and the covariance
+    A (Sigma - K F^a Sigma) A^T + W.  Ftilde None means no update: the
+    prediction alone.
+    """
+    x_next = A @ x_hat + B @ u
+    Sigma_post = Sigma
+    if Ftilde is not None:
+        Fa = np.vstack([Ftilde, Ftilde.conj()])
+        ya = np.concatenate([y, y.conj()])
+        gain = Sigma @ Fa.conj().T @ np.linalg.inv(Fa @ Sigma @ Fa.conj().T
+                                                    + np.eye(len(Fa)))
+        x_next = x_next + np.real(A @ gain @ (ya - Fa @ x_hat))
+        Sigma_post = np.real(Sigma - gain @ Fa @ Sigma)
+    Sigma_next = A @ Sigma_post @ A.T + W
+    return x_next, (Sigma_next + Sigma_next.T) / 2
+
+
 @dataclass
 class PathState:
     n: int
@@ -135,7 +157,7 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     (E_before, L, mode, gamma, spend, Tr Sigma, sq_error, sq_state, alpha)."""
     model = setup.model
     draw = sample_channel(rng, setup.N_c, setup.N_s, setup.K)
-    L = float(dynamic_range(model, setup.limiter, state.Sigma, gain_norm=setup.gain_norm))
+    L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
         S=dec.S, Lam=dec.Lam, svd=draw.svd, Pi_K=draw.Pi_K, E=state.queue.E,
@@ -157,9 +179,9 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     sq_error = float(mse_sample(state.x, state.x_hat))
     sq_state = float(state.x @ state.x)
     u = control(model, state.x_hat)
-    x_hat_next = estimate_step(state.x_hat, state.Sigma, y, Ftilde, gamma,
-                               model.A, model.B, u)
-    Sigma_next = sigma_step(state.Sigma, Ftilde, gamma, model.A, model.W)
+    x_hat_next, Sigma_next = reference_update(
+        state.x_hat, state.Sigma, y, Ftilde if gamma else None, model.A, model.B,
+        u, model.W)
     x_next = step(model, state.x, u, noise_sqrt @ rng.standard_normal(setup.K))
     alpha = sample_arrival(setup.arrivals, rng)
     queue_next = spend_and_harvest(state.queue, spend, alpha)

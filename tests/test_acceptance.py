@@ -21,7 +21,7 @@ from oracles import (p2_objective, problem1_objective,
 from ehncs.cli import main
 from ehncs.config import build_model, build_setup, parse_config
 from ehncs.energy import ArrivalModel
-from ehncs.estimator import estimate_step, mse_sample, sigma_step
+from ehncs.estimator import filter_step, mse_sample
 from ehncs.limiter import dynamic_range, make_params
 from ehncs.numerics import eig_sym, svd
 from ehncs.plant import PlantModel, control, instability_measure
@@ -219,11 +219,14 @@ def test_criterion_04_covariance_identity():
         Sigma = X @ X.T + 0.05 * np.eye(K)
         A = rng.standard_normal((K, K))
         W = np.eye(K)
-        g = sigma_step(Sigma, Ftilde, 1, A, W, method="gram")
-        a = sigma_step(Sigma, Ftilde, 1, A, W, method="augmented")
+        # Gram form (2 Re{Ftilde^H Ftilde} + Sigma^{-1})^{-1} of the update
+        gram = 2.0 * np.real(Ftilde.conj().T @ Ftilde)
+        g = A @ np.linalg.inv(gram + np.linalg.inv(Sigma)) @ A.T + W
+        _, a = filter_step(np.zeros(K), Sigma, np.zeros(N_c), Ftilde, A, np.eye(K),
+                           np.zeros(K), W)
         worst = max(worst, float(np.abs(g - a).max() / max(1.0, np.abs(g).max())))
     _report("criterion 4", worst < 1e-8,
-            f"worst relative path disagreement {worst:.2e} (<1e-8)")
+            f"worst relative Gram-form vs filter_step disagreement {worst:.2e} (<1e-8)")
 
 
 def test_criterion_05_feasibility_and_queue(reference_setup, proposed_run):
@@ -390,8 +393,7 @@ def test_criterion_10_event_driven_reset():
         n_at_capacity += np.count_nonzero(trace.E_before == setup.theta)
         active = trace.mode == "active"
         u = control(model, state.x_hat[active])
-        prior = estimate_step(state.x_hat[active], state.Sigma[active], None, None, 0,
-                              model.A, model.B, u)
+        prior = state.x_hat[active] @ model.A.T + u @ model.B.T
         updated.append(mse_sample(nxt.x[active], nxt.x_hat[active]))
         predicted.append(mse_sample(nxt.x[active], prior))
         if not active.all():

@@ -116,12 +116,6 @@ class TestMseBound:
         with pytest.raises(BoundUndefinedError):
             mse_bound(m, p, stats, E_inv_alpha=10.0, theta=1.0, tau=1.0, xi_star=3.0)
 
-    def test_period_factor_switch(self):
-        m, p, stats = self.args()
-        r1 = mse_bound(m, p, stats, 1e-9, 1e3, 1e-5, xi_star=3.0)
-        r2 = mse_bound(m, p, stats, 1e-9, 1e3, 1e-5, xi_star=3.0, period_factor=5.0)
-        assert r2.eta < r1.eta
-
 
 class TestDriftBound:
     def test_zero_precoder_closed_form(self):

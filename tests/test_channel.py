@@ -1,10 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from ehncs.channel import (PiTildeStats, estimate_pitilde_stats, receive,
-                           sample_channel, save_samples_csv)
+from ehncs.channel import PiTildeStats, estimate_pitilde_stats, receive, sample_channel
 from ehncs.numerics import InputDomainError
 
 
@@ -84,12 +81,3 @@ class TestEstimateStats:
         stats = estimate_pitilde_stats(rng, N_c=1, N_s=1, K=1, n_samples=3000)
         # |h|^2 is Exp(1): mean 1
         assert abs(stats.samples.mean() - 1.0) < 0.06
-
-    def test_save_csv_roundtrip(self, tmp_path):
-        stats = PiTildeStats(np.array([0.5, 1.5]))
-        path = tmp_path / "samples.csv"
-        save_samples_csv(stats, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["pi_tilde"]
-        assert [float(r[0]) for r in rows[1:]] == [0.5, 1.5]

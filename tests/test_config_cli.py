@@ -142,6 +142,16 @@ class TestCli:
         assert "rhs_max:" in text
         assert "requirement limiter_eps_cap" in text
 
+    @pytest.mark.parametrize("arrival", ["deterministic", "poisson"])
+    def test_analyze_zero_arrival_mean_is_validation_error(self, tmp_path, capsys,
+                                                           arrival):
+        # no energy ever arrives, so E[1/alpha] is undefined
+        cfg = self.write_config(tmp_path, arrival=arrival, mean_alpha=0.0)
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "stability_report.txt").exists()
+
     def test_regions_grid(self, tmp_path):
         cfg = self.write_config(tmp_path, A="[[1.6, 0.0], [0.0, 1.1]]",
                                 W="[[1.0, 0.0], [0.0, 1.0]]",

@@ -1,9 +1,13 @@
+"""`filter_step`, one path at a time and as a stack of paths.
+
+The classes group the checks by the output they read: the covariance
+recursion (sigma step), the estimate, and the Kalman gain behind both.
+"""
+
 import numpy as np
 import pytest
 
-from ehncs.estimator import (EstimatorState, augment, estimate_step, gram_2re,
-                             kalman_gain, mse_sample, sigma_step)
-from ehncs.numerics import InputDomainError
+from ehncs.estimator import augment, filter_step, mse_sample
 
 
 def random_instance(rng, K=None, N_c=None):
@@ -15,6 +19,19 @@ def random_instance(rng, K=None, N_c=None):
     return Ftilde, Sigma
 
 
+def covariance(Sigma, Ftilde, A, W):
+    """filter_step's next covariance of one path (the estimate inputs are 0)."""
+    N_c, K = Ftilde.shape
+    return filter_step(np.zeros(K), Sigma, np.zeros(N_c), Ftilde, A, np.eye(K),
+                       np.zeros(K), W)[1]
+
+
+def gram_form(Sigma, Ftilde, A, W):
+    """A (2 Re{Ftilde^H Ftilde} + Sigma^{-1})^{-1} A^T + W."""
+    gram = 2.0 * np.real(Ftilde.conj().T @ Ftilde)
+    return A @ np.linalg.inv(gram + np.linalg.inv(Sigma)) @ A.T + W
+
+
 class TestAugmentedAlgebra:
     def test_gram_matches_augmented_stack(self):
         rng = np.random.default_rng(0)
@@ -23,30 +40,40 @@ class TestAugmentedAlgebra:
             Fa = augment(Ftilde)
             direct = Fa.conj().T @ Fa
             assert np.abs(direct.imag).max() < 1e-10
-            assert np.allclose(direct.real, gram_2re(Ftilde))
+            assert np.allclose(direct.real, 2.0 * np.real(Ftilde.conj().T @ Ftilde))
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(1)
         Ftilde, _ = random_instance(rng)
-        assert np.linalg.eigvalsh(gram_2re(Ftilde)).min() > -1e-12
+        Fa = augment(Ftilde)
+        assert np.linalg.eigvalsh(np.real(Fa.conj().T @ Fa)).min() > -1e-12
 
 
 class TestSigmaStep:
     def test_scalar_half(self):
         # Sigma=1, Ftilde=1/sqrt(2): gram = 1, (1 + 1/1)^-1 = 1/2, A=1, W=0
-        out = sigma_step(np.array([[1.0]]), np.array([[1.0 / np.sqrt(2.0)]]),
-                         gamma=1, A=np.array([[1.0]]), W=np.array([[0.0]]))
+        out = covariance(np.array([[1.0]]), np.array([[1.0 / np.sqrt(2.0)]]),
+                         A=np.array([[1.0]]), W=np.array([[0.0]]))
         assert out[0, 0] == pytest.approx(0.5)
 
     def test_prediction_when_gated(self):
+        # a silent or saturated path in a stack carries Ftilde = 0 and gets
+        # exactly the prediction, whatever the other paths do
         rng = np.random.default_rng(2)
         Ftilde, Sigma = random_instance(rng, K=2, N_c=2)
         A = rng.standard_normal((2, 2))
+        B = rng.standard_normal((2, 2))
         W = np.eye(2)
+        x_hat = rng.standard_normal((2, 2))
+        u = rng.standard_normal((2, 2))
+        y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x_next, Sigma_next = filter_step(
+            x_hat, np.stack([Sigma, Sigma]), y, np.stack([Ftilde, np.zeros_like(Ftilde)]),
+            A, B, u, W)
         pred = A @ Sigma @ A.T + W
-        assert np.allclose(sigma_step(Sigma, Ftilde, 0, A, W), pred)
-        assert np.allclose(sigma_step(Sigma, None, 1, A, W), pred)
-        assert np.allclose(sigma_step(Sigma, np.zeros_like(Ftilde), 1, A, W), pred)
+        assert np.array_equal(Sigma_next[1], (pred + pred.T) / 2)
+        assert np.array_equal(x_next[1], x_hat[1] @ A.T + u[1] @ B.T)
+        assert not np.allclose(Sigma_next[0], Sigma_next[1])
 
     def test_gram_and_augmented_paths_agree(self):
         rng = np.random.default_rng(3)
@@ -55,17 +82,17 @@ class TestSigmaStep:
             K = Sigma.shape[0]
             A = rng.standard_normal((K, K))
             W = np.eye(K)
-            g = sigma_step(Sigma, Ftilde, 1, A, W, method="gram")
-            a = sigma_step(Sigma, Ftilde, 1, A, W, method="augmented")
+            g = gram_form(Sigma, Ftilde, A, W)
+            a = covariance(Sigma, Ftilde, A, W)
             assert np.abs(g - a).max() < 1e-8 * max(1.0, np.abs(g).max())
 
     def test_singular_sigma_uses_augmented_path(self):
-        # Sigma = 0 start-up: the gram form would need Sigma^{-1}
+        # Sigma = 0 start-up, where the Gram form would need Sigma^{-1}
         Ftilde = np.array([[1.0 + 1.0j, 0.5]])
         A = np.diag([1.3, 1.2])
         W = np.eye(2)
-        out = sigma_step(np.zeros((2, 2)), Ftilde, 1, A, W, method="auto")
-        assert np.allclose(out, A @ np.zeros((2, 2)) @ A.T + W)
+        out = covariance(np.zeros((2, 2)), Ftilde, A, W)
+        assert np.allclose(out, W)
 
     def test_monotone_in_information(self):
         # adding a measurement never increases the updated covariance trace
@@ -73,17 +100,9 @@ class TestSigmaStep:
         Ftilde, Sigma = random_instance(rng, K=3, N_c=2)
         A = rng.standard_normal((3, 3))
         W = np.eye(3)
-        with_meas = sigma_step(Sigma, Ftilde, 1, A, W)
-        without = sigma_step(Sigma, Ftilde, 0, A, W)
+        with_meas = covariance(Sigma, Ftilde, A, W)
+        without = covariance(Sigma, np.zeros_like(Ftilde), A, W)
         assert np.trace(with_meas) <= np.trace(without) + 1e-12
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InputDomainError):
-            sigma_step(np.array([[1.0, 0.5], [0.0, 1.0]]), None, 0,
-                       np.eye(2), np.eye(2))
-        with pytest.raises(InputDomainError):
-            sigma_step(np.eye(2), np.ones((1, 2), dtype=complex), 1,
-                       np.eye(2), np.eye(2), method="other")
 
 
 class TestEstimateStep:
@@ -92,7 +111,8 @@ class TestEstimateStep:
         B = np.eye(2)
         x_hat = np.array([1.0, -1.0])
         u = np.array([0.5, 0.5])
-        out = estimate_step(x_hat, np.eye(2), None, None, 0, A, B, u)
+        out, _ = filter_step(x_hat, np.eye(2), np.zeros(1), np.zeros((1, 2)), A, B, u,
+                             np.eye(2))
         assert np.allclose(out, A @ x_hat + u)
 
     def test_exact_measurement_of_predicted_state(self):
@@ -102,7 +122,8 @@ class TestEstimateStep:
         A = rng.standard_normal((2, 2))
         x_hat = rng.standard_normal(2)
         y = Ftilde @ x_hat
-        out = estimate_step(x_hat, Sigma, y, Ftilde, 1, A, np.eye(2), np.zeros(2))
+        out, _ = filter_step(x_hat, Sigma, y, Ftilde, A, np.eye(2), np.zeros(2),
+                             np.eye(2))
         assert np.allclose(out, A @ x_hat)
 
     def test_output_is_real(self):
@@ -112,22 +133,48 @@ class TestEstimateStep:
             A = rng.standard_normal((2, 2))
             y = Ftilde @ rng.standard_normal(2) + (
                 rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            out = estimate_step(rng.standard_normal(2), Sigma, y, Ftilde, 1, A,
-                                np.eye(2), np.zeros(2))
-            assert out.dtype.kind == "f"
+            x_next, Sigma_next = filter_step(rng.standard_normal(2), Sigma, y, Ftilde,
+                                             A, np.eye(2), np.zeros(2), np.eye(2))
+            assert x_next.dtype.kind == "f" and Sigma_next.dtype.kind == "f"
 
 
 class TestKalmanGain:
     def test_matches_direct_formula(self):
+        # with A = I and x_hat = u = 0 the estimate is K y^a = 2 Re{K_1 y}
+        # (K = [K_1, conj(K_1)]), so the probes y = e_j and y = i e_j, one
+        # path each, read off column j of K_1
         rng = np.random.default_rng(7)
         Ftilde, Sigma = random_instance(rng, K=3, N_c=2)
+        probes = np.concatenate([np.eye(2), 1j * np.eye(2)])
+        P = len(probes)
+        out, _ = filter_step(np.zeros((P, 3)), np.broadcast_to(Sigma, (P, 3, 3)), probes,
+                             np.broadcast_to(Ftilde, (P, 2, 3)), np.eye(3), np.eye(3),
+                             np.zeros((P, 3)), np.zeros((3, 3)))
+        K_1 = (out[:2] - 1j * out[2:]).T / 2
         Fa = augment(Ftilde)
         direct = Sigma @ Fa.conj().T @ np.linalg.inv(Fa @ Sigma @ Fa.conj().T
                                                      + np.eye(4))
-        assert np.abs(kalman_gain(Sigma, Ftilde) - direct).max() < 1e-10
+        assert np.abs(np.hstack([K_1, K_1.conj()]) - direct).max() < 1e-10
+
+
+def test_stack_matches_one_path_calls():
+    rng = np.random.default_rng(8)
+    P, K, N_c = 6, 3, 2
+    Ftilde, Sigma = zip(*(random_instance(rng, K=K, N_c=N_c) for _ in range(P)))
+    Ftilde = np.array(Ftilde)
+    Ftilde[2] = 0.0  # one path without a measurement update
+    Sigma = np.array(Sigma)
+    x_hat = rng.standard_normal((P, K))
+    y = rng.standard_normal((P, N_c)) + 1j * rng.standard_normal((P, N_c))
+    u = rng.standard_normal((P, K))
+    A, B = rng.standard_normal((K, K)), rng.standard_normal((K, K))
+    W = np.eye(K)
+    x_next, Sigma_next = filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
+    for p in range(P):
+        x_p, Sigma_p = filter_step(x_hat[p], Sigma[p], y[p], Ftilde[p], A, B, u[p], W)
+        assert np.abs(x_next[p] - x_p).max() <= 1e-12 * max(1.0, np.abs(x_p).max())
+        assert np.abs(Sigma_next[p] - Sigma_p).max() <= 1e-12 * max(1.0, np.abs(Sigma_p).max())
 
 
 def test_mse_sample():
     assert mse_sample(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(5.0)
-    s = EstimatorState(x_hat=np.zeros(2), Sigma=np.eye(2))
-    assert s.x_hat.shape == (2,)

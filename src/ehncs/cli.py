@@ -152,10 +152,12 @@ _REGION_DEFAULTS = dict(h1=4.0, sigma1=70.0, theta=36.0, tau=1.0,
 
 def cmd_regions(cfg: ExperimentConfig, out_dir: Path, energies=None,
                 n_grid: int | None = None) -> int:
+    d = _REGION_DEFAULTS
+    n = d["n_grid"] if n_grid is None else n_grid
+    if n < 1:
+        raise InputDomainError(f"regions: --grid must be >= 1, got {n}")
     model = build_model(cfg)
     params = build_limiter(cfg, model)
-    d = _REGION_DEFAULTS
-    n = n_grid or d["n_grid"]
     h2_values = np.linspace(d["h2_max"] / n, d["h2_max"], n)
     sigma2_values = np.linspace(d["sigma2_max"] / n, d["sigma2_max"], n)
     rows = []

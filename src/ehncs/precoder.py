@@ -188,15 +188,58 @@ def kkt_residual(ctx: DriftContext, decision: PrecoderDecision) -> float:
     return float(max(residuals))
 
 
-def _diagonal_context(E: float, theta: float, tau: float, M: float, L: float,
-                      norm_AAT: float, h: np.ndarray, sigma: np.ndarray) -> DriftContext:
-    """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
-    reordering so stream i keeps the pair (h_i, sigma_i)."""
-    K = len(h)
-    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, dtype=float)), V=np.eye(K))
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
-                        Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
-                        M=M, L=L, norm_AAT=norm_AAT)
+def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
+                         norm_AAT: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theorem 1 over any leading axes, with no Python loop.
+
+    Lam and Pi_K are (..., K); E and L broadcast against their leading axes;
+    theta, tau and norm_AAT are scalars.  Each context takes the walk of
+    `solve_theorem1`, with its branches as masks.  Returns the per-stream
+    allocations (..., K), beta (...) and the active flag (...) (mode ==
+    "active"); dormant, empty-battery and Sigma = 0 contexts allocate 0.
+    """
+    E = np.asarray(E, dtype=float)[..., None]
+    L = np.asarray(L, dtype=float)[..., None]
+    shape = np.broadcast_shapes(np.shape(Lam), np.shape(Pi_K), E.shape, L.shape)
+    Lam = np.broadcast_to(np.asarray(Lam, dtype=float), shape)
+    Pi_K = np.broadcast_to(np.asarray(Pi_K, dtype=float), shape)
+    c = norm_AAT
+    thresholds = theta - (c * (Lam * Pi_K) ** 2 / (tau * L**2) + E)
+    active = ~np.all(thresholds > ALLOC_TOL, axis=-1, keepdims=True)
+    seabed = _seabed(Lam)
+    s0 = np.maximum(theta - E, 0.0)
+
+    def water_fill(s):
+        return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
+
+    # entries outside their own branch see 1/0, inf - inf and the like; the
+    # masks below drop them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y0 = water_fill(s0)
+        slack = (s0 > 0.0) & (L**2 * tau * np.sum(y0 / Pi_K**2, axis=-1, keepdims=True) < E)
+        # binding budget: walk the active sets in descending-threshold order
+        t = c * (Pi_K * Lam / L) ** 2 / tau
+        order = np.argsort(t, axis=-1)[..., ::-1]
+        t_sorted = np.take_along_axis(t, order, axis=-1)
+        a = np.cumsum(np.take_along_axis(0.5 * L * np.sqrt(c * tau) / Pi_K, order, axis=-1),
+                      axis=-1)
+        b = np.cumsum(np.take_along_axis(0.5 * L**2 * tau * seabed / Pi_K**2, order,
+                                         axis=-1), axis=-1)
+        s = (a / (E + b)) ** 2
+        # the first size whose candidate reaches the next breakpoint; the
+        # last size always ends the walk (its breakpoint is 0)
+        crossing = np.ones(shape, dtype=bool)
+        crossing[..., :-1] = s[..., :-1] >= t_sorted[..., 1:]
+        m = np.argmax(crossing, axis=-1)[..., None]
+        s_star = np.maximum(np.minimum(np.take_along_axis(s, m, axis=-1),
+                                       np.take_along_axis(t_sorted, m, axis=-1)), s0)
+        y_bind = water_fill(s_star)
+    spends = active & (E > 0.0)
+    slack &= spends
+    binding = spends & ~slack & (t_sorted[..., :1] > 0.0)
+    y = np.where(slack, y0, np.where(binding, y_bind, 0.0))
+    beta = np.where(binding, s_star - s0, 0.0)
+    return y, beta[..., 0], active[..., 0]
 
 
 def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
@@ -211,18 +254,17 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
     used by the published decision-region plots.
     Rows index sigma2_values, columns index h2_values.
     """
+    if not E >= 0:  # also rejects NaN
+        raise InputDomainError(f"decision_region_scan: E must be >= 0, got {E}")
     h2_values = np.asarray(h2_values, dtype=float)
     sigma2_values = np.asarray(sigma2_values, dtype=float)
-    norm_AAT = model.norm_AAT
-    counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
-    for i, s2 in enumerate(sigma2_values):
-        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm="BPsi")
-        for j, h2 in enumerate(h2_values):
-            ctx = _diagonal_context(E, theta, tau, limiter.M, L, norm_AAT,
-                                    h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
-            decision = solve_theorem1(ctx)
-            counts[i, j] = int(np.count_nonzero(decision.allocations > 0))
-    return {"h2": h2_values, "sigma2": sigma2_values, "active_streams": counts,
+    Lam = np.stack(np.broadcast_arrays(float(sigma1), sigma2_values), axis=-1)
+    Pi_K = np.stack(np.broadcast_arrays(float(h1), h2_values), axis=-1)
+    L = dynamic_range(model, limiter, Lam[:, :, None] * np.eye(2), gain_norm="BPsi")
+    y, _, _ = theorem1_allocations(Lam[:, None, :], Pi_K[None, :, :], E, L[:, None],
+                                   theta, tau, model.norm_AAT)
+    return {"h2": h2_values, "sigma2": sigma2_values,
+            "active_streams": np.count_nonzero(y > 0, axis=-1),
             "E": E, "theta": theta}
 
 

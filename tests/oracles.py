@@ -1,8 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
-Nothing here calls into the closed-form precoder path; the projected
-gradient solver below works directly on the diagonalized convex program so
-the closed-form solution can be checked against it.  The per-path slot loop
+The projected gradient solver below works directly on the diagonalized
+convex program, without the closed-form precoder path, so the closed-form
+solution can be checked against it.  The per-point decision-region scan is
+the reference the one-call scan is checked against: one `DriftContext` and
+one scalar `solve_theorem1` walk per grid point.  The per-path slot loop
 at the end is the reference the stacked simulation engine is checked
 against: one path at a time, one kernel call per stage, with its own
 textbook estimator update.
@@ -16,9 +18,9 @@ from ehncs.channel import receive, sample_channel
 from ehncs.energy import EnergyQueue, check_feasible, sample_arrival, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
-from ehncs.numerics import eig_sym
+from ehncs.numerics import SvdResult, eig_sym
 from ehncs.plant import control, step
-from ehncs.precoder import DriftContext
+from ehncs.precoder import DriftContext, solve_theorem1
 from ehncs.sim import FeasibilityError, PathResult
 
 
@@ -117,6 +119,32 @@ def random_feasible_precoder(ctx, rng):
         scale = np.sqrt(rng.uniform(0.0, 1.0) * ctx.E / budget)
         F = F * scale
     return F
+
+
+# -- per-point reference of the decision-region scan ------------------------
+
+def _diagonal_context(E, theta, tau, M, L, norm_AAT, h, sigma):
+    """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
+    reordering so stream i keeps the pair (h_i, sigma_i)."""
+    K = len(h)
+    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, dtype=float)), V=np.eye(K))
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
+                        Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
+                        M=M, L=L, norm_AAT=norm_AAT)
+
+
+def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_values,
+                          theta, tau):
+    """Active-stream counts of `decision_region_scan`, one grid point at a
+    time: rows index sigma2_values, columns index h2_values."""
+    counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
+    for i, s2 in enumerate(sigma2_values):
+        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm="BPsi")
+        for j, h2 in enumerate(h2_values):
+            ctx = _diagonal_context(E, theta, tau, limiter.M, L, model.norm_AAT,
+                                    h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
+            counts[i, j] = int(np.count_nonzero(solve_theorem1(ctx).allocations > 0))
+    return counts
 
 
 # -- per-path reference of the closed loop ----------------------------------

@@ -163,6 +163,17 @@ class TestCli:
         lines = (tmp_path / "regions.csv").read_text().splitlines()
         assert len(lines) == 3 + 25
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-1"),
+                                             ("--energy", "-5"), ("--energy", "nan")])
+    def test_regions_bad_argument_is_validation_error(self, tmp_path, capsys, flag,
+                                                      value):
+        cfg = self.write_config(tmp_path)
+        assert main(["regions", "--config", str(cfg), "--out", str(tmp_path),
+                     flag, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "regions.csv").exists()
+
     def test_policy_override(self, tmp_path):
         cfg = self.write_config(tmp_path)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path),

@@ -5,7 +5,8 @@ from ehncs.numerics import InputDomainError, eig_sym, svd
 from ehncs.precoder import (DriftContext, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, kkt_residual, solve_theorem1,
-                            _wf_capacity_powers, _wf_mmse_powers)
+                            theorem1_allocations, _wf_capacity_powers,
+                            _wf_mmse_powers)
 
 
 def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
@@ -133,6 +134,57 @@ class TestBudget:
         for _ in range(200):
             ctx = make_ctx(rng)
             assert kkt_residual(ctx, solve_theorem1(ctx)) < 1e-9
+
+
+def log_uniform(rng, lo, hi, size=None):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+
+class TestStackedKernel:
+    def test_matches_scalar_walk(self):
+        # Per K, groups of contexts share (theta, tau, ||AA^T||) and go
+        # through the kernel in one stacked call; each context also goes
+        # through the scalar walk, which is the reference
+        rng = np.random.default_rng(11)
+        n_groups, n_ctx = 40, 60
+        for K in range(1, 5):
+            branches = {"dormant": 0, "slack": 0, "binding": 0}
+            for _ in range(n_groups):
+                theta = log_uniform(rng, 1.0, 100.0)
+                tau = log_uniform(rng, 1e-3, 1.0)
+                norm_AAT = rng.uniform(1.0, 4.0)
+                L = log_uniform(rng, 1.0, 100.0, n_ctx)
+                Pi_K = log_uniform(rng, 0.05, 5.0, (n_ctx, K))
+                Lam = log_uniform(rng, 1e-2, 1e2, (n_ctx, K))
+                E = rng.uniform(0.0, theta, n_ctx)
+                for j in range(n_ctx):
+                    # every covariance kind meets every battery kind
+                    if j % 5 == 1:
+                        # an exact or a near tie of two activation thresholds
+                        Pi_K[j, -1] = Pi_K[j, 0]
+                        Lam[j, -1] = Lam[j, 0] * (1.0 + (j % 2) * 1e-13)
+                    elif j % 5 == 2:
+                        Lam[j, rng.integers(K)] = 0.0
+                    elif j % 5 == 3:
+                        Lam[j] = 0.0  # Sigma = 0
+                    E[j] = (0.0, theta, rng.uniform(0.9, 1.0) * theta, E[j])[j % 4]
+                y, beta, active = theorem1_allocations(Lam, Pi_K, E, L, theta, tau,
+                                                       norm_AAT)
+                assert y.shape == (n_ctx, K) and beta.shape == active.shape == (n_ctx,)
+                for j in range(n_ctx):
+                    d = solve_theorem1(diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=theta,
+                                                    tau=tau, L=L[j], norm_AAT=norm_AAT))
+                    assert active[j] == (d.mode == "active")
+                    for got, want in ((y[j], d.allocations), (beta[j], d.beta)):
+                        assert np.all(np.where(want == 0.0, got == 0.0,
+                                               np.abs(got - want) <= 1e-12 * np.abs(want)))
+                    if d.mode == "dormant":
+                        branches["dormant"] += 1
+                    elif d.beta > 0:
+                        branches["binding"] += 1
+                    elif np.any(d.allocations > 0):
+                        branches["slack"] += 1
+            assert min(branches.values()) >= 10, (K, branches)
 
 
 class TestDecoupledStructure:

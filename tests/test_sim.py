@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import reference_path  # noqa: E402
+from oracles import reference_path, reference_region_scan  # noqa: E402
 
 from ehncs.cli import policy_factory
 from ehncs.energy import ArrivalModel
@@ -210,14 +210,30 @@ class TestSweep:
 
 
 class TestDecisionRegions:
+    MODEL = PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),
+                       Psi=0.5 * np.eye(2))
+    PARAMS = make_params(MODEL, M=1.0, eps=0.1)
+
     def scan(self, E, n=12):
-        model = PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),
-                           Psi=0.5 * np.eye(2))
-        params = make_params(model, M=1.0, eps=0.1)
         h2 = np.linspace(8.0 / n, 8.0, n)
         s2 = np.linspace(100.0 / n, 100.0, n)
-        return decision_region_scan(model, params, E, 4.0, 70.0, h2, s2,
+        return decision_region_scan(self.MODEL, self.PARAMS, E, 4.0, 70.0, h2, s2,
                                     theta=36.0, tau=1.0)
+
+    @pytest.mark.parametrize("n_sigma, n_h, tied", [(50, 50, False), (37, 61, False),
+                                                    (50, 50, True)])
+    @pytest.mark.parametrize("E", [12.0, 20.0, 30.0])
+    def test_matches_per_point_reference(self, n_sigma, n_h, tied, E):
+        # the published 50 x 50 grid, a non-square one, and one whose last
+        # row and column repeat stream 1's (sigma1, h1): tied thresholds
+        h2 = np.linspace(8.0 / n_h, 8.0, n_h)
+        s2 = np.linspace(100.0 / n_sigma, 100.0, n_sigma)
+        if tied:
+            h2, s2 = np.append(h2, 4.0), np.append(s2, 70.0)
+        args = (self.MODEL, self.PARAMS, E, 4.0, 70.0, h2, s2, 36.0, 1.0)
+        counts = decision_region_scan(*args)["active_streams"]
+        assert counts.shape == (len(s2), len(h2))
+        assert np.array_equal(counts, reference_region_scan(*args))
 
     def test_far_corner_single_channel(self):
         scan = self.scan(E=12.0)

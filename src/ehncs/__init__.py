@@ -1,7 +1,8 @@
 """Networked control with an energy-harvesting MIMO sensor.
 
 Library layout:
-  numerics   -- decomposition/equation kernels (SVD, eig, Stein, Riccati)
+  numerics   -- decomposition/equation kernels (SVD, singular values, eig,
+                Stein, Riccati)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel and singular-value statistics
   energy     -- arrival models and the battery queue
@@ -21,7 +22,7 @@ from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel, EnergyQueue
 from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
-from .numerics import eig_sym, solve_dare, solve_stein, svd
+from .numerics import eig_sym, singular_values, solve_dare, solve_stein, svd
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step
 from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,

@@ -65,15 +65,11 @@ def _rhs_curve(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
     m_a = instability_measure(model.A)
     m_aat = instability_measure(model.A @ model.A.T)
     delta = delta_constant(model, params)
-    rhs = np.empty(len(xi_grid))
-    for i, xi in enumerate(xi_grid):
-        num = 1.0 - (params.eps + K * stats.prob_below(xi)) * m_aat
-        inv_mean = stats.inv_mean_above(xi)
-        if not np.isfinite(inv_mean) or inv_mean <= 0:
-            rhs[i] = -np.inf
-            continue
-        den = delta**2 * K * tau * inv_mean * m_a * m_aat
-        rhs[i] = num / den
+    num = 1.0 - (params.eps + K * stats.prob_below(xi_grid)) * m_aat
+    inv_mean = stats.inv_mean_above(xi_grid)
+    defined = np.isfinite(inv_mean) & (inv_mean > 0)
+    den = delta**2 * K * tau * np.where(defined, inv_mean, 1.0) * m_a * m_aat
+    rhs = np.where(defined, num / den, -np.inf)
     return rhs, delta
 
 

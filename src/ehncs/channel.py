@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputDomainError, SvdResult, svd
+from .numerics import InputDomainError, SvdResult, singular_values, svd
 
+# a draw is degenerate when lambda_K <= DEGENERATE_TOL * lambda_1 for the Gram
+# eigenvalues lambda = sigma^2 (sigma_K / sigma_1 <= 1e-6); a rank-deficient
+# draw leaves lambda_K at the Gram's rounding floor, about 1e-16 * lambda_1
 DEGENERATE_TOL = 1e-12
 
 
@@ -92,17 +95,18 @@ class PiTildeStats:
         # suffix means of 1/pi_tilde for O(1) conditional-mean lookups
         self._inv_suffix_sum = np.concatenate([np.cumsum(self._inv[::-1])[::-1], [0.0]])
 
-    def prob_below(self, xi: float) -> float:
-        """Empirical Pr(pi_tilde < xi)."""
-        return float(np.searchsorted(self.samples, xi, side="left")) / self.samples.size
+    def prob_below(self, xi):
+        """Empirical Pr(pi_tilde < xi), for a scalar or an array of xi."""
+        p = np.searchsorted(self.samples, xi, side="left") / self.samples.size
+        return p if np.ndim(p) else float(p)
 
-    def inv_mean_above(self, xi: float) -> float:
-        """Empirical E[1/pi_tilde | pi_tilde >= xi]."""
-        i = int(np.searchsorted(self.samples, xi, side="left"))
-        n = self.samples.size - i
-        if n == 0:
-            return np.nan
-        return float(self._inv_suffix_sum[i]) / n
+    def inv_mean_above(self, xi):
+        """Empirical E[1/pi_tilde | pi_tilde >= xi], for a scalar or an array
+        of xi; nan where no sample reaches xi."""
+        i = np.searchsorted(self.samples, xi, side="left")
+        with np.errstate(invalid="ignore"):
+            m = self._inv_suffix_sum[i] / (self.samples.size - i)
+        return m if np.ndim(m) else float(m)
 
     def quantiles(self, n: int) -> np.ndarray:
         return np.quantile(self.samples, np.linspace(0.0, 1.0, n, endpoint=False))
@@ -110,13 +114,20 @@ class PiTildeStats:
 
 def estimate_pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
                            n_samples: int) -> PiTildeStats:
-    """Monte Carlo estimate of the pi_tilde distribution from n_samples draws."""
+    """Monte Carlo estimate of the pi_tilde distribution from n_samples draws.
+
+    Draws whose K-th singular value is degenerate (see DEGENERATE_TOL) are
+    excluded and counted in n_excluded.
+    """
     if K > min(N_s, N_c):
         raise InputDomainError("estimate_pitilde_stats: K must be <= min(N_s, N_c)")
+    if n_samples < 1:
+        raise InputDomainError(
+            f"estimate_pitilde_stats: n_samples must be >= 1, got {n_samples}")
     H = (rng.standard_normal((n_samples, N_c, N_s))
          + 1j * rng.standard_normal((n_samples, N_c, N_s))) / np.sqrt(2.0)
-    s = np.linalg.svd(H, compute_uv=False)[:, :K]
-    good = s.min(axis=1) > DEGENERATE_TOL
+    s = singular_values(H)[:, :K]
+    good = s[:, -1] ** 2 > DEGENERATE_TOL * s[:, 0] ** 2
     n_excluded = int((~good).sum())
     s = s[good]
     t = (1.0 / s).sum(axis=1, keepdims=True)

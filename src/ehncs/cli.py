@@ -206,6 +206,8 @@ def main(argv=None) -> int:
         if args.slots is not None:
             cfg.n_slots = args.slots
         if args.seed is not None:
+            if args.seed < 0:
+                raise InputDomainError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         if args.policy is not None:
             cfg.policy = args.policy

@@ -183,6 +183,8 @@ def _validate_semantics(out: dict, violations: list) -> None:
     for key in ("n_paths", "n_slots"):
         if out[key] < 1:
             violations.append(f"{key}: must be >= 1")
+    if out["seed"] < 0:
+        violations.append(f"seed: must be >= 0, got {out['seed']}")
     if out.get("policy", "proposed") not in POLICY_NAMES:
         violations.append(f"policy: unknown policy {out['policy']!r}")
     if out.get("period", 3) < 1:

@@ -28,6 +28,9 @@ class ConvergenceError(RuntimeError):
 # negative than this is treated as a genuinely indefinite input
 PSD_CLAMP_TOL = 1e-12
 
+# matrices per eigvalsh call in singular_values
+_GRAM_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -83,6 +86,30 @@ def svd(H: np.ndarray) -> SvdResult:
     k = np.arange(s.shape[-1])
     Pi[..., k, k] = s
     return SvdResult(U=herm(Uh_), Pi=Pi, V=V_)
+
+
+def singular_values(H: np.ndarray) -> np.ndarray:
+    """Singular values of one (N_c, N_s) matrix or a stack (n, N_c, N_s),
+    descending, min(N_c, N_s) per matrix.
+
+    They are sqrt(lambda) for the eigenvalues lambda of the smaller Gram
+    matrix (H H^H when N_c <= N_s, else H^H H), found by one eigvalsh call
+    per block of _GRAM_BLOCK matrices so the Gram stack's memory stays
+    bounded.  The Gram squares the condition number: lambda carries an
+    absolute rounding error of about 1e-16 * lambda_1.
+    """
+    H = np.asarray(H)
+    if not np.isfinite(H).all():
+        raise InputDomainError("singular_values: input has non-finite entries")
+    stack = H.reshape((-1,) + H.shape[-2:])
+    if stack.shape[-2] > stack.shape[-1]:
+        stack = herm(stack)
+    lam = np.empty(stack.shape[:-1])
+    for i in range(0, len(stack), _GRAM_BLOCK):
+        block = stack[i:i + _GRAM_BLOCK]
+        lam[i:i + _GRAM_BLOCK] = np.linalg.eigvalsh(block @ herm(block))[:, ::-1]
+    np.clip(lam, 0.0, None, out=lam)
+    return np.sqrt(lam, out=lam).reshape(H.shape[:-2] + lam.shape[-1:])
 
 
 def eig_sym(Sigma: np.ndarray) -> EigSymResult:

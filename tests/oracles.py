@@ -2,9 +2,11 @@
 
 The projected gradient solver below works directly on the diagonalized
 convex program, without the closed-form precoder path, so the closed-form
-solution can be checked against it.  The per-point decision-region scan is
-the reference the one-call scan is checked against: one `DriftContext` and
-one scalar `solve_theorem1` walk per grid point.  The per-path slot loop
+solution can be checked against it.  The channel statistics and the
+stability curve have their per-draw-SVD and per-xi references.  The
+per-point decision-region scan is the reference the one-call scan is
+checked against: one `DriftContext` and one scalar `solve_theorem1` walk
+per grid point.  The per-path slot loop
 at the end is the reference the stacked simulation engine is checked
 against: one path at a time, one kernel call per stage, with its own
 textbook estimator update.
@@ -14,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehncs.channel import receive, sample_channel
+from ehncs.analysis import delta_constant
+from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
 from ehncs.energy import EnergyQueue, check_feasible, sample_arrival, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs.numerics import SvdResult, eig_sym
-from ehncs.plant import control, step
+from ehncs.plant import control, instability_measure, step
 from ehncs.precoder import DriftContext, solve_theorem1
 from ehncs.sim import FeasibilityError, PathResult
 
@@ -119,6 +122,40 @@ def random_feasible_precoder(ctx, rng):
         scale = np.sqrt(rng.uniform(0.0, 1.0) * ctx.E / budget)
         F = F * scale
     return F
+
+
+# -- references of the channel statistics and the stability curve -----------
+
+def reference_pitilde_stats(rng, N_c, N_s, K, n_samples):
+    """`estimate_pitilde_stats` with the same draws, decomposed by one LAPACK
+    SVD per draw instead of the Gram eigenvalues; degenerate draws are
+    excluded by the same rule, sigma_K^2 <= DEGENERATE_TOL sigma_1^2."""
+    H = (rng.standard_normal((n_samples, N_c, N_s))
+         + 1j * rng.standard_normal((n_samples, N_c, N_s))) / np.sqrt(2.0)
+    s = np.linalg.svd(H, compute_uv=False)[:, :K]
+    good = s[:, -1] ** 2 > DEGENERATE_TOL * s[:, 0] ** 2
+    s = s[good]
+    t = (1.0 / s).sum(axis=1, keepdims=True)
+    return PiTildeStats(samples=(s / t).ravel(), n_excluded=int((~good).sum()))
+
+
+def reference_rhs_curve(model, params, stats, tau, xi_grid):
+    """The stability condition's right-hand side at each xi, one point at a
+    time: -inf where E[1/pt | pt >= xi] is undefined or not positive."""
+    K = model.K
+    m_a = instability_measure(model.A)
+    m_aat = instability_measure(model.A @ model.A.T)
+    delta = delta_constant(model, params)
+    rhs = np.empty(len(xi_grid))
+    for i, xi in enumerate(xi_grid):
+        num = 1.0 - (params.eps + K * stats.prob_below(xi)) * m_aat
+        inv_mean = stats.inv_mean_above(xi)
+        if not np.isfinite(inv_mean) or inv_mean <= 0:
+            rhs[i] = -np.inf
+            continue
+        den = delta**2 * K * tau * inv_mean * m_a * m_aat
+        rhs[i] = num / den
+    return rhs
 
 
 # -- per-point reference of the decision-region scan ------------------------

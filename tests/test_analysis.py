@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ehncs.analysis import (BoundUndefinedError, check_stability, delta_constant,
-                            drift_bound, mse_bound)
-from ehncs.channel import PiTildeStats
+from ehncs.analysis import (BoundUndefinedError, _rhs_curve, check_stability,
+                            delta_constant, drift_bound, mse_bound)
+from ehncs.channel import PiTildeStats, estimate_pitilde_stats
 from ehncs.limiter import make_params
 from ehncs.plant import PlantModel, instability_measure
 from ehncs.precoder import solve_theorem1
@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import problem1_objective, random_feasible_precoder  # noqa: E402
+from oracles import (problem1_objective, random_feasible_precoder,  # noqa: E402
+                     reference_rhs_curve)
 from test_precoder import diagonal_ctx, make_ctx  # noqa: E402
 
 
@@ -80,6 +81,28 @@ class TestCheckStability:
         assert names == {"limiter_eps_cap", "battery_theta_floor", "arrival_rate_floor"}
         assert report.satisfied
         assert all(r.satisfied for r in report.requirements)
+
+
+class TestRhsCurve:
+    def test_matches_per_xi_loop_exactly(self):
+        m = decoupled_model()
+        p = make_params(m, M=1.0, eps=0.01)
+        stats = estimate_pitilde_stats(np.random.default_rng(8), 2, 3, 2, 5000)
+        xi = np.concatenate([stats.quantiles(200), [0.0, stats.samples[-1], 1e9]])
+        rhs, delta = _rhs_curve(m, p, stats, 0.01, xi)
+        assert delta == delta_constant(m, p)
+        assert np.array_equal(rhs, reference_rhs_curve(m, p, stats, 0.01, xi))
+        assert rhs[-1] == -np.inf  # no sample at or above xi
+
+    def test_nonpositive_inverse_mean_masked(self):
+        m = decoupled_model()
+        p = make_params(m, M=1.0, eps=0.01)
+        # E[1/pt | pt >= xi] is -0.25 at xi = -2 and 0.5 at xi = 1
+        stats = PiTildeStats(np.array([-1.0, 2.0]))
+        xi = np.array([-2.0, 1.0, 3.0])
+        rhs, _ = _rhs_curve(m, p, stats, 0.01, xi)
+        assert np.array_equal(rhs, reference_rhs_curve(m, p, stats, 0.01, xi))
+        assert rhs[0] == -np.inf and np.isfinite(rhs[1]) and rhs[2] == -np.inf
 
 
 class TestMseBound:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+import sys
+from pathlib import Path
+
 from ehncs.channel import PiTildeStats, estimate_pitilde_stats, receive, sample_channel
 from ehncs.numerics import InputDomainError
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import reference_pitilde_stats  # noqa: E402
 
 
 class TestSampleChannel:
@@ -67,6 +73,15 @@ class TestPiTildeStats:
         with pytest.raises(InputDomainError):
             PiTildeStats(np.array([]))
 
+    def test_array_lookups_match_scalar_lookups(self):
+        stats = PiTildeStats(np.array([1.0, 2.0, 2.0, 4.0]))
+        xi = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
+        assert np.array_equal(stats.prob_below(xi), [stats.prob_below(x) for x in xi])
+        assert np.array_equal(stats.inv_mean_above(xi),
+                              [stats.inv_mean_above(x) for x in xi], equal_nan=True)
+        assert type(stats.prob_below(2.0)) is float
+        assert type(stats.inv_mean_above(5.0)) is float
+
 
 class TestEstimateStats:
     def test_sample_count_and_positivity(self):
@@ -81,3 +96,22 @@ class TestEstimateStats:
         stats = estimate_pitilde_stats(rng, N_c=1, N_s=1, K=1, n_samples=3000)
         # |h|^2 is Exp(1): mean 1
         assert abs(stats.samples.mean() - 1.0) < 0.06
+
+    @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (2, 3, 1), (3, 2, 2),
+                                             (3, 3, 3), (4, 2, 2), (1, 1, 1)])
+    def test_matches_per_draw_svd(self, N_c, N_s, K):
+        # 20_001 draws: more than two eigvalsh blocks, the last one partial
+        n = 20_001
+        stats = estimate_pitilde_stats(np.random.default_rng(6), N_c, N_s, K, n)
+        ref = reference_pitilde_stats(np.random.default_rng(6), N_c, N_s, K, n)
+        assert stats.n_excluded == ref.n_excluded == 0
+        # the Gram eigenvalues carry an absolute error of about 1e-16 lambda_1,
+        # so a square channel, whose smallest singular value is not repelled
+        # from 0, is checked against the largest sample for its near-0 values
+        atol = 1e-12 * ref.samples.max() if N_c == N_s else 0.0
+        np.testing.assert_allclose(stats.samples, ref.samples, rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_nonpositive_sample_count_rejected(self, n_samples):
+        with pytest.raises(InputDomainError, match="n_samples"):
+            estimate_pitilde_stats(np.random.default_rng(7), 2, 3, 2, n_samples)

@@ -80,6 +80,11 @@ class TestParse:
             parse_config_text(text)
         assert any("theta: missing" in v for v in err.value.violations)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(small_config_text(seed=-3))
+        assert any(v.startswith("seed") for v in err.value.violations)
+
     def test_gain_design_from_weights(self):
         text = small_config_text(P="[[1.0, 0.0], [0.0, 1.0]]",
                                  R="[[1.0, 0.0], [0.0, 1.0]]")
@@ -173,6 +178,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "regions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "analyze", "sweep", "regions"])
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, command):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
+        assert not out.exists()
+
+    def test_negative_seed_in_config_is_validation_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, seed=-3)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] \
+            == ["error: invalid configuration:"]
+        assert "seed: must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_policy_override(self, tmp_path):
         cfg = self.write_config(tmp_path)

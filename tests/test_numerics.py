@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ehncs.channel import estimate_pitilde_stats
 from ehncs.numerics import (ConvergenceError, InputDomainError, NotSchurStableError,
-                            eig_sym, solve_dare, solve_stein, spectral_radius, svd)
+                            eig_sym, singular_values, solve_dare, solve_stein,
+                            spectral_radius, svd)
 
 
 class TestSvd:
@@ -50,6 +52,76 @@ class TestSvd:
             one = svd(H[p])
             assert np.allclose(r.singular_values[p], one.singular_values)
             assert np.allclose(r.Pi[p], one.Pi)
+
+
+class _FixedDraws:
+    """Stands in for a Generator: returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("shape", [(9000, 2, 3), (9000, 4, 2), (9000, 3, 3),
+                                       (5, 1, 1)])
+    def test_matches_lapack_svd(self, shape):
+        # 9000 matrices span two eigvalsh blocks, the last one partial
+        rng = np.random.default_rng(10)
+        H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = singular_values(H)
+        ref = np.linalg.svd(H, compute_uv=False)
+        assert s.shape == ref.shape == (shape[0], min(shape[1:]))
+        # errors are bounded against each matrix's largest singular value
+        assert np.all(np.abs(s - ref) <= 1e-12 * ref[:, :1])
+
+    def test_real_input(self):
+        H = np.random.default_rng(11).standard_normal((50, 3, 2))
+        assert np.allclose(singular_values(H), np.linalg.svd(H, compute_uv=False),
+                           rtol=1e-12, atol=0.0)
+
+    def test_descending(self):
+        rng = np.random.default_rng(12)
+        H = rng.standard_normal((200, 3, 4)) + 1j * rng.standard_normal((200, 3, 4))
+        assert np.all(np.diff(singular_values(H), axis=-1) <= 0)
+        assert np.array_equal(singular_values(np.diag([1.0, 3.0, 2.0])), [3.0, 2.0, 1.0])
+
+    def test_one_matrix_unstacked(self):
+        H = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 4.0j]])
+        s = singular_values(H)
+        assert s.shape == (2,)
+        assert np.allclose(s, [4.0, 3.0], rtol=1e-15)
+        assert np.array_equal(s, singular_values(H[None])[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        H = np.ones((3, 2, 2), dtype=complex)
+        H[1, 0, 1] = bad
+        with pytest.raises(InputDomainError):
+            singular_values(H)
+
+    def test_rank_deficient_draws_excluded(self):
+        # draws 5.. are u v^H: the Gram leaves their sigma_2 at 0 or at its
+        # rounding floor near 1e-8 sigma_1, and the degenerate rule drops them
+        rng = np.random.default_rng(13)
+        H = rng.standard_normal((25, 2, 3)) + 1j * rng.standard_normal((25, 2, 3))
+        u = rng.standard_normal((20, 2, 1)) + 1j * rng.standard_normal((20, 2, 1))
+        v = rng.standard_normal((20, 1, 3)) + 1j * rng.standard_normal((20, 1, 3))
+        H[5:] = u @ v
+        s = singular_values(H[5:])
+        assert np.all(s[:, 1] < 1e-6 * s[:, 0])
+        assert np.any(s[:, 1] > 1e-12)  # an absolute 1e-12 floor keeps these
+        draws = (np.sqrt(2.0) * H.real, np.sqrt(2.0) * H.imag)
+        stats = estimate_pitilde_stats(_FixedDraws(*draws), 2, 3, K=2, n_samples=25)
+        assert stats.n_excluded == 20
+        assert stats.samples.size == 5 * 2
+        # with K = 1 only the leading singular value is used: nothing is dropped
+        stats = estimate_pitilde_stats(_FixedDraws(*draws), 2, 3, K=1, n_samples=25)
+        assert stats.n_excluded == 0
 
 
 class TestEigSym:

@@ -28,6 +28,6 @@ from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,
                        baseline_periodic_wf, decision_region_scan,
                        kkt_residual, solve_theorem1, theorem1_allocations)
-from .sim import RunResult, SimSetup, run_monte_carlo, run_path, run_slot, sweep
+from .sim import RunResult, SimSetup, run_monte_carlo, run_slot, sweep
 
 __version__ = "0.1.0"

@@ -57,12 +57,9 @@ def _draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):
     return float(draw) if size is None else draw.astype(float)
 
 
-def sample_arrival(model: ArrivalModel, rng):
-    """One harvest draw; with a sequence of one generator per path, one draw
-    per path."""
-    if isinstance(rng, np.random.Generator):
-        return _draw_arrival(model, rng)
-    return np.array([_draw_arrival(model, g) for g in rng])
+def sample_arrival(model: ArrivalModel, rngs) -> np.ndarray:
+    """One harvest draw per generator in rngs."""
+    return np.array([_draw_arrival(model, g) for g in rngs])
 
 
 def spend_and_harvest(queue: EnergyQueue, spend, alpha) -> EnergyQueue:

@@ -61,7 +61,7 @@ def make_params(model: PlantModel, M: float, eps: float,
 
 
 def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
-                  gain_norm: str = "BPsiA") -> float:
+                  gain_norm: str = "BPsiA") -> np.ndarray:
     """Adaptive dynamic range
 
         L = (1/sqrt(eps)) (1 + ||A-BPsiA|| Theta)
@@ -83,7 +83,7 @@ def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
     excess = np.maximum(tr_sigma - tr_w, 0.0)
     prefactor = (1.0 + model.norm_closed_loop * params.Theta) / np.sqrt(params.eps)
     L = prefactor * (coeff * np.sqrt(excess) + np.sqrt(tr_w))
-    return L if np.ndim(L) else float(L)
+    return L
 
 
 def clip(x: np.ndarray, L, M: float) -> LimiterOutput:

@@ -30,11 +30,13 @@ class PlantModel:
     W: np.ndarray  # (K, K) plant-noise covariance
     Psi: np.ndarray  # (D, K) controller gain
     closed_loop: np.ndarray = field(init=False, repr=False)
+    # factor S sqrt(Lam) of W = S Lam S^T, so W = W_sqrt W_sqrt^T
+    W_sqrt: np.ndarray = field(init=False, repr=False)
     # spectral norms cached at construction (hot in the per-slot loop)
-    _norm_AAT: float = field(init=False, repr=False)
-    _norm_cl: float = field(init=False, repr=False)
-    _norm_BPsi: float = field(init=False, repr=False)
-    _norm_BPsiA: float = field(init=False, repr=False)
+    norm_AAT: float = field(init=False, repr=False)  # ||A A^T||
+    norm_closed_loop: float = field(init=False, repr=False)  # ||A - B Psi A||
+    norm_BPsi: float = field(init=False, repr=False)
+    norm_BPsiA: float = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -48,7 +50,7 @@ class PlantModel:
             raise InputDomainError("PlantModel: B/Psi dimensions inconsistent")
         if W.shape != (K, K):
             raise InputDomainError("PlantModel: W must be K x K")
-        eig_sym(W)  # raises on asymmetric or indefinite W
+        W_dec = eig_sym(W)  # raises on asymmetric or indefinite W
         cl = A - B @ Psi @ A
         if spectral_radius(cl) >= 1.0:
             raise NotSchurStableError("PlantModel: A - B Psi A is not Schur-stable")
@@ -57,10 +59,11 @@ class PlantModel:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Psi", Psi)
         object.__setattr__(self, "closed_loop", cl)
-        object.__setattr__(self, "_norm_AAT", float(np.linalg.norm(A @ A.T, 2)))
-        object.__setattr__(self, "_norm_cl", float(np.linalg.norm(cl, 2)))
-        object.__setattr__(self, "_norm_BPsi", float(np.linalg.norm(B @ Psi, 2)))
-        object.__setattr__(self, "_norm_BPsiA", float(np.linalg.norm(B @ Psi @ A, 2)))
+        object.__setattr__(self, "W_sqrt", W_dec.S * np.sqrt(W_dec.Lam))
+        object.__setattr__(self, "norm_AAT", float(np.linalg.norm(A @ A.T, 2)))
+        object.__setattr__(self, "norm_closed_loop", float(np.linalg.norm(cl, 2)))
+        object.__setattr__(self, "norm_BPsi", float(np.linalg.norm(B @ Psi, 2)))
+        object.__setattr__(self, "norm_BPsiA", float(np.linalg.norm(B @ Psi @ A, 2)))
 
     @property
     def K(self) -> int:
@@ -69,24 +72,6 @@ class PlantModel:
     @property
     def D(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def norm_AAT(self) -> float:
-        """Spectral norm of A A^T."""
-        return self._norm_AAT
-
-    @property
-    def norm_closed_loop(self) -> float:
-        """Spectral norm of A - B Psi A."""
-        return self._norm_cl
-
-    @property
-    def norm_BPsi(self) -> float:
-        return self._norm_BPsi
-
-    @property
-    def norm_BPsiA(self) -> float:
-        return self._norm_BPsiA
 
 
 def step(model: PlantModel, x, u, w) -> np.ndarray:

@@ -102,13 +102,8 @@ def initial_state(setup: SimSetup, n_paths: int = 1) -> SimState:
     )
 
 
-def _noise_sqrt(W: np.ndarray) -> np.ndarray:
-    dec = eig_sym(W)
-    return dec.S * np.sqrt(dec.Lam)
-
-
-def run_slot(setup: SimSetup, state: SimState, policy, rngs,
-             noise_sqrt: np.ndarray | None = None) -> tuple[SimState, SlotTrace]:
+def run_slot(setup: SimSetup, state: SimState, policy,
+             rngs) -> tuple[SimState, SlotTrace]:
     """Advance the P stacked paths of `state` by one slot.
 
     rngs holds one generator per path.  The policy is called once per path
@@ -119,8 +114,6 @@ def run_slot(setup: SimSetup, state: SimState, policy, rngs,
     M^2 Tr(F^H F) tau (the limiter makes the former <= the latter).
     """
     model, lim_params = setup.model, setup.limiter
-    if noise_sqrt is None:
-        noise_sqrt = _noise_sqrt(model.W)
     E = state.queue.E
 
     draw = sample_channel(rngs, setup.N_c, setup.N_s, setup.K)
@@ -156,7 +149,7 @@ def run_slot(setup: SimSetup, state: SimState, policy, rngs,
     u = control(model, state.x_hat)
     x_hat_next, Sigma_next = filter_step(
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
-    w = np.array([g.standard_normal(setup.K) for g in rngs]) @ noise_sqrt.T
+    w = np.array([g.standard_normal(setup.K) for g in rngs]) @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
 
     alpha = sample_arrival(setup.arrivals, rngs)
@@ -215,15 +208,28 @@ def _take(state: SimState, keep: np.ndarray) -> SimState:
                     Sigma=state.Sigma[keep], queue=queue, diverged=state.diverged[keep])
 
 
-def _run_paths(setup: SimSetup, policy, n_slots: int, rngs: list,
-               keep_traces: bool) -> list[PathResult]:
-    """One path per generator in rngs, all advanced together by `run_slot`.
+def _metric(values: np.ndarray) -> Metric:
+    values = np.asarray(values, dtype=float)
+    mean = float(values.mean())
+    if values.size < 2:
+        return Metric(mean=mean, ci_half_width=float("inf"))
+    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
+    return Metric(mean=mean, ci_half_width=half)
+
+
+def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
+                    seed: int, keep_traces: bool = False) -> RunResult:
+    """Independent paths with per-path RNG streams default_rng([seed, path]),
+    all advanced together by `run_slot`.
 
     A path leaves the live set after the slot on which it trips the
-    divergence guard; its means divide by the slots it ran.
+    divergence guard; its means divide by the slots it ran.  One path is
+    n_paths=1.
     """
-    P, K = len(rngs), setup.K
-    noise_sqrt = _noise_sqrt(setup.model.W)
+    if n_paths < 1 or n_slots < 1:
+        raise InputDomainError("run_monte_carlo: n_paths and n_slots must be >= 1")
+    P, K = n_paths, setup.K
+    rngs = [np.random.default_rng([seed, p]) for p in range(P)]
     state = initial_state(setup, P)
     live = np.arange(P)
     # per-path sums of squared error, Tr(Sigma), spend, harvest, saturated
@@ -234,7 +240,7 @@ def _run_paths(setup: SimSetup, policy, n_slots: int, rngs: list,
     diverged = np.zeros(P, dtype=bool)
     traces = [[] for _ in range(P)]
     for _ in range(n_slots):
-        state, t = run_slot(setup, state, policy, rngs, noise_sqrt=noise_sqrt)
+        state, t = run_slot(setup, state, policy, rngs)
         sums += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
                  t.mode == "active")
         if keep_traces:
@@ -257,35 +263,11 @@ def _run_paths(setup: SimSetup, policy, n_slots: int, rngs: list,
     totals[:, live] = sums
     n_run[live] = state.n
     sq_err, tr_sigma, spent, harvested, n_sat, n_active = totals
-    return [PathResult(*fields) for fields in zip(
+    paths = [PathResult(*fields) for fields in zip(
         (sq_err / (n_run * K)).tolist(), (tr_sigma / n_run).tolist(),
         (n_sat / n_run).tolist(), (n_active / n_run).tolist(), spent.tolist(),
         harvested.tolist(), diverged.tolist(),
         traces if keep_traces else [None] * P)]
-
-
-def run_path(setup: SimSetup, policy, n_slots: int,
-             rng: np.random.Generator, keep_traces: bool = False) -> PathResult:
-    """One path on generator rng: the one-path case of `run_monte_carlo`."""
-    return _run_paths(setup, policy, n_slots, [rng], keep_traces)[0]
-
-
-def _metric(values: np.ndarray) -> Metric:
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return Metric(mean=mean, ci_half_width=float("inf"))
-    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
-    return Metric(mean=mean, ci_half_width=half)
-
-
-def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
-                    seed: int, keep_traces: bool = False) -> RunResult:
-    """Independent paths with per-path RNG streams default_rng([seed, path])."""
-    if n_paths < 1 or n_slots < 1:
-        raise InputDomainError("run_monte_carlo: n_paths and n_slots must be >= 1")
-    rngs = [np.random.default_rng([seed, p]) for p in range(n_paths)]
-    paths = _run_paths(setup, policy, n_slots, rngs, keep_traces)
     return RunResult(
         n_paths=n_paths, n_slots=n_slots, seed=seed,
         mse=_metric([p.mse for p in paths]),
@@ -305,6 +287,8 @@ def sweep(setup: SimSetup, policy_factories: dict, axis: str, values,
     name to a callable(setup) -> per-slot policy, so budget-aware baselines
     can read the swept setup.  Returns one row dict per (policy, value).
     """
+    if axis not in ("theta", "mean_alpha"):
+        raise InputDomainError(f"sweep: unknown axis {axis!r}")
     values = list(values)
     if any(b < a for a, b in zip(values, values[1:])):
         raise InputDomainError("sweep: values must be ascending")
@@ -317,11 +301,9 @@ def sweep(setup: SimSetup, policy_factories: dict, axis: str, values,
     for value in values:
         if axis == "theta":
             cfg = replace(setup, theta=float(value), E0=None)
-        elif axis == "mean_alpha":
+        else:
             arr = replace(setup.arrivals, mean=float(value))
             cfg = replace(setup, arrivals=arr)
-        else:
-            raise InputDomainError(f"sweep: unknown axis {axis!r}")
         for name, factory in policy_factories.items():
             result = run_monte_carlo(cfg, factory(cfg), n_paths, n_slots, seed)
             rows.append({

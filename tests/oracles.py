@@ -219,13 +219,16 @@ class PathState:
 
 def reference_slot(setup, state, policy, rng, noise_sqrt):
     """One slot of one path; returns the next state and the slot's
-    (E_before, L, mode, gamma, spend, Tr Sigma, sq_error, sq_state, alpha)."""
+    (E_before, L, mode, gamma, spend, Tr Sigma, sq_error, sq_state, alpha).
+    The kernels are called on stacks of one path."""
     model = setup.model
-    draw = sample_channel(rng, setup.N_c, setup.N_s, setup.K)
+    draw = sample_channel([rng], setup.N_c, setup.N_s, setup.K)
     L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
-        S=dec.S, Lam=dec.Lam, svd=draw.svd, Pi_K=draw.Pi_K, E=state.queue.E,
+        S=dec.S, Lam=dec.Lam, svd=SvdResult(U=draw.svd.U[0], Pi=draw.svd.Pi[0],
+                                            V=draw.svd.V[0]),
+        Pi_K=draw.Pi_K[0], E=state.queue.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, eps=setup.limiter.eps, slot=state.n)
     decision = policy(ctx)
@@ -235,8 +238,9 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     lim = clip(state.x, L, setup.limiter.M)
     gamma = 0 if lim.saturated else 1
     if decision.mode != "dormant" and np.any(decision.F):
-        y = receive(draw, decision.F, lim.q, rng)
-        Ftilde = draw.H @ decision.F * lim.g
+        y = receive(draw, decision.F[None], lim.q[None], [rng],
+                    noiseless=np.array([False]))[0]
+        Ftilde = draw.H[0] @ decision.F * lim.g
         spend = float(np.linalg.norm(decision.F @ lim.q) ** 2) * setup.tau
     else:
         y, Ftilde, spend = None, None, 0.0
@@ -248,7 +252,7 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
         state.x_hat, state.Sigma, y, Ftilde if gamma else None, model.A, model.B,
         u, model.W)
     x_next = step(model, state.x, u, noise_sqrt @ rng.standard_normal(setup.K))
-    alpha = sample_arrival(setup.arrivals, rng)
+    alpha = float(sample_arrival(setup.arrivals, [rng])[0])
     queue_next = spend_and_harvest(state.queue, spend, alpha)
     record = (state.queue.E, L, decision.mode, gamma, spend,
               float(np.trace(state.Sigma)), sq_error, sq_state, alpha)

@@ -13,38 +13,55 @@ from oracles import reference_pitilde_stats  # noqa: E402
 
 class TestSampleChannel:
     def test_shapes_and_cached_svd(self):
-        draw = sample_channel(np.random.default_rng(0), N_c=2, N_s=3, K=2)
-        assert draw.H.shape == (2, 3)
-        assert draw.Pi_K.shape == (2,)
-        assert np.all(np.diff(draw.Pi_K) <= 0)
+        draw = sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=2)
+        assert draw.H.shape == (1, 2, 3)
+        assert draw.Pi_K.shape == (1, 2)
+        assert np.all(np.diff(draw.Pi_K[0]) <= 0)
         assert np.abs(draw.svd.reconstruct() - draw.H).max() < 1e-10
 
     def test_k_too_large(self):
         with pytest.raises(InputDomainError):
-            sample_channel(np.random.default_rng(0), N_c=2, N_s=3, K=3)
+            sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=3)
 
     def test_unit_variance_entries(self):
-        rng = np.random.default_rng(1)
-        draws = [sample_channel(rng, 4, 4, 4).H for _ in range(500)]
-        flat = np.concatenate([d.ravel() for d in draws])
-        assert abs(np.mean(np.abs(flat) ** 2) - 1.0) < 0.05
+        H = sample_channel([np.random.default_rng(1)] * 500, 4, 4, 4).H
+        assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.05
 
 
 class TestReceive:
+    def setup_draw(self, n_paths, seed):
+        rng = np.random.default_rng(seed)
+        draw = sample_channel([rng] * n_paths, 2, 3, 2)
+        F = rng.standard_normal((n_paths, 3, 2)) + 1j * rng.standard_normal((n_paths, 3, 2))
+        q = rng.standard_normal((n_paths, 2))
+        return draw, F, q
+
     def test_noiseless_is_linear_map(self):
-        rng = np.random.default_rng(2)
-        draw = sample_channel(rng, 2, 3, 2)
-        F = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        q = np.array([0.3, -0.7])
-        y = receive(draw, F, q, rng, noiseless=True)
-        assert np.allclose(y, draw.H @ F @ q)
+        draw, F, q = self.setup_draw(2, 2)
+        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+        y = receive(draw, F, q, rngs, noiseless=np.array([True, True]))
+        assert np.allclose(y, (draw.H @ F @ q[:, :, None])[:, :, 0])
 
     def test_noise_is_unit_variance(self):
         rng = np.random.default_rng(3)
-        draw = sample_channel(rng, 2, 3, 2)
-        F = np.zeros((3, 2))
-        ys = np.array([receive(draw, F, np.zeros(2), rng) for _ in range(4000)])
+        draw = sample_channel([rng] * 4000, 2, 3, 2)
+        ys = receive(draw, np.zeros((4000, 3, 2)), np.zeros((4000, 2)), [rng] * 4000,
+                     noiseless=np.zeros(4000, dtype=bool))
         assert abs(np.mean(np.abs(ys) ** 2) - 1.0) < 0.05
+
+    def test_silent_path_draws_nothing(self):
+        # a path's stream does not depend on whether the others transmit
+        draw, F, q = self.setup_draw(2, 7)
+        rngs = [np.random.default_rng(8), np.random.default_rng(9)]
+        twins = [np.random.default_rng(8), np.random.default_rng(9)]
+        y = receive(draw, F, q, rngs, noiseless=np.array([True, False]))
+        clean = (draw.H @ (F @ q[:, :, None]))[:, :, 0]
+        assert np.array_equal(y[0], clean[0])
+        z = twins[1].standard_normal((2, 2))
+        assert np.allclose(y[1], clean[1] + (z[0] + 1j * z[1]) / np.sqrt(2.0))
+        # path 0 is untouched; path 1 advanced by exactly one (2, N_c) draw
+        assert rngs[0].random() == twins[0].random()
+        assert rngs[1].random() == twins[1].random()
 
 
 class TestPiTildeStats:

@@ -41,6 +41,11 @@ class TestPlantModel:
         assert abs(m.norm_AAT - np.linalg.norm(m.A @ m.A.T, 2)) < 1e-12
         assert abs(m.norm_closed_loop - np.linalg.norm(m.closed_loop, 2)) < 1e-12
         assert abs(m.norm_BPsi - 0.25) < 1e-12
+        # the cached noise factor reproduces W, also when W is rank-deficient
+        v = np.array([[1.0], [-2.0]])
+        for W in (np.diag([1.0, 2.0]), v @ v.T):
+            W_sqrt = PlantModel(A=m.A, B=m.B, W=W, Psi=m.Psi).W_sqrt
+            assert np.linalg.norm(W_sqrt @ W_sqrt.T - W) <= 1e-12 * np.linalg.norm(W)
 
 
 class TestStepControl:

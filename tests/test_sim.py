@@ -15,7 +15,7 @@ from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
 from ehncs.precoder import PrecoderDecision, decision_region_scan, solve_theorem1
 from ehncs.sim import (FeasibilityError, SimSetup, initial_state, run_monte_carlo,
-                       run_path, run_slot, sweep)
+                       run_slot, sweep)
 
 
 def reference_model():
@@ -95,17 +95,10 @@ class TestMonteCarlo:
         assert r1.mse.mean == r2.mse.mean
         assert [p.mse for p in r1.paths] == [p.mse for p in r2.paths]
 
-    def test_single_path_reduces_to_slot_loop(self):
-        setup = small_setup()
-        r = run_monte_carlo(setup, solve_theorem1, 1, 40, seed=9)
-        manual = run_path(setup, solve_theorem1, 40, np.random.default_rng([9, 0]))
-        assert r.paths[0].mse == manual.mse
-        assert r.paths[0].mean_tr_sigma == manual.mean_tr_sigma
-
     def test_energy_ledger(self):
         setup = small_setup()
-        path = run_path(setup, solve_theorem1, 100, np.random.default_rng([5, 0]),
-                        keep_traces=True)
+        path = run_monte_carlo(setup, solve_theorem1, 1, 100, seed=5,
+                               keep_traces=True).paths[0]
         spent = sum(t.energy_used for t in path.traces)
         harvested = sum(t.alpha for t in path.traces)
         assert spent <= setup.E0 + harvested + 1e-9
@@ -199,6 +192,9 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(InputDomainError):
             sweep(small_setup(), self.factories(), "tau", [0.1], 1, 5, 1)
+        # checked before the loop over values, so no value is needed to see it
+        with pytest.raises(InputDomainError, match="unknown axis"):
+            sweep(small_setup(), self.factories(), "bogus", [], 1, 5, 1)
 
     def test_mean_alpha_axis_rejects_empirical_arrivals(self):
         # an empirical model's mean is that of its values, so the swept

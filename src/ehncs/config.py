@@ -8,6 +8,7 @@ so a bad file reports all its problems at once.
 
 import ast
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,12 +107,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 out[key] = np.asarray(values.pop(key), dtype=float)
             except (ValueError, TypeError):
                 violations.append(f"{key}: not a numeric matrix literal")
+                continue
+            if not np.isfinite(out[key]).all():
+                violations.append(f"{key}: entries must be finite")
     for key, caster in _SCALAR_KEYS.items():
         if key in values:
+            v = values.pop(key)
             try:
-                out[key] = caster(values.pop(key))
-            except (ValueError, TypeError):
+                out[key] = caster(v)
+            except (ValueError, TypeError, OverflowError):
                 violations.append(f"{key}: not a {caster.__name__}")
+                continue
+            if caster is float and not math.isfinite(out[key]):
+                violations.append(f"{key}: must be finite, got {out[key]}")
+            elif caster is int and out[key] != v:
+                violations.append(f"{key}: must be an integer, got {v!r}")
     for key in _STRING_KEYS:
         if key in values:
             out[key] = str(values.pop(key))
@@ -120,8 +130,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
             v = values.pop(key)
             if not isinstance(v, (list, tuple)):
                 violations.append(f"{key}: expected a bracketed list")
-            else:
+                continue
+            try:
                 out[key] = [float(x) for x in v]
+            except (ValueError, TypeError):
+                violations.append(f"{key}: not a list of numbers")
+                continue
+            if not all(map(math.isfinite, out[key])):
+                violations.append(f"{key}: values must be finite")
     for key in values:
         violations.append(f"{key}: unknown key")
 

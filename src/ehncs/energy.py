@@ -24,24 +24,17 @@ class EnergyQueue:
 class ArrivalModel:
     """Harvestable-energy distribution: i.i.d. across slots.
 
-    kind is one of "poisson" (mean Joules per slot), "deterministic"
-    (constant mean every slot) or "empirical" (resample from values).
+    kind is "poisson" (mean Joules per slot) or "deterministic" (constant
+    mean every slot).
     """
 
     kind: str
     mean: float = 0.0
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("poisson", "deterministic", "empirical"):
+        if self.kind not in ("poisson", "deterministic"):
             raise InputDomainError(f"ArrivalModel: unknown kind {self.kind!r}")
-        if self.kind == "empirical":
-            vals = np.asarray(self.values, dtype=float)
-            if vals.size == 0 or (vals < 0).any():
-                raise InputDomainError("ArrivalModel: empirical values must be non-negative")
-            object.__setattr__(self, "values", vals)
-            object.__setattr__(self, "mean", float(vals.mean()))
-        elif self.mean < 0:
+        if self.mean < 0:
             raise InputDomainError("ArrivalModel: mean must be non-negative")
 
 
@@ -50,8 +43,6 @@ def _draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):
     values as `size` single draws)."""
     if model.kind == "poisson":
         draw = rng.poisson(model.mean, size)
-    elif model.kind == "empirical":
-        draw = rng.choice(model.values, size)
     else:
         draw = model.mean if size is None else np.full(size, model.mean)
     return float(draw) if size is None else draw.astype(float)

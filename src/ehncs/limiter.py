@@ -38,26 +38,22 @@ class LimiterOutput:
     saturated: bool
 
 
-def compute_theta(model: PlantModel, T: np.ndarray | None = None) -> float:
+def compute_theta(model: PlantModel) -> float:
     """Drift constant from the closed-loop Stein equation.
 
-    With F = A - B Psi A and Q solving F^T Q F - Q = -T:
-        Theta = (1/mu_min(T)) (||F^T Q|| + (||F^T Q||^2 + mu_min(T) ||Q||)^{1/2})
-    T defaults to the identity, which makes Theta deterministic.
+    With F = A - B Psi A and Q solving F^T Q F - Q = -I:
+        Theta = ||F^T Q|| + (||F^T Q||^2 + ||Q||)^{1/2}
+    (the general form with T = I in the Stein equation, so mu_min(T) = 1).
     """
     cl = model.closed_loop
-    if T is None:
-        T = np.eye(model.K)
-    Q = solve_stein(cl, T)
-    mu_min = float(np.linalg.eigvalsh((T + T.T) / 2).min())
+    Q = solve_stein(cl, np.eye(model.K))
     n_fq = float(np.linalg.norm(cl.T @ Q, 2))
     n_q = float(np.linalg.norm(Q, 2))
-    return (n_fq + np.sqrt(n_fq**2 + mu_min * n_q)) / mu_min
+    return n_fq + np.sqrt(n_fq**2 + n_q)
 
 
-def make_params(model: PlantModel, M: float, eps: float,
-                T: np.ndarray | None = None) -> LimiterParams:
-    return LimiterParams(M=M, eps=eps, Theta=compute_theta(model, T))
+def make_params(model: PlantModel, M: float, eps: float) -> LimiterParams:
+    return LimiterParams(M=M, eps=eps, Theta=compute_theta(model))
 
 
 def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,

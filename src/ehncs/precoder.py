@@ -12,6 +12,11 @@ covariance eigenbasis: per-stream allocations follow a water-filling rule
 with water level set by (channel gain, stored energy) and seabed level set
 by the per-stream estimation error.  A positive-definiteness test on the
 threshold matrix decides dormant vs active mode before any allocation.
+
+Capacity and MMSE water-filling (the baselines) have the same structure
+with other weights, so one scalar active-set walk, `_walk`, inverts the
+budget equation for Theorem 1 and for both baseline power profiles, and
+every precoder is assembled on the leading K left singular vectors.
 """
 
 from dataclasses import dataclass
@@ -58,14 +63,10 @@ class PrecoderDecision:
     energy_used: float  # M^2 Tr(F^H F) tau
 
 
-def _n_s(ctx: DriftContext) -> int:
-    return ctx.svd.U.shape[0]
-
-
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
     return PrecoderDecision(
-        F=np.zeros((_n_s(ctx), K), dtype=complex), mode=mode, beta=0.0,
+        F=np.zeros((ctx.svd.U.shape[0], K), dtype=complex), mode=mode, beta=0.0,
         allocations=np.zeros(K), energy_used=0.0,
     )
 
@@ -92,14 +93,33 @@ def _energy_of_alloc(ctx: DriftContext, y: np.ndarray) -> float:
 
 
 def _assemble(ctx: DriftContext, y: np.ndarray, beta: float, mode: str) -> PrecoderDecision:
-    """F* = (L/M) U [ Pi_K^{-1} Y^{1/2} S^T ; 0 ]."""
-    K = len(ctx.Pi_K)
+    """F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T, U_K the leading K columns of U."""
     top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
-    block = np.zeros((_n_s(ctx), K))
-    block[:K, :] = top
-    F = (ctx.L / ctx.M) * (ctx.svd.U @ block)
+    F = (ctx.L / ctx.M) * (ctx.svd.U[:, :len(y)] @ top)
     return PrecoderDecision(F=F, mode=mode, beta=beta, allocations=y,
                             energy_used=_energy_of_alloc(ctx, y))
+
+
+def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
+          budget: float) -> tuple[float, float, int]:
+    """Active-set walk of a water-filling budget equation.
+
+    Stream i switches on once the water parameter s falls below t_i, and on
+    a fixed active set the budget equation a/sqrt(s) - b = budget has the
+    root s = (a/(budget+b))^2, with a and b the sums of a_terms and b_terms
+    over the set.  Streams switch on in descending t; the walk stops at the
+    first set whose root is at or above the next t (0 after the last
+    stream).  The spend is continuous and decreasing in s, so that root is
+    the solution.  Returns the sums a and b and the last stream switched on.
+    """
+    order = np.argsort(t)[::-1]
+    a = b = 0.0
+    for m, i in enumerate(order):
+        a += a_terms[i]
+        b += b_terms[i]
+        if (a / (budget + b)) ** 2 >= (t[order[m + 1]] if m + 1 < len(t) else 0.0):
+            break
+    return a, b, i
 
 
 def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
@@ -109,7 +129,6 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     every stream; otherwise allocations follow the water-filling rule with
     beta = 0 when the budget is slack and beta > 0 when binding.
     """
-    K = len(ctx.Pi_K)
     thresholds = ctx.theta - (ctx.norm_AAT * (ctx.Lam * ctx.Pi_K) ** 2
                               / (ctx.tau * ctx.L**2) + ctx.E)
     if np.all(thresholds > ALLOC_TOL):
@@ -128,25 +147,17 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
 
     # Budget binds: solve energy(s) = E exactly.  Stream i is active iff
     # s < t_i = c (Pi_ii Lam_ii / L)^2 / tau, and on a fixed active set
-    # energy(s) = a/sqrt(s) - b, so each candidate interval inverts in
-    # closed form.  Walk intervals from large s (few streams) downward and
-    # stop at the first candidate at or above the next breakpoint (0 after
-    # the last stream): energy(s) is continuous and decreasing, so that
-    # candidate is the root; the clamps only absorb round-off.
+    # energy(s) = a/sqrt(s) - b, so the walk inverts it in closed form; the
+    # clamps only absorb round-off.
     t = ctx.norm_AAT * (ctx.Pi_K * ctx.Lam / ctx.L) ** 2 / ctx.tau
-    order = np.argsort(t)[::-1]  # activation order as s decreases
-    if t[order[0]] <= 0:
-        # every threshold is 0 (Sigma = 0): no stream switches on
-        return _dormant_decision(ctx, mode="active")
     half_sqrt = 0.5 * ctx.L * np.sqrt(ctx.norm_AAT * ctx.tau) / ctx.Pi_K  # a_i terms
     half_seabed = 0.5 * ctx.L**2 * ctx.tau * seabed / ctx.Pi_K**2  # b_i terms
-    a = b = 0.0
-    for m, i in enumerate(order):
-        a += half_sqrt[i]
-        b += half_seabed[i]
-        s = (a / (ctx.E + b)) ** 2
-        if s >= (t[order[m + 1]] if m + 1 < K else 0.0):
-            break
+    a, b, i = _walk(half_sqrt, half_seabed, t, ctx.E)
+    if t[i] <= 0:
+        # the walk stops before any zero threshold, so only the first stream
+        # can have one: every threshold is 0 (Sigma = 0), no stream switches on
+        return _dormant_decision(ctx, mode="active")
+    s = (a / (ctx.E + b)) ** 2
     s_star = max(min(s, t[i]), s0)
     y = _alloc(ctx, s_star, seabed)
     return _assemble(ctx, y, beta=s_star - s0, mode="active")
@@ -272,50 +283,23 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _wf_capacity_powers(pi: np.ndarray, budget: float) -> np.ndarray:
-    """p_i = [gamma - 1/pi_i]^+ with sum p_i = budget."""
+def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> np.ndarray:
+    """p_i = [gamma w_i - 1/pi_i]^+ with sum p_i = budget: w_i = 1 maximizes
+    capacity, w_i = pi_i^{-1/2} minimizes the MSE."""
     if budget <= 0:
         return np.zeros_like(pi)
+    capacity = profile == "capacity"
+    w = np.ones_like(pi) if capacity else 1.0 / np.sqrt(pi)
     floors = 1.0 / pi
-    gamma = _water_level(floors, budget)
-    return np.maximum(gamma - floors, 0.0)
-
-
-def _wf_mmse_powers(pi: np.ndarray, budget: float) -> np.ndarray:
-    """p_i = [gamma / sqrt(pi_i) - 1/pi_i]^+ with sum p_i = budget."""
-    if budget <= 0:
-        return np.zeros_like(pi)
-    inv_sqrt = 1.0 / np.sqrt(pi)
-    floors = 1.0 / pi
-    # stream i active iff gamma > 1/sqrt(pi_i); walk active sets in
-    # descending-pi order and invert the budget equation exactly
-    order = np.argsort(pi)[::-1]
-    for m in range(1, len(pi) + 1):
-        idx = order[:m]
-        gamma = (budget + floors[idx].sum()) / inv_sqrt[idx].sum()
-        if m == len(pi) or gamma * np.sqrt(pi[order[m]]) <= 1.0:
-            p = np.maximum(gamma * inv_sqrt - floors, 0.0)
-            return p * (budget / p.sum())  # exact budget despite round-off
-    raise RuntimeError("unreachable")
-
-
-def _water_level(floors: np.ndarray, budget: float) -> float:
-    """Exact capacity water level: gamma with sum [gamma - floor_i]^+ = budget."""
-    order = np.sort(floors)
-    k = len(order)
-    for m in range(1, k + 1):
-        gamma = (budget + order[:m].sum()) / m
-        if m == k or gamma <= order[m]:
-            return float(gamma)
-    raise RuntimeError("unreachable")
+    # stream i is active iff gamma w_i > 1/pi_i, and gamma = (budget+b)/a
+    a, b, _ = _walk(w, floors, pi**2 if capacity else pi, budget)
+    p = np.maximum((budget + b) / a * w - floors, 0.0)
+    return p if capacity else p * (budget / p.sum())  # exact MMSE budget
 
 
 def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
-    """F = U [ diag(sqrt(p_i)) ; 0 ] with p_i read as per-stream powers."""
-    K = len(ctx.Pi_K)
-    block = np.zeros((_n_s(ctx), K))
-    block[:K, :K] = np.diag(np.sqrt(p))
-    F = (ctx.svd.U @ block).astype(complex)
+    """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
+    F = ctx.svd.U[:, :len(p)] @ np.diag(np.sqrt(p))
     energy = float(ctx.M**2 * p.sum() * ctx.tau)
     mode = "active" if p.sum() > 0 else "dormant"
     return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p, energy_used=energy)
@@ -324,7 +308,7 @@ def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:
     """Baseline 1: capacity-maximizing water-filling over the full budget E."""
     budget = ctx.E / (ctx.M**2 * ctx.tau)
-    return _baseline_decision(ctx, _wf_capacity_powers(ctx.Pi_K, budget))
+    return _baseline_decision(ctx, _wf_powers(ctx.Pi_K, budget, "capacity"))
 
 
 def baseline_periodic_wf(ctx: DriftContext, period_slots: int) -> PrecoderDecision:
@@ -337,18 +321,14 @@ def baseline_periodic_wf(ctx: DriftContext, period_slots: int) -> PrecoderDecisi
 def baseline_mmse_wf(ctx: DriftContext) -> PrecoderDecision:
     """Baseline 3: MSE-minimizing water-filling profile over the full budget."""
     budget = ctx.E / (ctx.M**2 * ctx.tau)
-    return _baseline_decision(ctx, _wf_mmse_powers(ctx.Pi_K, budget))
+    return _baseline_decision(ctx, _wf_powers(ctx.Pi_K, budget, "mmse"))
 
 
 def baseline_constant_power(ctx: DriftContext, mean_alpha: float,
                             profile: str = "capacity") -> PrecoderDecision:
     """Baselines 4/5: nominal budget E[alpha], clipped so the availability
     constraint is never violated."""
-    budget = min(mean_alpha, ctx.E) / (ctx.M**2 * ctx.tau)
-    if profile == "capacity":
-        p = _wf_capacity_powers(ctx.Pi_K, budget)
-    elif profile == "mmse":
-        p = _wf_mmse_powers(ctx.Pi_K, budget)
-    else:
+    if profile not in ("capacity", "mmse"):
         raise InputDomainError(f"baseline_constant_power: unknown profile {profile!r}")
-    return _baseline_decision(ctx, p)
+    budget = min(mean_alpha, ctx.E) / (ctx.M**2 * ctx.tau)
+    return _baseline_decision(ctx, _wf_powers(ctx.Pi_K, budget, profile))

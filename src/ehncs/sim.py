@@ -292,11 +292,6 @@ def sweep(setup: SimSetup, policy_factories: dict, axis: str, values,
     values = list(values)
     if any(b < a for a, b in zip(values, values[1:])):
         raise InputDomainError("sweep: values must be ascending")
-    if axis == "mean_alpha" and setup.arrivals.kind == "empirical":
-        # an empirical model's mean is that of its values, whatever is asked
-        raise InputDomainError(
-            "sweep: axis 'mean_alpha' cannot set the mean of an 'empirical' "
-            "ArrivalModel")
     rows = []
     for value in values:
         if axis == "theta":

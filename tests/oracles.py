@@ -2,7 +2,8 @@
 
 The projected gradient solver below works directly on the diagonalized
 convex program, without the closed-form precoder path, so the closed-form
-solution can be checked against it.  The channel statistics and the
+solution can be checked against it; the baselines' water-filling powers
+are checked against a bisection on the water level.  The channel statistics and the
 stability curve have their per-draw-SVD and per-xi references.  The
 per-point decision-region scan is the reference the one-call scan is
 checked against: one `DriftContext` and one scalar `solve_theorem1` walk
@@ -62,6 +63,28 @@ def project_budget(y, a, b, tol=1e-14):
         else:
             hi = lam
     return np.maximum(y - lam * a, 0.0)
+
+
+def water_filling_bisection(w, floors, budget, n_iter=200):
+    """Powers p_i = [gamma w_i - floors_i]^+ with sum p_i = budget, the water
+    level gamma found by bisection on the spend, which is continuous and
+    nondecreasing in gamma (no active-set walk)."""
+    w = np.asarray(w, dtype=float)
+    floors = np.asarray(floors, dtype=float)
+
+    def spend(gamma):
+        return float(np.maximum(gamma * w - floors, 0.0).sum())
+
+    lo, hi = 0.0, 1.0
+    while spend(hi) < budget:
+        hi *= 2.0
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        if spend(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(hi * w - floors, 0.0)
 
 
 def solve_p2_projected_gradient(ctx, n_iter=20000):

@@ -157,6 +157,25 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "stability_report.txt").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau", "nan", "tau: must be finite"),
+        ("mean_alpha", "nan", "mean_alpha: must be finite"),
+        ("theta", "1e400", "theta: must be finite"),
+        ("A", "[[1e400, 0.1], [-0.2, 1.2]]", "A: entries must be finite"),
+        ("sweep_values", "[1, 'a']", "sweep_values: not a list of numbers"),
+        ("K", "2.9", "K: must be an integer"),
+        ("n_paths", "2.7", "n_paths: must be an integer"),
+    ])
+    def test_non_finite_or_non_integral_value_is_validation_error(
+            self, tmp_path, capsys, key, value, message):
+        cfg = self.write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "stability_report.txt").exists()
+
     def test_regions_grid(self, tmp_path):
         cfg = self.write_config(tmp_path, A="[[1.6, 0.0], [0.0, 1.1]]",
                                 W="[[1.0, 0.0], [0.0, 1.0]]",

@@ -43,20 +43,9 @@ class TestArrivals:
         draws = sample_arrival(m, [rng] * 20000)
         assert abs(np.mean(draws) - 40.0) < 0.3
 
-    def test_empirical_resamples_support(self):
-        m = ArrivalModel(kind="empirical", values=[1.0, 2.0])
-        rng = np.random.default_rng(2)
-        draws = set(sample_arrival(m, [rng] * 100).tolist())
-        assert draws == {1.0, 2.0}
-        assert m.mean == 1.5
-
     def test_invalid_kind(self):
         with pytest.raises(InputDomainError):
             ArrivalModel(kind="uniform", mean=1.0)
-
-    def test_negative_empirical_rejected(self):
-        with pytest.raises(InputDomainError):
-            ArrivalModel(kind="empirical", values=[1.0, -2.0])
 
 
 class TestFeasibility:
@@ -78,14 +67,15 @@ class TestInverseMean:
         assert inv == 0.25 and zero_frac == 0.0
 
     def test_matches_per_draw_loop(self):
-        # one call for n draws gives the values of n single draws
-        for m in (ArrivalModel(kind="poisson", mean=2.0),
-                  ArrivalModel(kind="empirical", values=[0.0, 1.5, 4.0])):
-            rng = np.random.default_rng(12)
-            draws = np.array([sample_arrival(m, [rng])[0] for _ in range(5000)])
-            pos = draws[draws > 0]
-            expect = (float((1.0 / pos).mean()), 1.0 - pos.size / draws.size)
-            assert estimate_inverse_mean(m, np.random.default_rng(12), n=5000) == expect
+        # one call for n draws gives the values of n single draws; at mean 2
+        # about 14% of the draws are zero and drop out of the mean
+        m = ArrivalModel(kind="poisson", mean=2.0)
+        rng = np.random.default_rng(12)
+        draws = np.array([sample_arrival(m, [rng])[0] for _ in range(5000)])
+        pos = draws[draws > 0]
+        expect = (float((1.0 / pos).mean()), 1.0 - pos.size / draws.size)
+        assert expect[1] > 0.1
+        assert estimate_inverse_mean(m, np.random.default_rng(12), n=5000) == expect
 
     def test_poisson_matches_series(self):
         # series oracle: E[1/a | a > 0] = sum_{k>=1} e^-m m^k / (k! k) / (1 - e^-m)

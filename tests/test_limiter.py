@@ -26,11 +26,6 @@ class TestTheta:
     def test_reference_value_frozen(self):
         assert compute_theta(reference_model()) == pytest.approx(29.8096, abs=1e-3)
 
-    def test_custom_t_scaling(self):
-        # T = 2I scales Q by 2 and mu_min by 2: Theta unchanged
-        m = decoupled_model()
-        assert compute_theta(m, T=2.0 * np.eye(2)) == pytest.approx(compute_theta(m))
-
 
 class TestParams:
     def test_validation(self):

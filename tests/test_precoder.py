@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ from ehncs.numerics import InputDomainError, eig_sym, svd
 from ehncs.precoder import (DriftContext, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, kkt_residual, solve_theorem1,
-                            theorem1_allocations, _wf_capacity_powers,
-                            _wf_mmse_powers)
+                            theorem1_allocations)
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import water_filling_bisection  # noqa: E402
 
 
 def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
@@ -217,23 +222,50 @@ class TestContextValidation:
 
 
 class TestBaselines:
+    PROFILES = {"capacity": (baseline_capacity_wf, lambda pi: np.ones_like(pi)),
+                "mmse": (baseline_mmse_wf, lambda pi: 1.0 / np.sqrt(pi))}
+
     def test_capacity_water_filling_hand_case(self):
-        p = _wf_capacity_powers(np.array([2.0, 1.0]), 1.0)
-        assert np.allclose(p, [0.75, 0.25])
+        ctx = diagonal_ctx([2.0, 1.0], [1.0, 1.0], E=1.0, theta=2.0)
+        assert np.allclose(baseline_capacity_wf(ctx).allocations, [0.75, 0.25])
 
     def test_mmse_water_filling_hand_case(self):
-        p = _wf_mmse_powers(np.array([4.0, 1.0]), 1.0)
-        assert np.allclose(p, [0.5, 0.5])
+        ctx = diagonal_ctx([4.0, 1.0], [1.0, 1.0], E=1.0, theta=2.0)
+        assert np.allclose(baseline_mmse_wf(ctx).allocations, [0.5, 0.5])
 
     def test_budgets_met_exactly(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             pi = rng.uniform(0.05, 5.0, rng.integers(1, 5))
             b = rng.uniform(0.0, 40.0)
-            for fn in (_wf_capacity_powers, _wf_mmse_powers):
-                p = fn(pi, b)
+            ctx = diagonal_ctx(pi, np.ones_like(pi), E=b, theta=40.0)
+            for fn, _ in self.PROFILES.values():
+                p = fn(ctx).allocations
                 assert p.sum() == pytest.approx(b, abs=1e-9 * max(1.0, b))
                 assert (p >= 0).all()
+
+    def test_matches_bisection_oracle(self):
+        # p_i = [gamma w_i - 1/pi_i]^+ with gamma found by bisection, over
+        # random channels, an empty battery and equal channel gains
+        rng = np.random.default_rng(12)
+        ctxs = []
+        for j in range(120):
+            K = int(rng.integers(1, 5))
+            E = (log_uniform(rng, 1e-4, 40.0), 0.0)[j % 2]
+            ctxs.append(make_ctx(rng, K=K, E=E, theta=40.0, M=rng.uniform(0.5, 2.0)))
+            ctxs.append(diagonal_ctx(np.full(K, rng.uniform(0.05, 5.0)), np.ones(K),
+                                     E=E, theta=40.0, tau=rng.uniform(0.01, 1.0)))
+        for ctx in ctxs:
+            mean_alpha = log_uniform(rng, 1e-4, 40.0)
+            for profile, (fn, weights) in self.PROFILES.items():
+                for d, spend in ((fn(ctx), ctx.E),
+                                 (baseline_constant_power(ctx, mean_alpha, profile),
+                                  min(mean_alpha, ctx.E))):
+                    budget = spend / (ctx.M**2 * ctx.tau)
+                    want = water_filling_bisection(weights(ctx.Pi_K), 1.0 / ctx.Pi_K,
+                                                   budget)
+                    assert np.abs(d.allocations - want).max() <= 1e-9 * max(1.0, budget)
+                    assert d.energy_used == pytest.approx(spend, rel=1e-9, abs=1e-12)
 
     def test_capacity_baseline_spends_battery(self):
         rng = np.random.default_rng(5)

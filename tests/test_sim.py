@@ -196,14 +196,6 @@ class TestSweep:
         with pytest.raises(InputDomainError, match="unknown axis"):
             sweep(small_setup(), self.factories(), "bogus", [], 1, 5, 1)
 
-    def test_mean_alpha_axis_rejects_empirical_arrivals(self):
-        # an empirical model's mean is that of its values, so the swept
-        # value could not take effect
-        setup = replace(small_setup(),
-                        arrivals=ArrivalModel(kind="empirical", values=[1.0, 2.0, 3.0]))
-        with pytest.raises(InputDomainError, match="mean_alpha.*empirical"):
-            sweep(setup, self.factories(), "mean_alpha", [50.0], 1, 5, 1)
-
 
 class TestDecisionRegions:
     MODEL = PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),

@@ -5,7 +5,7 @@ Library layout:
                 Stein, Riccati)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel and singular-value statistics
-  energy     -- arrival models and the battery queue
+  energy     -- arrival models and the battery update
   limiter    -- saturation limiter and its adaptive dynamic range
   estimator  -- virtual covariance recursion and state estimator
   precoder   -- drift-minimizing water-filling precoder, five baselines,
@@ -19,7 +19,7 @@ from .analysis import (MseBoundReport, StabilityReport, check_stability,
                        delta_constant, drift_bound, mse_bound)
 from .channel import ChannelDraw, PiTildeStats, estimate_pitilde_stats, sample_channel
 from .config import ExperimentConfig, parse_config
-from .energy import ArrivalModel, EnergyQueue
+from .energy import ArrivalModel
 from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
 from .numerics import eig_sym, singular_values, solve_dare, solve_stein, svd

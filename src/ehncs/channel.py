@@ -41,7 +41,7 @@ def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
     z = np.array([g.standard_normal((2, N_c, N_s)) for g in rngs])
     H = _complex_normal(z[:, 0], z[:, 1])
     dec = svd(H)
-    return ChannelDraw(H=H, svd=dec, Pi_K=dec.singular_values[..., :K])
+    return ChannelDraw(H=H, svd=dec, Pi_K=dec.s[..., :K])
 
 
 def receive(draw: ChannelDraw, F: np.ndarray, q: np.ndarray, rngs,

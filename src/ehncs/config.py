@@ -143,8 +143,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     required = ["A", "B", "W", "eps", "M", "N_s", "N_c", "K", "arrival",
                 "mean_alpha", "theta", "tau", "n_paths", "n_slots", "seed"]
+    # a key already reported as malformed is not also reported as missing
+    reported = {v.split(":")[0] for v in violations}
     for key in required:
-        if key not in out:
+        if key not in out and key not in reported:
             violations.append(f"{key}: missing required field")
     if "Psi" not in out and not ("P" in out and "R" in out):
         violations.append("Psi: missing (provide Psi or both P and R)")

@@ -1,23 +1,10 @@
-"""Renewable-energy arrival models and the battery (energy queue) dynamics."""
+"""Renewable-energy arrival models and the battery dynamics (0 <= E <= theta)."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import InputDomainError
-
-
-@dataclass(frozen=True)
-class EnergyQueue:
-    """Battery state: 0 <= E <= theta at all times.  Units: Joules, seconds.
-
-    E and overspend_count hold one value per path for stacked paths.
-    """
-
-    E: float
-    theta: float
-    tau: float
-    overspend_count: int = 0  # slots where the requested spend exceeded E
 
 
 @dataclass(frozen=True)
@@ -53,29 +40,26 @@ def sample_arrival(model: ArrivalModel, rngs) -> np.ndarray:
     return np.array([_draw_arrival(model, g) for g in rngs])
 
 
-def spend_and_harvest(queue: EnergyQueue, spend, alpha) -> EnergyQueue:
-    """Queue update E <- min([E - spend]^+ + alpha, theta).
+def spend_and_harvest(E, spend, alpha, theta):
+    """Battery update E <- min([E - spend]^+ + alpha, theta).
 
-    Spend happens before harvest within the slot; feasibility of the spend
-    is enforced upstream, here an overspend only bumps a warning counter.
-    A queue whose E holds one battery per path takes one spend and one
-    arrival per path.
+    Spend happens before harvest within the slot; `check_feasible` keeps the
+    spend within E upstream.  E, spend and alpha hold one entry per path.
     """
     if np.min(spend) < 0 or np.min(alpha) < 0:
         raise InputDomainError("spend_and_harvest: spend and alpha must be >= 0")
-    overspend = queue.overspend_count + (spend > queue.E + 1e-9)
-    E_next = np.minimum(np.maximum(queue.E - spend, 0.0) + alpha, queue.theta)
-    return replace(queue, E=E_next, overspend_count=overspend)
+    return np.minimum(np.maximum(E - spend, 0.0) + alpha, theta)
 
 
-def check_feasible(queue: EnergyQueue, F: np.ndarray, M: float):
-    """Energy-availability test M^2 Tr(F^H F) tau <= E (absolute slack 1e-9).
+def check_feasible(E, F: np.ndarray, M: float, tau: float):
+    """Energy-availability test M^2 Tr(F^H F) tau <= E, with a slack of
+    1e-9 J plus 1e-12 E for the round-off of a budget computed at E's scale.
 
     F may stack one precoder per path, against one battery per path.
     """
     F = np.asarray(F)
-    budget = M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * queue.tau
-    return budget <= queue.E + 1e-9
+    budget = M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * tau
+    return budget <= E + 1e-9 + 1e-12 * E
 
 
 def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,

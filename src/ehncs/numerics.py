@@ -34,22 +34,18 @@ _GRAM_BLOCK = 8192
 
 @dataclass(frozen=True)
 class SvdResult:
-    """H = V @ Pi @ U^H with Pi rectangular diagonal, descending.
+    """H = V Pi U^H, Pi the rectangular diagonal of s (descending).
 
     Stacked decompositions carry the leading axes of the stacked input.
     """
 
     U: np.ndarray  # (..., N_s, N_s) unitary
-    Pi: np.ndarray  # (..., N_c, N_s) real, non-negative diagonal
+    s: np.ndarray  # (..., min(N_c, N_s)) real, non-negative, descending
     V: np.ndarray  # (..., N_c, N_c) unitary
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        k = min(self.Pi.shape[-2:])
-        return np.diagonal(self.Pi, axis1=-2, axis2=-1)[..., :k].copy()
-
     def reconstruct(self) -> np.ndarray:
-        return self.V @ self.Pi @ herm(self.U)
+        k = self.s.shape[-1]
+        return (self.V[..., :k] * self.s[..., None, :]) @ herm(self.U[..., :k])
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,7 @@ def svd(H: np.ndarray) -> SvdResult:
         raise InputDomainError("svd: input has non-finite entries")
     # numpy gives H = V_ @ diag(s) @ Uh_; map onto H = V Pi U^H
     V_, s, Uh_ = np.linalg.svd(H, full_matrices=True)
-    Pi = np.zeros(H.shape)
-    k = np.arange(s.shape[-1])
-    Pi[..., k, k] = s
-    return SvdResult(U=herm(Uh_), Pi=Pi, V=V_)
+    return SvdResult(U=herm(Uh_), s=s, V=V_)
 
 
 def singular_values(H: np.ndarray) -> np.ndarray:

@@ -74,8 +74,7 @@ def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecis
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
     allocation on that stream is forced to 0)."""
-    with np.errstate(divide="ignore"):
-        return np.where(Lam > 0, 1.0 / np.where(Lam > 0, Lam, 1.0), np.inf)
+    return np.where(Lam > 0, 1.0 / np.where(Lam > 0, Lam, 1.0), np.inf)
 
 
 def _alloc(ctx: DriftContext, s: float, seabed: np.ndarray | None = None) -> np.ndarray:

@@ -11,16 +11,16 @@ do not depend on which other paths share the run.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-# The stacked clip and queue update are reached through their modules:
+# The stacked clip and battery update are reached through their modules:
 # bench/tracing.py attaches per-path outcome observers to the names `clip`
 # and `spend_and_harvest` in this module.
 from . import energy, limiter
 from .channel import receive, sample_channel
-from .energy import ArrivalModel, EnergyQueue, check_feasible, sample_arrival
+from .energy import ArrivalModel, check_feasible, sample_arrival
 from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, SvdResult, eig_sym
@@ -70,14 +70,15 @@ class SimState:
     x: np.ndarray  # (P, K)
     x_hat: np.ndarray  # (P, K)
     Sigma: np.ndarray  # (P, K, K)
-    queue: EnergyQueue  # E and overspend_count of shape (P,)
+    E: np.ndarray  # (P,) battery
     diverged: np.ndarray  # (P,) bool
 
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """One slot of one path; `run_slot` returns one whose fields (except n)
-    hold one entry per path."""
+    """Per-slot record.  `run_slot` returns one whose fields (except n) hold
+    one entry per path; `PathResult.trace` holds one whose fields hold one
+    entry per slot of that path."""
 
     n: int
     E_before: float
@@ -96,8 +97,7 @@ def initial_state(setup: SimSetup, n_paths: int = 1) -> SimState:
     return SimState(
         n=0, x=np.zeros((n_paths, K)), x_hat=np.zeros((n_paths, K)),
         Sigma=np.zeros((n_paths, K, K)),
-        queue=EnergyQueue(E=np.full(n_paths, float(setup.E0)), theta=setup.theta,
-                          tau=setup.tau, overspend_count=np.zeros(n_paths, dtype=int)),
+        E=np.full(n_paths, float(setup.E0)),
         diverged=np.zeros(n_paths, dtype=bool),
     )
 
@@ -114,21 +114,21 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     M^2 Tr(F^H F) tau (the limiter makes the former <= the latter).
     """
     model, lim_params = setup.model, setup.limiter
-    E = state.queue.E
+    E = state.E
 
     draw = sample_channel(rngs, setup.N_c, setup.N_s, setup.K)
     L = dynamic_range(model, lim_params, state.Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [
-        policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, Pi=Pi, V=V), Pi_K=Pi_K,
+        policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, s=s, V=V), Pi_K=Pi_K,
                             E=E_p, theta=setup.theta, tau=setup.tau, M=lim_params.M,
                             L=L_p, norm_AAT=model.norm_AAT, eps=lim_params.eps,
                             slot=state.n))
-        for S, Lam, U, Pi, V, Pi_K, E_p, L_p in zip(
-            dec.S, dec.Lam, draw.svd.U, draw.svd.Pi, draw.svd.V, draw.Pi_K,
+        for S, Lam, U, s, V, Pi_K, E_p, L_p in zip(
+            dec.S, dec.Lam, draw.svd.U, draw.svd.s, draw.svd.V, draw.Pi_K,
             E.tolist(), L.tolist())]
     F = np.array([d.F for d in decisions])
-    feasible = check_feasible(state.queue, F, lim_params.M)
+    feasible = check_feasible(E, F, lim_params.M, setup.tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
         raise FeasibilityError(
@@ -153,7 +153,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     x_next = step(model, state.x, u, w)
 
     alpha = sample_arrival(setup.arrivals, rngs)
-    queue_next = energy.spend_and_harvest(state.queue, spend, alpha)
+    E_next = energy.spend_and_harvest(E, spend, alpha, setup.theta)
 
     trace = SlotTrace(
         n=state.n, E_before=E, L=L, mode=mode, gamma=(~lim.saturated).astype(int),
@@ -161,7 +161,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
     next_state = SimState(n=state.n + 1, x=x_next, x_hat=x_hat_next,
-                          Sigma=Sigma_next, queue=queue_next,
+                          Sigma=Sigma_next, E=E_next,
                           diverged=state.diverged | (sq_state > setup.divergence_guard))
     return next_state, trace
 
@@ -175,7 +175,7 @@ class PathResult:
     energy_used: float
     energy_harvested: float
     diverged: bool
-    traces: list[SlotTrace] | None = None
+    trace: SlotTrace | None = None  # the slots this path ran, with keep_traces
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,9 @@ class RunResult:
 
 
 def _take(state: SimState, keep: np.ndarray) -> SimState:
-    queue = replace(state.queue, E=state.queue.E[keep],
-                    overspend_count=state.queue.overspend_count[keep])
     return SimState(n=state.n, x=state.x[keep], x_hat=state.x_hat[keep],
-                    Sigma=state.Sigma[keep], queue=queue, diverged=state.diverged[keep])
+                    Sigma=state.Sigma[keep], E=state.E[keep],
+                    diverged=state.diverged[keep])
 
 
 def _metric(values: np.ndarray) -> Metric:
@@ -233,41 +232,46 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
     state = initial_state(setup, P)
     live = np.arange(P)
     # per-path sums of squared error, Tr(Sigma), spend, harvest, saturated
-    # and active slots: `sums` for the live paths, `totals` once they stop
+    # and active slots, and slots run
     sums = np.zeros((6, P))
-    totals = np.zeros((6, P))
     n_run = np.zeros(P)
     diverged = np.zeros(P, dtype=bool)
-    traces = [[] for _ in range(P)]
+    slots = []  # (live, SlotTrace) of each slot, with keep_traces
     for _ in range(n_slots):
         state, t = run_slot(setup, state, policy, rngs)
-        sums += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
-                 t.mode == "active")
+        sums[:, live] += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
+                          t.mode == "active")
+        n_run[live] += 1
         if keep_traces:
-            for p, *fields in zip(live.tolist(), t.E_before.tolist(), t.L.tolist(),
-                                  t.mode.tolist(), t.gamma.tolist(),
-                                  t.energy_used.tolist(), t.Tr_Sigma.tolist(),
-                                  t.sq_error.tolist(), t.sq_state.tolist(),
-                                  t.alpha.tolist()):
-                traces[p].append(SlotTrace(t.n, *fields))
+            slots.append((live, t))
         if state.diverged.any():
-            gone, keep = state.diverged, ~state.diverged
-            diverged[live[gone]] = True
-            totals[:, live[gone]] = sums[:, gone]
-            n_run[live[gone]] = state.n
-            live, sums = live[keep], sums[:, keep]
+            diverged[live] = state.diverged
+            keep = ~state.diverged
+            live = live[keep]
             if not live.size:
                 break
             state = _take(state, keep)
             rngs = [g for g, k in zip(rngs, keep) if k]
-    totals[:, live] = sums
-    n_run[live] = state.n
-    sq_err, tr_sigma, spent, harvested, n_sat, n_active = totals
-    paths = [PathResult(*fields) for fields in zip(
+    traces = [None] * P
+    if keep_traces:
+        # scatter each slot's live-path entries into (P, slots) columns; a
+        # path runs from slot 0 until it leaves, so its row is a prefix
+        rows = np.concatenate([idx for idx, _ in slots])
+        cols = np.repeat(np.arange(len(slots)), [idx.size for idx, _ in slots])
+        columns = []
+        for f in fields(SlotTrace):
+            values = np.concatenate([np.broadcast_to(getattr(t, f.name), idx.shape)
+                                     for idx, t in slots])
+            column = np.zeros((P, len(slots)), values.dtype)
+            column[rows, cols] = values
+            columns.append(column)
+        traces = [SlotTrace(*(c[p, :n] for c in columns))
+                  for p, n in enumerate(n_run.astype(int).tolist())]
+    sq_err, tr_sigma, spent, harvested, n_sat, n_active = sums
+    paths = [PathResult(*values) for values in zip(
         (sq_err / (n_run * K)).tolist(), (tr_sigma / n_run).tolist(),
         (n_sat / n_run).tolist(), (n_active / n_run).tolist(), spent.tolist(),
-        harvested.tolist(), diverged.tolist(),
-        traces if keep_traces else [None] * P)]
+        harvested.tolist(), diverged.tolist(), traces)]
     return RunResult(
         n_paths=n_paths, n_slots=n_slots, seed=seed,
         mse=_metric([p.mse for p in paths]),

@@ -19,7 +19,7 @@ import numpy as np
 
 from ehncs.analysis import delta_constant
 from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
-from ehncs.energy import EnergyQueue, check_feasible, sample_arrival, spend_and_harvest
+from ehncs.energy import check_feasible, sample_arrival, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs.numerics import SvdResult, eig_sym
@@ -187,7 +187,7 @@ def _diagonal_context(E, theta, tau, M, L, norm_AAT, h, sigma):
     """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
     reordering so stream i keeps the pair (h_i, sigma_i)."""
     K = len(h)
-    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, dtype=float)), V=np.eye(K))
+    dec = SvdResult(U=np.eye(K), s=np.asarray(h, dtype=float), V=np.eye(K))
     return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
                         Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT)
@@ -236,7 +236,7 @@ class PathState:
     x: np.ndarray
     x_hat: np.ndarray
     Sigma: np.ndarray
-    queue: EnergyQueue
+    E: float
     diverged: bool = False
 
 
@@ -249,13 +249,13 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
-        S=dec.S, Lam=dec.Lam, svd=SvdResult(U=draw.svd.U[0], Pi=draw.svd.Pi[0],
+        S=dec.S, Lam=dec.Lam, svd=SvdResult(U=draw.svd.U[0], s=draw.svd.s[0],
                                             V=draw.svd.V[0]),
-        Pi_K=draw.Pi_K[0], E=state.queue.E,
+        Pi_K=draw.Pi_K[0], E=state.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, eps=setup.limiter.eps, slot=state.n)
     decision = policy(ctx)
-    if not check_feasible(state.queue, decision.F, setup.limiter.M):
+    if not check_feasible(state.E, decision.F, setup.limiter.M, setup.tau):
         raise FeasibilityError(f"slot {state.n}: policy budget exceeds stored energy")
 
     lim = clip(state.x, L, setup.limiter.M)
@@ -276,11 +276,11 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
         u, model.W)
     x_next = step(model, state.x, u, noise_sqrt @ rng.standard_normal(setup.K))
     alpha = float(sample_arrival(setup.arrivals, [rng])[0])
-    queue_next = spend_and_harvest(state.queue, spend, alpha)
-    record = (state.queue.E, L, decision.mode, gamma, spend,
+    E_next = spend_and_harvest(state.E, spend, alpha, setup.theta)
+    record = (state.E, L, decision.mode, gamma, spend,
               float(np.trace(state.Sigma)), sq_error, sq_state, alpha)
     nxt = PathState(n=state.n + 1, x=x_next, x_hat=x_hat_next, Sigma=Sigma_next,
-                    queue=queue_next,
+                    E=E_next,
                     diverged=state.diverged or sq_state > setup.divergence_guard)
     return nxt, record
 
@@ -291,7 +291,7 @@ def reference_path(setup, policy, n_slots, rng):
     W = eig_sym(setup.model.W)
     noise_sqrt = W.S * np.sqrt(W.Lam)
     state = PathState(n=0, x=np.zeros(K), x_hat=np.zeros(K), Sigma=np.zeros((K, K)),
-                      queue=EnergyQueue(E=setup.E0, theta=setup.theta, tau=setup.tau))
+                      E=setup.E0)
     sq_err = tr_sigma = spent = harvested = 0.0
     n_sat = n_active = 0
     for _ in range(n_slots):

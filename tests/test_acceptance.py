@@ -137,7 +137,7 @@ def test_criterion_02_precoder_oracle_equivalence():
         e = eig_sym(X @ X.T + 0.1 * np.eye(K))
         theta = rng.uniform(1.0, 100.0)
         ctx = DriftContext(S=e.S, Lam=e.Lam, svd=dec,
-                           Pi_K=dec.singular_values[:K],
+                           Pi_K=dec.s[:K],
                            E=rng.uniform(0.01, theta), theta=theta,
                            tau=rng.uniform(0.01, 1.0),
                            M=rng.uniform(0.5, 2.0), L=rng.uniform(1.0, 30.0),
@@ -234,12 +234,11 @@ def test_criterion_05_feasibility_and_queue(reference_setup, proposed_run):
     # already certifies zero violations; re-check the ledger from traces
     violations = 0
     for path in proposed_run.paths:
-        for t in path.traces:
-            if t.energy_used > t.E_before + 1e-9:
-                violations += 1
-            if not (-1e-12 <= t.E_before <= reference_setup.theta + 1e-12):
-                violations += 1
-    n_slots = sum(len(p.traces) for p in proposed_run.paths)
+        t = path.trace
+        violations += np.count_nonzero(t.energy_used > t.E_before + 1e-9)
+        in_range = (t.E_before >= -1e-12) & (t.E_before <= reference_setup.theta + 1e-12)
+        violations += np.count_nonzero(~in_range)
+    n_slots = sum(len(p.trace.E_before) for p in proposed_run.paths)
     _report("criterion 5", violations == 0 and n_slots == DESK_PATHS * DESK_SLOTS,
             f"{violations} violations over {n_slots} slots")
 

@@ -80,6 +80,14 @@ class TestParse:
             parse_config_text(text)
         assert any("theta: missing" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key, value", [("K", "abc"), ("A", "[[1, 'a'], [0, 1]]"),
+                                            ("theta", "'x'")])
+    def test_malformed_required_key_reported_once(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(small_config_text(**{key: value}))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"{key}: ")
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text(small_config_text(seed=-3))

@@ -3,33 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from ehncs.energy import (ArrivalModel, EnergyQueue, check_feasible,
-                          estimate_inverse_mean, sample_arrival,
-                          spend_and_harvest)
+from ehncs.energy import (ArrivalModel, check_feasible, estimate_inverse_mean,
+                          sample_arrival, spend_and_harvest)
 from ehncs.numerics import InputDomainError
-
-
-def queue(E=10.0, theta=20.0):
-    return EnergyQueue(E=E, theta=theta, tau=0.01)
 
 
 class TestQueue:
     def test_spend_then_harvest(self):
-        q = spend_and_harvest(queue(), spend=4.0, alpha=1.0)
-        assert q.E == pytest.approx(7.0)
+        E = spend_and_harvest(10.0, spend=4.0, alpha=1.0, theta=20.0)
+        assert E == pytest.approx(7.0)
 
     def test_capacity_clamp(self):
-        q = spend_and_harvest(queue(), spend=0.0, alpha=100.0)
-        assert q.E == 20.0
+        assert spend_and_harvest(10.0, spend=0.0, alpha=100.0, theta=20.0) == 20.0
 
     def test_overspend_clamps_and_counts(self):
-        q = spend_and_harvest(queue(E=1.0), spend=5.0, alpha=0.0)
-        assert q.E == 0.0
-        assert q.overspend_count == 1
+        assert spend_and_harvest(1.0, spend=5.0, alpha=0.0, theta=20.0) == 0.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(InputDomainError):
-            spend_and_harvest(queue(), spend=-1.0, alpha=0.0)
+            spend_and_harvest(10.0, spend=-1.0, alpha=0.0, theta=20.0)
 
 
 class TestArrivals:
@@ -51,13 +43,21 @@ class TestArrivals:
 class TestFeasibility:
     def test_budget_within_battery(self):
         F = np.ones((3, 2), dtype=complex)  # Tr(F^H F) = 6
-        assert check_feasible(queue(E=0.07), F, M=1.0)  # 6 * 0.01 = 0.06
-        assert not check_feasible(queue(E=0.05), F, M=1.0)
+        assert check_feasible(0.07, F, M=1.0, tau=0.01)  # 6 * 0.01 = 0.06
+        assert not check_feasible(0.05, F, M=1.0, tau=0.01)
 
     def test_scaling_with_amplitude(self):
         F = np.ones((1, 1), dtype=complex)
-        assert check_feasible(queue(E=0.05), F, M=2.0)  # 4 * 0.01
-        assert not check_feasible(queue(E=0.03), F, M=2.0)
+        assert check_feasible(0.05, F, M=2.0, tau=0.01)  # 4 * 0.01
+        assert not check_feasible(0.03, F, M=2.0, tau=0.01)
+
+    def test_slack_scales_with_the_battery(self):
+        # a budget equal to a 1e8 J battery up to round-off passes; one
+        # 1e-9 relative above it does not
+        F = np.ones((1, 1), dtype=complex)
+        E = 1e8
+        assert check_feasible(E, F, M=1.0, tau=E * (1.0 + 4e-16))
+        assert not check_feasible(E, F, M=1.0, tau=E * (1.0 + 1e-9))
 
 
 class TestInverseMean:

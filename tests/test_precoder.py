@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ehncs.numerics import InputDomainError, eig_sym, svd
-from ehncs.precoder import (DriftContext, baseline_capacity_wf,
+from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, kkt_residual, solve_theorem1,
                             theorem1_allocations)
@@ -25,7 +25,7 @@ def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
     E = E if E is not None else rng.uniform(0.01, theta)
     L = L if L is not None else rng.uniform(1.0, 30.0)
     tau = tau if tau is not None else rng.uniform(0.01, 1.0)
-    return DriftContext(S=e.S, Lam=e.Lam, svd=dec, Pi_K=dec.singular_values[:K],
+    return DriftContext(S=e.S, Lam=e.Lam, svd=dec, Pi_K=dec.s[:K],
                         E=E, theta=theta, tau=tau, M=M, L=L,
                         norm_AAT=rng.uniform(1.0, 4.0), slot=slot)
 
@@ -33,7 +33,7 @@ def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
 def diagonal_ctx(h, sigma, E, theta, tau=1.0, M=1.0, L=20.0, norm_AAT=2.56, slot=0):
     from ehncs.numerics import SvdResult
     K = len(h)
-    dec = SvdResult(U=np.eye(K), Pi=np.diag(np.asarray(h, float)), V=np.eye(K))
+    dec = SvdResult(U=np.eye(K), s=np.asarray(h, float), V=np.eye(K))
     return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), svd=dec,
                         Pi_K=np.asarray(h, float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT, slot=slot)
@@ -48,6 +48,10 @@ class TestDormantActive:
         assert not np.any(d.F)
         assert d.energy_used == 0.0
         assert kkt_residual(ctx, d) == 0.0
+
+    def test_zero_eigenvalue_seabed_divides_nothing_by_zero(self):
+        with np.errstate(divide="raise"):
+            assert np.array_equal(_seabed(np.array([3.0, 0.0])), [1.0 / 3.0, np.inf])
 
     def test_active_when_urgent(self):
         ctx = diagonal_ctx([4.0, 3.0], [70.0, 50.0], E=12.0, theta=36.0)

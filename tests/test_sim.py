@@ -83,7 +83,7 @@ class TestRunSlot:
         rngs = [np.random.default_rng(3)]
         for _ in range(200):
             state, trace = run_slot(setup, state, solve_theorem1, rngs)
-            assert 0.0 <= state.queue.E[0] <= setup.theta + 1e-12
+            assert 0.0 <= state.E[0] <= setup.theta + 1e-12
             assert trace.energy_used[0] <= trace.E_before[0] + 1e-9
 
 
@@ -99,9 +99,17 @@ class TestMonteCarlo:
         setup = small_setup()
         path = run_monte_carlo(setup, solve_theorem1, 1, 100, seed=5,
                                keep_traces=True).paths[0]
-        spent = sum(t.energy_used for t in path.traces)
-        harvested = sum(t.alpha for t in path.traces)
+        spent = path.trace.energy_used.sum()
+        harvested = path.trace.alpha.sum()
         assert spent <= setup.E0 + harvested + 1e-9
+
+    @pytest.mark.parametrize("name", ["baseline1", "baseline3"])
+    def test_full_budget_baseline_at_large_battery(self, name):
+        # these baselines spend the whole battery, so at theta = 1e8 J the
+        # budget matches E only up to round-off, far above 1e-9 J
+        setup = small_setup(theta=1e8)
+        run = run_monte_carlo(setup, policy_factory(name)(setup), 2, 5, seed=1)
+        assert run.n_paths == 2 and not run.diverged
 
     def test_ci_shrinks_with_paths(self):
         setup = small_setup()
@@ -147,7 +155,9 @@ class TestStackedEngine:
                     ref, ref_slots = reference_path(
                         setup, policy, n_slots, np.random.default_rng([self.SEED, p]))
                     assert path.diverged == ref.diverged, (name, theta, p)
-                    assert len(path.traces) == ref_slots, (name, theta, p)
+                    assert len(path.trace.E_before) == ref_slots, (name, theta, p)
+                    assert np.all(path.trace.energy_used
+                                  <= path.trace.E_before + 1e-9), (name, theta, p)
                     for f in self.FIELDS:
                         assert getattr(path, f) == pytest.approx(
                             getattr(ref, f), rel=1e-9), (name, theta, p, f)

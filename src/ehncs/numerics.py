@@ -4,12 +4,14 @@ Every nontrivial linear-algebra operation used elsewhere lives behind one of
 the functions here so it can be validated in isolation.  Ordering rules
 (descending singular values / eigenvalues) are enforced here once, so the
 per-stream pairing done by the precoder is deterministic.
+
+Everything here but `solve_dare` is NumPy.  `solve_dare` imports SciPy when
+first called, so importing the package does not load `scipy.linalg`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_discrete_are, solve_discrete_lyapunov
 
 
 class InputDomainError(ValueError):
@@ -137,14 +139,22 @@ def spectral_radius(F: np.ndarray) -> float:
 
 
 def solve_stein(F: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Solve F^T Q F - Q = -T for Q, with F Schur-stable and T SPD."""
+    """Solve F^T Q F - Q = -T for Q, with F Schur-stable and T SPD.
+
+    One dense solve of (I - F^T kron F^T) vec Q = vec T, a K^2 x K^2 system
+    (row-major vec), then symmetrized.  That is small at the plant sizes
+    used here, and its conditioning as rho(F) -> 1 is no worse than that of
+    SciPy's solve_discrete_lyapunov, whose default method below 10 states
+    solves the same system.
+    """
     F = np.asarray(F, dtype=float)
     T = np.asarray(T, dtype=float)
     if spectral_radius(F) >= 1.0:
         raise NotSchurStableError("solve_stein: spectral radius of F is >= 1")
     if np.linalg.eigvalsh((T + T.T) / 2).min() <= 0:
         raise InputDomainError("solve_stein: T must be positive definite")
-    Q = solve_discrete_lyapunov(F.T, T)
+    K = F.shape[0]
+    Q = np.linalg.solve(np.eye(K * K) - np.kron(F.T, F.T), T.ravel()).reshape(K, K)
     return (Q + Q.T) / 2
 
 
@@ -153,7 +163,11 @@ def solve_dare(A: np.ndarray, B: np.ndarray, P: np.ndarray, R: np.ndarray) -> np
 
     SciPy's generalized-eigenproblem solver (Arnold & Laub, Proc. IEEE 1984),
     symmetrized; raises ConvergenceError when it finds no finite solution.
+    SciPy is imported on first use: only the gain design for a config that
+    gives P and R in place of Psi calls this.
     """
+    from scipy.linalg import LinAlgError, solve_discrete_are
+
     try:
         Z = solve_discrete_are(A, B, P, R)
     except (LinAlgError, ValueError) as exc:

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-# The stacked clip and battery update are reached through their modules:
-# bench/tracing.py attaches per-path outcome observers to the names `clip`
-# and `spend_and_harvest` in this module.
+# The stacked clip and battery update are reached through their modules.
+# bench/tracing.py wraps the names `clip` and `spend_and_harvest` only if
+# this module has them, so today it attaches nothing to these calls.
+# Importing the bare names would attach its per-path outcome observers,
+# which call bool() on one path's result and raise on the stacked arrays.
 from . import energy, limiter
 from .channel import receive, sample_channel
 from .energy import ArrivalModel, check_feasible, sample_arrival
@@ -76,20 +78,23 @@ class SimState:
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """Per-slot record.  `run_slot` returns one whose fields (except n) hold
-    one entry per path; `PathResult.trace` holds one whose fields hold one
-    entry per slot of that path."""
+    """Per-slot record whose fields are 1-D arrays along one axis.
 
-    n: int
-    E_before: float
-    L: float
-    mode: str
-    gamma: int
-    energy_used: float  # realized spend ||F q||^2 tau
-    Tr_Sigma: float
-    sq_error: float
-    sq_state: float
-    alpha: float
+    In the trace `run_slot` returns, the axis is the live paths of the run,
+    and n is the slot index they share, a plain int.  In `PathResult.trace`
+    the axis is the slots that path ran, n included.
+    """
+
+    n: int | np.ndarray  # slot index
+    E_before: np.ndarray  # battery at the start of the slot
+    L: np.ndarray  # dynamic range
+    mode: np.ndarray  # str, the policy's decision mode
+    gamma: np.ndarray  # int, 1 where the limiter did not saturate
+    energy_used: np.ndarray  # realized spend ||F q||^2 tau
+    Tr_Sigma: np.ndarray
+    sq_error: np.ndarray
+    sq_state: np.ndarray
+    alpha: np.ndarray  # energy arrival
 
 
 def initial_state(setup: SimSetup, n_paths: int = 1) -> SimState:
@@ -113,10 +118,10 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     is the realized ||F q||^2 tau while feasibility is checked on the budget
     M^2 Tr(F^H F) tau (the limiter makes the former <= the latter).
     """
-    model, lim_params = setup.model, setup.limiter
+    model, lim_params, K = setup.model, setup.limiter, setup.K
     E = state.E
 
-    draw = sample_channel(rngs, setup.N_c, setup.N_s, setup.K)
+    draw = sample_channel(rngs, setup.N_c, setup.N_s, K)
     L = dynamic_range(model, lim_params, state.Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [
@@ -149,7 +154,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     u = control(model, state.x_hat)
     x_hat_next, Sigma_next = filter_step(
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
-    w = np.array([g.standard_normal(setup.K) for g in rngs]) @ model.W_sqrt.T
+    w = np.array([g.standard_normal(K) for g in rngs]) @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
 
     alpha = sample_arrival(setup.arrivals, rngs)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ehncs
 from ehncs.channel import estimate_pitilde_stats
 from ehncs.numerics import (ConvergenceError, InputDomainError, NotSchurStableError,
                             eig_sym, singular_values, solve_dare, solve_stein,
@@ -198,6 +204,21 @@ class TestStein:
             res = F.T @ Q @ F - Q + T
             assert np.abs(res).max() < 1e-9 * max(1.0, np.abs(Q).max())
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_scipy_lyapunov(self, k):
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng([17, k])
+        for rho in (0.1, 0.5, 0.9, 0.99, 0.999):
+            for _ in range(40):
+                F = rng.standard_normal((k, k))
+                F *= rho / max(spectral_radius(F), 1e-3)
+                G = rng.standard_normal((k, k))
+                T = G @ G.T + 0.1 * np.eye(k)
+                Q = solve_stein(F, T)
+                ref = solve_discrete_lyapunov(F.T, T)
+                assert np.abs(Q - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_unstable_rejected(self):
         with pytest.raises(NotSchurStableError):
             solve_stein(np.diag([1.2, 0.5]), np.eye(2))
@@ -231,3 +252,28 @@ class TestDare:
         with pytest.raises(ConvergenceError):
             solve_dare(np.array([[2.0]]), np.array([[0.0]]),
                        np.array([[1.0]]), np.array([[1.0]]))
+
+
+# set-up and `ehncs analyze` on the reference config, in a fresh interpreter;
+# prints whether SciPy was imported after each
+_IMPORT_PROBE = """
+import sys
+from ehncs.cli import main
+from ehncs.config import build_setup, parse_config
+build_setup(parse_config(sys.argv[1]))
+print("scipy" in sys.modules)
+code = main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]])
+print("scipy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_reference_path_does_not_import_scipy(tmp_path):
+    package = Path(ehncs.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(package / "configs" / "reference.cfg"),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "False"]
+    assert (tmp_path / "stability_report.txt").exists()

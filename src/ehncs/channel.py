@@ -15,7 +15,8 @@ from .numerics import InputDomainError, SvdResult, singular_values, svd
 
 # a draw is degenerate when lambda_K <= DEGENERATE_TOL * lambda_1 for the Gram
 # eigenvalues lambda = sigma^2 (sigma_K / sigma_1 <= 1e-6); a rank-deficient
-# draw leaves lambda_K at the Gram's rounding floor, about 1e-16 * lambda_1
+# draw leaves lambda_K at the Gram's rounding floor, about 1e-16 * lambda_1,
+# on both singular_values paths (closed form for a 2 x 2 Gram, eigvalsh else)
 DEGENERATE_TOL = 1e-12
 
 

@@ -30,7 +30,7 @@ class ConvergenceError(RuntimeError):
 # negative than this is treated as a genuinely indefinite input
 PSD_CLAMP_TOL = 1e-12
 
-# matrices per eigvalsh call in singular_values
+# matrices per eigvalsh call in singular_values (Gram orders other than 2)
 _GRAM_BLOCK = 8192
 
 
@@ -88,10 +88,12 @@ def singular_values(H: np.ndarray) -> np.ndarray:
     descending, min(N_c, N_s) per matrix.
 
     They are sqrt(lambda) for the eigenvalues lambda of the smaller Gram
-    matrix (H H^H when N_c <= N_s, else H^H H), found by one eigvalsh call
-    per block of _GRAM_BLOCK matrices so the Gram stack's memory stays
-    bounded.  The Gram squares the condition number: lambda carries an
-    absolute rounding error of about 1e-16 * lambda_1.
+    matrix (H H^H when N_c <= N_s, else H^H H).  A 2 x 2 Gram (min(N_c, N_s)
+    = 2) takes the closed form of _gram2_eigvals over the whole stack; any
+    other order takes one eigvalsh call per block of _GRAM_BLOCK matrices so
+    the Gram stack's memory stays bounded.  The Gram squares the condition
+    number: on either path lambda carries an absolute rounding error of
+    about 1e-16 * lambda_1.
     """
     H = np.asarray(H)
     if not np.isfinite(H).all():
@@ -99,12 +101,39 @@ def singular_values(H: np.ndarray) -> np.ndarray:
     stack = H.reshape((-1,) + H.shape[-2:])
     if stack.shape[-2] > stack.shape[-1]:
         stack = herm(stack)
-    lam = np.empty(stack.shape[:-1])
-    for i in range(0, len(stack), _GRAM_BLOCK):
-        block = stack[i:i + _GRAM_BLOCK]
-        lam[i:i + _GRAM_BLOCK] = np.linalg.eigvalsh(block @ herm(block))[:, ::-1]
+    if stack.shape[-2] == 2:
+        lam = _gram2_eigvals(stack)
+    else:
+        lam = np.empty(stack.shape[:-1])
+        for i in range(0, len(stack), _GRAM_BLOCK):
+            block = stack[i:i + _GRAM_BLOCK]
+            lam[i:i + _GRAM_BLOCK] = np.linalg.eigvalsh(block @ herm(block))[:, ::-1]
     np.clip(lam, 0.0, None, out=lam)
     return np.sqrt(lam, out=lam).reshape(H.shape[:-2] + lam.shape[-1:])
+
+
+def _gram2_eigvals(rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues (n, 2), descending, of the Grams rows @ rows^H of a stack
+    (n, 2, m), in closed form.
+
+    With a = |h1|^2, d = |h2|^2 and b = h1 . h2^H for the rows h1, h2:
+    lambda_1 = (a + d)/2 + hypot((a - d)/2, |b|) and lambda_2 =
+    a (d/lambda_1) - |b| (|b|/lambda_1).  Dividing before multiplying keeps
+    every intermediate at the scale of a Gram entry, so the range is that of
+    the Gram itself; (a d - |b|^2)/lambda_1 squares Gram entries and would
+    overflow or underflow beyond entry scales of about 1e+-77.  lambda_2 may
+    come out negative by rounding (clamped by the caller) or, for near-equal
+    eigenvalues, one ulp above lambda_1 (capped here so the pair stays
+    descending).
+    """
+    h1, h2 = rows[:, 0], rows[:, 1]
+    a = np.einsum("ij,ij->i", h1, h1.conj()).real
+    d = np.einsum("ij,ij->i", h2, h2.conj()).real
+    abs_b = np.abs(np.einsum("ij,ij->i", h1, h2.conj()))
+    lam1 = (a + d) / 2 + np.hypot((a - d) / 2, abs_b)
+    den = np.where(lam1 > 0, lam1, 1.0)  # lambda_1 = 0 only for two zero rows
+    lam2 = np.minimum(a * (d / den) - abs_b * (abs_b / den), lam1)
+    return np.stack([lam1, lam2], axis=-1)
 
 
 def eig_sym(Sigma: np.ndarray) -> EigSymResult:

@@ -117,7 +117,9 @@ class TestEstimateStats:
     @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (2, 3, 1), (3, 2, 2),
                                              (3, 3, 3), (4, 2, 2), (1, 1, 1)])
     def test_matches_per_draw_svd(self, N_c, N_s, K):
-        # 20_001 draws: more than two eigvalsh blocks, the last one partial
+        # 20_001 draws: a Gram of order other than 2, (3, 3, 3) and (1, 1, 1),
+        # spans more than two eigvalsh blocks, the last one partial; a 2 x 2
+        # Gram takes the closed form
         n = 20_001
         stats = estimate_pitilde_stats(np.random.default_rng(6), N_c, N_s, K, n)
         ref = reference_pitilde_stats(np.random.default_rng(6), N_c, N_s, K, n)

@@ -74,7 +74,8 @@ class TestSingularValues:
     @pytest.mark.parametrize("shape", [(9000, 2, 3), (9000, 4, 2), (9000, 3, 3),
                                        (5, 1, 1)])
     def test_matches_lapack_svd(self, shape):
-        # 9000 matrices span two eigvalsh blocks, the last one partial
+        # a 2 x 2 Gram ((9000, 2, 3), (9000, 4, 2)) takes the closed form;
+        # the (9000, 3, 3) stack spans two eigvalsh blocks, the last one partial
         rng = np.random.default_rng(10)
         H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         s = singular_values(H)
@@ -82,6 +83,44 @@ class TestSingularValues:
         assert s.shape == ref.shape == (shape[0], min(shape[1:]))
         # errors are bounded against each matrix's largest singular value
         assert np.all(np.abs(s - ref) <= 1e-12 * ref[:, :1])
+
+    @pytest.mark.parametrize("shape", [(3000, 2, 3), (3000, 3, 2)])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_entry_scale(self, shape, scale):
+        # the Gram's entries are squares of H's: a closed form that multiplies
+        # Gram entries together overflows at 1e100 and underflows at 1e-100
+        rng = np.random.default_rng(14)
+        H = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        s = singular_values(H)
+        ref = np.linalg.svd(H, compute_uv=False)
+        assert not np.isnan(s).any()
+        assert np.all(np.abs(s - ref) <= 1e-12 * ref[:, :1])
+
+    def test_two_by_two_gram_edge_cases(self):
+        rng = np.random.default_rng(15)
+        u = rng.standard_normal((50, 2, 1))
+        v = rng.standard_normal((50, 1, 3))
+        # rows of random unitaries: orthonormal up to rounding, so the two
+        # eigenvalues tie and rounding may put lambda_2 above lambda_1
+        Z = rng.standard_normal((2000, 3, 3)) + 1j * rng.standard_normal((2000, 3, 3))
+        cases = {
+            "zero": (np.zeros((4, 2, 3), dtype=complex), 0.0),
+            "orthogonal rows, equal norm": (np.array([[[3.0, 0.0, 0.0], [0.0, 0.0, 3.0j]]]), 3.0),
+            "orthonormal rows": (np.linalg.qr(Z)[0][:, :2, :], 1.0),
+            "rank 1, real": (u @ v, None),
+        }
+        for name, (H, tied) in cases.items():
+            with np.errstate(all="raise"):
+                s = singular_values(H)
+            assert np.isfinite(s).all(), name
+            assert np.all(s >= 0.0), name
+            assert np.all(np.diff(s, axis=-1) <= 0.0), name
+            if tied is None:
+                ref = np.linalg.svd(H, compute_uv=False)
+                assert np.all(np.abs(s[:, 0] - ref[:, 0]) <= 1e-12 * ref[:, 0]), name
+                assert np.all(s[:, 1] < 1e-6 * s[:, 0]), name
+            else:
+                assert np.allclose(s, tied, rtol=1e-12, atol=0.0), name
 
     def test_real_input(self):
         H = np.random.default_rng(11).standard_normal((50, 3, 2))

@@ -16,7 +16,7 @@ Library layout:
 """
 
 from .analysis import (MseBoundReport, StabilityReport, check_stability,
-                       delta_constant, drift_bound, mse_bound)
+                       delta_constant, mse_bound)
 from .channel import ChannelDraw, PiTildeStats, estimate_pitilde_stats, sample_channel
 from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel
@@ -27,7 +27,7 @@ from .plant import PlantModel, control, design_gain_ce, instability_measure, ste
 from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,
                        baseline_periodic_wf, decision_region_scan,
-                       kkt_residual, solve_theorem1, theorem1_allocations)
+                       solve_theorem1, theorem1_allocations)
 from .sim import RunResult, SimSetup, run_monte_carlo, run_slot, sweep
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Stability sufficient condition, design requirements, MSE bound, drift diagnostic.
+"""Stability sufficient condition, design requirements and the MSE bound.
 
 All checks are plug-in evaluations over an empirical snapshot of the
 normalized channel singular-value distribution.  The stability test compares
@@ -15,7 +15,6 @@ from .channel import PiTildeStats
 from .limiter import LimiterParams
 from .numerics import InputDomainError
 from .plant import PlantModel, instability_measure
-from .precoder import DriftContext
 
 
 # grid resolution of the search for the stability maximizer xi*
@@ -155,31 +154,3 @@ def mse_bound(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
                            * lhs * m_a * m_aat) * float(np.trace(model.W)) \
         + theta**2 / eta
     return MseBoundReport(eta=eta, bound=float(bound))
-
-
-def drift_bound(ctx: DriftContext, F: np.ndarray) -> float:
-    """Per-realization drift integrand for a candidate precoder F:
-
-        (||AA^T||/2) [eps Tr(Sigma)
-                      + Tr(2 (M/L)^2 Re{F^H H^H H F} + Sigma^{-1})^{-1}]
-        + M^2 Tr(F^H F) tau (theta - E) - (1/2) Tr(Sigma)
-
-    evaluated in the covariance eigenbasis so a singular Sigma is handled
-    (directions with zero eigenvalue contribute nothing to the inverse
-    trace).  The drift-minimizing policy minimizes this over feasible F.
-    """
-    F = np.asarray(F)
-    H = ctx.svd.reconstruct()
-    HF = H @ F
-    G_full = 2.0 * (ctx.M / ctx.L) ** 2 * np.real(HF.conj().T @ HF)
-    G = ctx.S.T @ G_full @ ctx.S  # covariance eigenbasis
-    pos = ctx.Lam > 1e-300
-    if pos.any():
-        core = G[np.ix_(pos, pos)] + np.diag(1.0 / ctx.Lam[pos])
-        inv_trace = float(np.trace(np.linalg.inv(core)))
-    else:
-        inv_trace = 0.0
-    tr_sigma = float(ctx.Lam.sum())
-    energy_term = ctx.M**2 * float(np.real(np.vdot(F, F))) * ctx.tau * (ctx.theta - ctx.E)
-    return (0.5 * ctx.norm_AAT * (ctx.eps * tr_sigma + inv_trace)
-            + energy_term - 0.5 * tr_sigma)

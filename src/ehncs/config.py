@@ -81,6 +81,9 @@ def _parse_lines(text: str, violations: list) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in values:
+            violations.append(f"line {lineno}: duplicate key {key!r}")
+            continue
         try:
             values[key] = ast.literal_eval(raw)
         except (ValueError, SyntaxError):

@@ -44,7 +44,6 @@ class DriftContext:
     M: float
     L: float  # limiter dynamic range L(Sigma)
     norm_AAT: float  # spectral norm of A A^T
-    eps: float = 0.0  # limiter saturation target (drift diagnostics only)
     slot: int = 0  # slot index (periodic baseline only)
 
     def __post_init__(self):
@@ -160,42 +159,6 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     s_star = max(min(s, t[i]), s0)
     y = _alloc(ctx, s_star, seabed)
     return _assemble(ctx, y, beta=s_star - s0, mode="active")
-
-
-def kkt_residual(ctx: DriftContext, decision: PrecoderDecision) -> float:
-    """Max violation of the diagonalized KKT system for the decision.
-
-    Checks primal feasibility, multiplier sign, complementary slackness and
-    per-stream stationarity of the water-filling problem; each stationarity
-    residual is normalized by the magnitude of its terms.
-    """
-    if decision.mode == "dormant":
-        return 0.0
-    y = decision.allocations
-    energy = decision.energy_used
-    s = max(ctx.theta - ctx.E, 0.0) + decision.beta
-    nu = s - (ctx.theta - ctx.E)  # multiplier of the budget constraint
-
-    residuals = [max(0.0, (energy - ctx.E) / max(ctx.E, 1.0)),  # primal
-                 max(0.0, -nu)]  # dual feasibility
-    if decision.beta > 0:
-        residuals.append(abs(energy - ctx.E) / max(ctx.E, 1.0))  # comp. slack
-    if s > 0:
-        c = ctx.norm_AAT
-        a_i = ctx.L**2 * ctx.tau / ctx.Pi_K**2  # budget weights
-        seabed = _seabed(ctx.Lam)
-        # stationarity: a_i s = c / (2 y_i + 1/Lam_i)^2 on active streams
-        term1 = a_i * s
-        with np.errstate(over="ignore"):
-            term2 = np.where(np.isinf(seabed), 0.0, c * (2.0 * y + seabed) ** -2.0)
-        scale = np.maximum(1.0, np.maximum(np.abs(term1), np.abs(term2)))
-        station = (term1 - term2) / scale
-        for i in range(len(y)):
-            if y[i] > ALLOC_TOL:
-                residuals.append(abs(station[i]))
-            else:
-                residuals.append(max(0.0, -station[i]))  # derivative >= 0 at 0
-    return float(max(residuals))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,

@@ -30,6 +30,10 @@ from .plant import PlantModel, control, step
 from .precoder import DriftContext
 
 
+# a path whose ||x||^2 exceeds this on a slot has diverged and leaves the run
+DIVERGENCE_GUARD = 1e12
+
+
 class FeasibilityError(RuntimeError):
     """A policy requested more transmit energy than the battery holds."""
 
@@ -46,7 +50,6 @@ class SimSetup:
     tau: float
     theta: float
     E0: float | None = None  # initial battery level, default theta/2
-    divergence_guard: float = 1e12
 
     def __post_init__(self):
         if self.tau <= 0 or self.theta <= 0:
@@ -88,7 +91,7 @@ class SlotTrace:
     n: int | np.ndarray  # slot index
     E_before: np.ndarray  # battery at the start of the slot
     L: np.ndarray  # dynamic range
-    mode: np.ndarray  # str, the policy's decision mode
+    active: np.ndarray  # bool, the policy decided active mode
     gamma: np.ndarray  # int, 1 where the limiter did not saturate
     energy_used: np.ndarray  # realized spend ||F q||^2 tau
     Tr_Sigma: np.ndarray
@@ -127,8 +130,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     decisions = [
         policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, s=s, V=V), Pi_K=Pi_K,
                             E=E_p, theta=setup.theta, tau=setup.tau, M=lim_params.M,
-                            L=L_p, norm_AAT=model.norm_AAT, eps=lim_params.eps,
-                            slot=state.n))
+                            L=L_p, norm_AAT=model.norm_AAT, slot=state.n))
         for S, Lam, U, s, V, Pi_K, E_p, L_p in zip(
             dec.S, dec.Lam, draw.svd.U, draw.svd.s, draw.svd.V, draw.Pi_K,
             E.tolist(), L.tolist())]
@@ -141,8 +143,8 @@ def run_slot(setup: SimSetup, state: SimState, policy,
             f"exceeds stored energy {E[p]:.6g} J")
 
     lim = limiter.clip(state.x, L, lim_params.M)
-    mode = np.array([d.mode for d in decisions])
-    transmitting = (mode != "dormant") & F.any(axis=(1, 2))
+    active = np.array([d.mode == "active" for d in decisions])
+    transmitting = active & F.any(axis=(1, 2))
     y = receive(draw, F, lim.q, rngs, noiseless=~transmitting)
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
     spend = np.where(transmitting, np.linalg.norm(Fq, axis=1) ** 2 * setup.tau, 0.0)
@@ -161,13 +163,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     E_next = energy.spend_and_harvest(E, spend, alpha, setup.theta)
 
     trace = SlotTrace(
-        n=state.n, E_before=E, L=L, mode=mode, gamma=(~lim.saturated).astype(int),
+        n=state.n, E_before=E, L=L, active=active, gamma=(~lim.saturated).astype(int),
         energy_used=spend, Tr_Sigma=np.trace(state.Sigma, axis1=1, axis2=2),
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
     next_state = SimState(n=state.n + 1, x=x_next, x_hat=x_hat_next,
                           Sigma=Sigma_next, E=E_next,
-                          diverged=state.diverged | (sq_state > setup.divergence_guard))
+                          diverged=state.diverged | (sq_state > DIVERGENCE_GUARD))
     return next_state, trace
 
 
@@ -245,7 +247,7 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
     for _ in range(n_slots):
         state, t = run_slot(setup, state, policy, rngs)
         sums[:, live] += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
-                          t.mode == "active")
+                          t.active)
         n_run[live] += 1
         if keep_traces:
             slots.append((live, t))

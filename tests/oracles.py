@@ -1,16 +1,19 @@
 """Independent numerical oracles used by the test suite.
 
-The projected gradient solver below works directly on the diagonalized
-convex program, without the closed-form precoder path, so the closed-form
-solution can be checked against it; the baselines' water-filling powers
-are checked against a bisection on the water level.  The channel statistics and the
-stability curve have their per-draw-SVD and per-xi references.  The
-per-point decision-region scan is the reference the one-call scan is
-checked against: one `DriftContext` and one scalar `solve_theorem1` walk
-per grid point.  The per-path slot loop
-at the end is the reference the stacked simulation engine is checked
-against: one path at a time, one kernel call per stage, with its own
-textbook estimator update.
+The package computes Theorem 1 in closed form; these functions check it and
+nothing in the package calls them.  `kkt_residual` measures a decision's
+violation of the diagonalized KKT system of the drift program, and
+`drift_bound` evaluates the per-realization drift integrand at any
+candidate precoder.  The projected gradient solver works directly on the
+diagonalized convex program, without the closed-form precoder path, so the
+closed-form solution can be checked against it; the baselines'
+water-filling powers are checked against a bisection on the water level.
+The channel statistics and the stability curve have their per-draw-SVD and
+per-xi references.  The per-point decision-region scan is the reference the
+one-call scan is checked against: one `DriftContext` and one scalar
+`solve_theorem1` walk per grid point.  The per-path slot loop at the end is
+the reference the stacked simulation engine is checked against: one path at
+a time, one kernel call per stage, with its own textbook estimator update.
 """
 
 from dataclasses import dataclass
@@ -22,10 +25,78 @@ from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
 from ehncs.energy import check_feasible, sample_arrival, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
+from ehncs import sim
 from ehncs.numerics import SvdResult, eig_sym
 from ehncs.plant import control, instability_measure, step
-from ehncs.precoder import DriftContext, solve_theorem1
+from ehncs.precoder import ALLOC_TOL, DriftContext, solve_theorem1
 from ehncs.sim import FeasibilityError, PathResult
+
+
+def kkt_residual(ctx, decision):
+    """Max violation of the diagonalized KKT system for the decision.
+
+    Checks primal feasibility, multiplier sign, complementary slackness and
+    per-stream stationarity of the water-filling problem; each stationarity
+    residual is normalized by the magnitude of its terms.
+    """
+    if decision.mode == "dormant":
+        return 0.0
+    y = decision.allocations
+    energy = decision.energy_used
+    s = max(ctx.theta - ctx.E, 0.0) + decision.beta
+    nu = s - (ctx.theta - ctx.E)  # multiplier of the budget constraint
+
+    residuals = [max(0.0, (energy - ctx.E) / max(ctx.E, 1.0)),  # primal
+                 max(0.0, -nu)]  # dual feasibility
+    if decision.beta > 0:
+        residuals.append(abs(energy - ctx.E) / max(ctx.E, 1.0))  # comp. slack
+    if s > 0:
+        c = ctx.norm_AAT
+        a_i = ctx.L**2 * ctx.tau / ctx.Pi_K**2  # budget weights
+        # seabed 1/Lam_i, infinite where Lam_i = 0 (that stream stays off)
+        pos = ctx.Lam > 0
+        seabed = np.where(pos, 1.0 / np.where(pos, ctx.Lam, 1.0), np.inf)
+        # stationarity: a_i s = c / (2 y_i + 1/Lam_i)^2 on active streams
+        term1 = a_i * s
+        with np.errstate(over="ignore"):
+            term2 = np.where(np.isinf(seabed), 0.0, c * (2.0 * y + seabed) ** -2.0)
+        scale = np.maximum(1.0, np.maximum(np.abs(term1), np.abs(term2)))
+        station = (term1 - term2) / scale
+        for i in range(len(y)):
+            if y[i] > ALLOC_TOL:
+                residuals.append(abs(station[i]))
+            else:
+                residuals.append(max(0.0, -station[i]))  # derivative >= 0 at 0
+    return float(max(residuals))
+
+
+def drift_bound(ctx, F, eps=0.0):
+    """Per-realization drift integrand for a candidate precoder F:
+
+        (||AA^T||/2) [eps Tr(Sigma)
+                      + Tr(2 (M/L)^2 Re{F^H H^H H F} + Sigma^{-1})^{-1}]
+        + M^2 Tr(F^H F) tau (theta - E) - (1/2) Tr(Sigma)
+
+    with eps the limiter's saturation target, evaluated in the covariance
+    eigenbasis so a singular Sigma is handled (directions with zero
+    eigenvalue contribute nothing to the inverse trace).  The
+    drift-minimizing policy minimizes this over feasible F.
+    """
+    F = np.asarray(F)
+    H = ctx.svd.reconstruct()
+    HF = H @ F
+    G_full = 2.0 * (ctx.M / ctx.L) ** 2 * np.real(HF.conj().T @ HF)
+    G = ctx.S.T @ G_full @ ctx.S  # covariance eigenbasis
+    pos = ctx.Lam > 1e-300
+    if pos.any():
+        core = G[np.ix_(pos, pos)] + np.diag(1.0 / ctx.Lam[pos])
+        inv_trace = float(np.trace(np.linalg.inv(core)))
+    else:
+        inv_trace = 0.0
+    tr_sigma = float(ctx.Lam.sum())
+    energy_term = ctx.M**2 * float(np.real(np.vdot(F, F))) * ctx.tau * (ctx.theta - ctx.E)
+    return (0.5 * ctx.norm_AAT * (eps * tr_sigma + inv_trace)
+            + energy_term - 0.5 * tr_sigma)
 
 
 def problem1_objective(ctx, F):
@@ -242,7 +313,7 @@ class PathState:
 
 def reference_slot(setup, state, policy, rng, noise_sqrt):
     """One slot of one path; returns the next state and the slot's
-    (E_before, L, mode, gamma, spend, Tr Sigma, sq_error, sq_state, alpha).
+    (E_before, L, active, gamma, spend, Tr Sigma, sq_error, sq_state, alpha).
     The kernels are called on stacks of one path."""
     model = setup.model
     draw = sample_channel([rng], setup.N_c, setup.N_s, setup.K)
@@ -253,14 +324,15 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
                                             V=draw.svd.V[0]),
         Pi_K=draw.Pi_K[0], E=state.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
-        norm_AAT=model.norm_AAT, eps=setup.limiter.eps, slot=state.n)
+        norm_AAT=model.norm_AAT, slot=state.n)
     decision = policy(ctx)
     if not check_feasible(state.E, decision.F, setup.limiter.M, setup.tau):
         raise FeasibilityError(f"slot {state.n}: policy budget exceeds stored energy")
 
     lim = clip(state.x, L, setup.limiter.M)
     gamma = 0 if lim.saturated else 1
-    if decision.mode != "dormant" and np.any(decision.F):
+    active = decision.mode == "active"
+    if active and np.any(decision.F):
         y = receive(draw, decision.F[None], lim.q[None], [rng],
                     noiseless=np.array([False]))[0]
         Ftilde = draw.H[0] @ decision.F * lim.g
@@ -277,11 +349,11 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     x_next = step(model, state.x, u, noise_sqrt @ rng.standard_normal(setup.K))
     alpha = float(sample_arrival(setup.arrivals, [rng])[0])
     E_next = spend_and_harvest(state.E, spend, alpha, setup.theta)
-    record = (state.E, L, decision.mode, gamma, spend,
+    record = (state.E, L, active, gamma, spend,
               float(np.trace(state.Sigma)), sq_error, sq_state, alpha)
     nxt = PathState(n=state.n + 1, x=x_next, x_hat=x_hat_next, Sigma=Sigma_next,
                     E=E_next,
-                    diverged=state.diverged or sq_state > setup.divergence_guard)
+                    diverged=state.diverged or sq_state > sim.DIVERGENCE_GUARD)
     return nxt, record
 
 
@@ -295,14 +367,14 @@ def reference_path(setup, policy, n_slots, rng):
     sq_err = tr_sigma = spent = harvested = 0.0
     n_sat = n_active = 0
     for _ in range(n_slots):
-        state, (_, _, mode, gamma, spend, tr, sq_error, _, alpha) = reference_slot(
+        state, (_, _, active, gamma, spend, tr, sq_error, _, alpha) = reference_slot(
             setup, state, policy, rng, noise_sqrt)
         sq_err += sq_error
         tr_sigma += tr
         spent += spend
         harvested += alpha
         n_sat += 1 - gamma
-        n_active += mode == "active"
+        n_active += active
         if state.diverged:
             break
     n = state.n

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (p2_objective, problem1_objective,
+from oracles import (kkt_residual, p2_objective, problem1_objective,
                      solve_p2_projected_gradient)  # noqa: E402
 
 from ehncs.cli import main
@@ -28,7 +28,7 @@ from ehncs.plant import PlantModel, control, instability_measure
 from ehncs.precoder import (DriftContext, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, decision_region_scan,
-                            kkt_residual, solve_theorem1)
+                            solve_theorem1)
 from ehncs.sim import SimSetup, _take, initial_state, run_monte_carlo, run_slot
 
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
@@ -390,7 +390,7 @@ def test_criterion_10_event_driven_reset():
         nxt, trace = run_slot(setup, state, solve_theorem1, rngs)
         n_slots += live.size
         n_at_capacity += np.count_nonzero(trace.E_before == setup.theta)
-        active = trace.mode == "active"
+        active = trace.active
         u = control(model, state.x_hat[active])
         prior = state.x_hat[active] @ model.A.T + u @ model.B.T
         updated.append(mse_sample(nxt.x[active], nxt.x_hat[active]))

@@ -80,6 +80,12 @@ class TestParse:
             parse_config_text(text)
         assert any("theta: missing" in v for v in err.value.violations)
 
+    def test_duplicate_key_reported(self):
+        lines = BUNDLED.read_text().splitlines() + ["theta = 500.0"]
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("\n".join(lines))
+        assert err.value.violations == [f"line {len(lines)}: duplicate key 'theta'"]
+
     @pytest.mark.parametrize("key, value", [("K", "abc"), ("A", "[[1, 'a'], [0, 1]]"),
                                             ("theta", "'x'")])
     def test_malformed_required_key_reported_once(self, key, value):
@@ -246,6 +252,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])
         assert exc.value.code == 2
+
+    def test_duplicate_key_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(small_config_text() + "\neps = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate key 'eps'" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, eps=1.5)

@@ -7,11 +7,11 @@ import pytest
 from ehncs.numerics import InputDomainError, eig_sym, svd
 from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
-                            baseline_periodic_wf, kkt_residual, solve_theorem1,
+                            baseline_periodic_wf, solve_theorem1,
                             theorem1_allocations)
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import water_filling_bisection  # noqa: E402
+from oracles import kkt_residual, water_filling_bisection  # noqa: E402
 
 
 def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):

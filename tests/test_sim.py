@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_path, reference_region_scan  # noqa: E402
 
+from ehncs import sim
 from ehncs.cli import policy_factory
 from ehncs.energy import ArrivalModel
 from ehncs.limiter import make_params
@@ -50,7 +50,7 @@ class TestRunSlot:
             Sigma = A @ Sigma @ A.T + W
             assert np.allclose(state.Sigma[0], Sigma)
             assert trace.energy_used[0] == 0.0
-            assert trace.mode[0] == "dormant"
+            assert not trace.active[0]
 
     def test_unstable_open_loop_covariance_grows(self):
         setup = small_setup()
@@ -139,14 +139,15 @@ class TestStackedEngine:
     # baseline2 paths at theta 40 trip it (paths 3 and 16 at SEED)
     GUARD = 1e6
 
-    def setup_at(self, theta):
-        return replace(small_setup(theta=theta), divergence_guard=self.GUARD)
+    @pytest.fixture(autouse=True)
+    def lowered_guard(self, monkeypatch):
+        monkeypatch.setattr(sim, "DIVERGENCE_GUARD", self.GUARD)
 
     def test_matches_per_path_reference(self):
         n_paths, n_slots = 20, 60
         n_tripped = None
         for theta in (40.0, 120.0):
-            setup = self.setup_at(theta)
+            setup = small_setup(theta=theta)
             for name in self.POLICIES:
                 policy = policy_factory(name)(setup)
                 run = run_monte_carlo(setup, policy, n_paths, n_slots, self.SEED,
@@ -167,7 +168,7 @@ class TestStackedEngine:
 
         # a path does not depend on which other paths share its run, nor on
         # one of them leaving it at the guard
-        setup = self.setup_at(40.0)
+        setup = small_setup(theta=40.0)
         policy = policy_factory("baseline2")(setup)
         wide = run_monte_carlo(setup, policy, 8, n_slots, self.SEED)
         narrow = run_monte_carlo(setup, policy, 3, n_slots, self.SEED)

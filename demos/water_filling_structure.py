@@ -9,6 +9,7 @@ with a binding budget (beta > 0 raises the level until the spend fits E).
 
 import numpy as np
 
+from ehncs.energy import precoder_budget
 from ehncs.numerics import SvdResult
 from ehncs.precoder import DriftContext, solve_theorem1
 
@@ -25,10 +26,11 @@ def main():
     print(f"{'E':>6} {'mode':>8} {'beta':>10} {'y1':>10} {'y2':>10} "
           f"{'energy':>10}")
     for E in [0.5, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0]:
-        d = solve_theorem1(make_ctx(E))
+        ctx = make_ctx(E)
+        d = solve_theorem1(ctx)
         y = d.allocations
         print(f"{E:6.1f} {d.mode:>8} {d.beta:10.4f} {y[0]:10.4f} {y[1]:10.4f} "
-              f"{d.energy_used:10.4f}")
+              f"{precoder_budget(d.F, ctx.M, ctx.tau):10.4f}")
 
     print()
     print("Weak second stream: it only switches on once the water level")

@@ -109,8 +109,8 @@ def estimate_pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
     if n_samples < 1:
         raise InputDomainError(
             f"estimate_pitilde_stats: n_samples must be >= 1, got {n_samples}")
-    H = (rng.standard_normal((n_samples, N_c, N_s))
-         + 1j * rng.standard_normal((n_samples, N_c, N_s))) / np.sqrt(2.0)
+    H = _complex_normal(rng.standard_normal((n_samples, N_c, N_s)),
+                        rng.standard_normal((n_samples, N_c, N_s)))
     s = singular_values(H)[:, :K]
     good = s[:, -1] ** 2 > DEGENERATE_TOL * s[:, 0] ** 2
     n_excluded = int((~good).sum())

@@ -178,15 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ehncs",
         description="Networked control with an energy-harvesting MIMO sensor: "
                     "simulation and analysis runner.")
+    # a subcommand takes only the flags it reads; the others default to None
+    parser.set_defaults(paths=None, slots=None, policy=None)
     sub = parser.add_subparsers(dest="command")
     for name in ("run", "sweep", "analyze", "regions"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--paths", type=int)
-        p.add_argument("--slots", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--policy")
+        if name in ("run", "sweep"):
+            p.add_argument("--paths", type=int)
+            p.add_argument("--slots", type=int)
+        if name == "run":
+            p.add_argument("--policy")
         if name == "regions":
             p.add_argument("--energy", type=float, action="append")
             p.add_argument("--grid", type=int)

@@ -51,15 +51,20 @@ def spend_and_harvest(E, spend, alpha, theta):
     return np.minimum(np.maximum(E - spend, 0.0) + alpha, theta)
 
 
+def precoder_budget(F: np.ndarray, M: float, tau: float):
+    """M^2 Tr(F^H F) tau: the most a precoder F can spend in a slot, since
+    the limiter keeps ||q|| <= M.  F may stack precoders on leading axes."""
+    F = np.asarray(F)
+    return M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * tau
+
+
 def check_feasible(E, F: np.ndarray, M: float, tau: float):
-    """Energy-availability test M^2 Tr(F^H F) tau <= E, with a slack of
+    """Energy-availability test `precoder_budget` <= E, with a slack of
     1e-9 J plus 1e-12 E for the round-off of a budget computed at E's scale.
 
     F may stack one precoder per path, against one battery per path.
     """
-    F = np.asarray(F)
-    budget = M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * tau
-    return budget <= E + 1e-9 + 1e-12 * E
+    return precoder_budget(F, M, tau) <= E + 1e-9 + 1e-12 * E
 
 
 def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,

@@ -34,8 +34,8 @@ class LimiterOutput:
     """Limiter output; g and saturated hold one value per path when stacked."""
 
     q: np.ndarray
-    g: float
-    saturated: bool
+    g: float | np.ndarray
+    saturated: bool | np.ndarray
 
 
 def compute_theta(model: PlantModel) -> float:

@@ -11,7 +11,9 @@ whose solution diagonalizes in the channel's right singular basis and the
 covariance eigenbasis: per-stream allocations follow a water-filling rule
 with water level set by (channel gain, stored energy) and seabed level set
 by the per-stream estimation error.  A positive-definiteness test on the
-threshold matrix decides dormant vs active mode before any allocation.
+threshold matrix decides dormant vs active mode before any allocation.  In
+active mode the water level is s* = max((theta - E)^+, s_E), with s_E the
+root of spend(s) = E, and the budget multiplier is beta = s* - (theta - E)^+.
 
 Capacity and MMSE water-filling (the baselines) have the same structure
 with other weights, so one scalar active-set walk, `_walk`, inverts the
@@ -59,16 +61,18 @@ class PrecoderDecision:
     mode: str  # "dormant" | "active"
     beta: float
     allocations: np.ndarray  # (K,) per-stream allocations (diag of Y*)
-    energy_used: float  # M^2 Tr(F^H F) tau
 
 
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
     return PrecoderDecision(
         F=np.zeros((ctx.svd.U.shape[0], K), dtype=complex), mode=mode, beta=0.0,
-        allocations=np.zeros(K), energy_used=0.0,
+        allocations=np.zeros(K),
     )
 
+
+# Theorem 1's per-stream terms.  Each takes one context's (K,) arrays or
+# stacked (..., K) ones, with E and L broadcasting against the leading axes.
 
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
@@ -76,26 +80,29 @@ def _seabed(Lam: np.ndarray) -> np.ndarray:
     return np.where(Lam > 0, 1.0 / np.where(Lam > 0, Lam, 1.0), np.inf)
 
 
-def _alloc(ctx: DriftContext, s: float, seabed: np.ndarray | None = None) -> np.ndarray:
-    """Per-stream allocations Y_ii(s) = (1/2)[ (Pi_ii/L) sqrt(c/(s tau)) - 1/Lam_ii ]^+
-    at effective water parameter s = [theta-E]^+ + beta."""
-    if seabed is None:
-        seabed = _seabed(ctx.Lam)
-    water = (ctx.Pi_K / ctx.L) * np.sqrt(ctx.norm_AAT / (s * ctx.tau))
-    return 0.5 * np.maximum(water - seabed, 0.0)
+def _breakpoints(Lam, Pi_K, L, tau: float, c: float) -> np.ndarray:
+    """t_i = c (Pi_ii Lam_ii / L)^2 / tau: stream i is active iff the water
+    level s is below t_i."""
+    return c * (Pi_K * Lam / L) ** 2 / tau
 
 
-def _energy_of_alloc(ctx: DriftContext, y: np.ndarray) -> float:
-    """M^2 Tr(F^H F) tau for the assembled precoder = L^2 tau sum y_i / Pi_ii^2."""
-    return float(ctx.L**2 * ctx.tau * np.sum(y / ctx.Pi_K**2))
+def _dormant(Lam, Pi_K, E, L, theta: float, tau: float, c: float):
+    """Dormant iff every diagonal entry of the threshold matrix,
+    theta - (c (Lam_ii Pi_ii)^2 / (tau L^2) + E), is positive."""
+    return np.all(theta - (c * (Lam * Pi_K) ** 2 / (tau * L**2) + E) > ALLOC_TOL, axis=-1)
 
 
-def _assemble(ctx: DriftContext, y: np.ndarray, beta: float, mode: str) -> PrecoderDecision:
-    """F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T, U_K the leading K columns of U."""
-    top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
-    F = (ctx.L / ctx.M) * (ctx.svd.U[:, :len(y)] @ top)
-    return PrecoderDecision(F=F, mode=mode, beta=beta, allocations=y,
-                            energy_used=_energy_of_alloc(ctx, y))
+def _walk_weights(Pi_K, L, tau: float, c: float,
+                  seabed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_i and b_i: on a fixed active set the budget L^2 tau sum_i y_i(s) /
+    Pi_ii^2 equals a/sqrt(s) - b, with a and b the sums over the set."""
+    return 0.5 * L * np.sqrt(c * tau) / Pi_K, 0.5 * L**2 * tau * seabed / Pi_K**2
+
+
+def _water_fill(s, Pi_K, L, tau: float, c: float, seabed: np.ndarray) -> np.ndarray:
+    """Per-stream allocations y_i(s) = (1/2)[(Pi_ii/L) sqrt(c/(s tau)) - 1/Lam_ii]^+
+    at water level s."""
+    return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
 
 
 def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
@@ -124,41 +131,30 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     """Closed-form drift-minimizing precoder (event-driven water-filling).
 
     Dormant iff theta - (||AA^T|| (Lam_ii Pi_ii)^2 / (tau L^2) + E) > 0 for
-    every stream; otherwise allocations follow the water-filling rule with
-    beta = 0 when the budget is slack and beta > 0 when binding.
+    every stream.  Otherwise the water level is s* = max((theta - E)^+, s_E),
+    with s_E the root of spend(s) = E, and beta = s* - (theta - E)^+: beta
+    is 0 when the spend at (theta - E)^+ fits in E and positive when the
+    budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
-    thresholds = ctx.theta - (ctx.norm_AAT * (ctx.Lam * ctx.Pi_K) ** 2
-                              / (ctx.tau * ctx.L**2) + ctx.E)
-    if np.all(thresholds > ALLOC_TOL):
+    c = ctx.norm_AAT
+    if _dormant(ctx.Lam, ctx.Pi_K, ctx.E, ctx.L, ctx.theta, ctx.tau, c):
         return _dormant_decision(ctx)
-
-    if ctx.E <= 0.0:
-        # active mode with an empty battery: the budget pins F at zero
+    t = _breakpoints(ctx.Lam, ctx.Pi_K, ctx.L, ctx.tau, c)
+    if ctx.E <= 0.0 or t.max() <= 0:
+        # an empty battery pins F at zero; with Sigma = 0 every breakpoint is
+        # 0 and no stream switches on
         return _dormant_decision(ctx, mode="active")
 
+    # the walk finds s_E, clamped to the breakpoint of its last stream to
+    # absorb round-off
     seabed = _seabed(ctx.Lam)
+    a, b, i = _walk(*_walk_weights(ctx.Pi_K, ctx.L, ctx.tau, c, seabed), t, ctx.E)
     s0 = max(ctx.theta - ctx.E, 0.0)
-    if s0 > 0.0:
-        y0 = _alloc(ctx, s0, seabed)
-        if _energy_of_alloc(ctx, y0) < ctx.E:
-            return _assemble(ctx, y0, beta=0.0, mode="active")
-
-    # Budget binds: solve energy(s) = E exactly.  Stream i is active iff
-    # s < t_i = c (Pi_ii Lam_ii / L)^2 / tau, and on a fixed active set
-    # energy(s) = a/sqrt(s) - b, so the walk inverts it in closed form; the
-    # clamps only absorb round-off.
-    t = ctx.norm_AAT * (ctx.Pi_K * ctx.Lam / ctx.L) ** 2 / ctx.tau
-    half_sqrt = 0.5 * ctx.L * np.sqrt(ctx.norm_AAT * ctx.tau) / ctx.Pi_K  # a_i terms
-    half_seabed = 0.5 * ctx.L**2 * ctx.tau * seabed / ctx.Pi_K**2  # b_i terms
-    a, b, i = _walk(half_sqrt, half_seabed, t, ctx.E)
-    if t[i] <= 0:
-        # the walk stops before any zero threshold, so only the first stream
-        # can have one: every threshold is 0 (Sigma = 0), no stream switches on
-        return _dormant_decision(ctx, mode="active")
-    s = (a / (ctx.E + b)) ** 2
-    s_star = max(min(s, t[i]), s0)
-    y = _alloc(ctx, s_star, seabed)
-    return _assemble(ctx, y, beta=s_star - s0, mode="active")
+    s_star = max(min((a / (ctx.E + b)) ** 2, t[i]), s0)
+    y = _water_fill(s_star, ctx.Pi_K, ctx.L, ctx.tau, c, seabed)
+    top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
+    F = (ctx.L / ctx.M) * (ctx.svd.U[:, :len(y)] @ top)
+    return PrecoderDecision(F=F, mode="active", beta=s_star - s0, allocations=y)
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -167,9 +163,10 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
 
     Lam and Pi_K are (..., K); E and L broadcast against their leading axes;
     theta, tau and norm_AAT are scalars.  Each context takes the walk of
-    `solve_theorem1`, with its branches as masks.  Returns the per-stream
-    allocations (..., K), beta (...) and the active flag (...) (mode ==
-    "active"); dormant, empty-battery and Sigma = 0 contexts allocate 0.
+    `solve_theorem1` as one cumulative sum, with its branches as masks.
+    Returns the per-stream allocations (..., K), beta (...) and the active
+    flag (...) (mode == "active"); dormant, empty-battery and Sigma = 0
+    contexts allocate 0.
     """
     E = np.asarray(E, dtype=float)[..., None]
     L = np.asarray(L, dtype=float)[..., None]
@@ -177,27 +174,18 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
     Lam = np.broadcast_to(np.asarray(Lam, dtype=float), shape)
     Pi_K = np.broadcast_to(np.asarray(Pi_K, dtype=float), shape)
     c = norm_AAT
-    thresholds = theta - (c * (Lam * Pi_K) ** 2 / (tau * L**2) + E)
-    active = ~np.all(thresholds > ALLOC_TOL, axis=-1, keepdims=True)
+    active = ~_dormant(Lam, Pi_K, E, L, theta, tau, c)
+    t = _breakpoints(Lam, Pi_K, L, tau, c)
     seabed = _seabed(Lam)
     s0 = np.maximum(theta - E, 0.0)
-
-    def water_fill(s):
-        return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
-
     # entries outside their own branch see 1/0, inf - inf and the like; the
     # masks below drop them
     with np.errstate(divide="ignore", invalid="ignore"):
-        y0 = water_fill(s0)
-        slack = (s0 > 0.0) & (L**2 * tau * np.sum(y0 / Pi_K**2, axis=-1, keepdims=True) < E)
-        # binding budget: walk the active sets in descending-threshold order
-        t = c * (Pi_K * Lam / L) ** 2 / tau
+        # walk the active sets in descending-breakpoint order
         order = np.argsort(t, axis=-1)[..., ::-1]
         t_sorted = np.take_along_axis(t, order, axis=-1)
-        a = np.cumsum(np.take_along_axis(0.5 * L * np.sqrt(c * tau) / Pi_K, order, axis=-1),
-                      axis=-1)
-        b = np.cumsum(np.take_along_axis(0.5 * L**2 * tau * seabed / Pi_K**2, order,
-                                         axis=-1), axis=-1)
+        a, b = (np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
+                for w in _walk_weights(Pi_K, L, tau, c, seabed))
         s = (a / (E + b)) ** 2
         # the first size whose candidate reaches the next breakpoint; the
         # last size always ends the walk (its breakpoint is 0)
@@ -206,13 +194,11 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
         m = np.argmax(crossing, axis=-1)[..., None]
         s_star = np.maximum(np.minimum(np.take_along_axis(s, m, axis=-1),
                                        np.take_along_axis(t_sorted, m, axis=-1)), s0)
-        y_bind = water_fill(s_star)
-    spends = active & (E > 0.0)
-    slack &= spends
-    binding = spends & ~slack & (t_sorted[..., :1] > 0.0)
-    y = np.where(slack, y0, np.where(binding, y_bind, 0.0))
-    beta = np.where(binding, s_star - s0, 0.0)
-    return y, beta[..., 0], active[..., 0]
+        y = _water_fill(s_star, Pi_K, L, tau, c, seabed)
+    spends = active[..., None] & (E > 0.0) & (t_sorted[..., :1] > 0.0)
+    y = np.where(spends, y, 0.0)
+    beta = np.where(spends, s_star - s0, 0.0)
+    return y, beta[..., 0], active
 
 
 def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
@@ -262,9 +248,8 @@ def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> np.ndarray:
 def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
     F = ctx.svd.U[:, :len(p)] @ np.diag(np.sqrt(p))
-    energy = float(ctx.M**2 * p.sum() * ctx.tau)
     mode = "active" if p.sum() > 0 else "dormant"
-    return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p, energy_used=energy)
+    return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p)
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

@@ -138,9 +138,9 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     feasible = check_feasible(E, F, lim_params.M, setup.tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
-        raise FeasibilityError(
-            f"slot {state.n}: policy budget {decisions[p].energy_used:.6g} J "
-            f"exceeds stored energy {E[p]:.6g} J")
+        budget = energy.precoder_budget(F[p], lim_params.M, setup.tau)
+        raise FeasibilityError(f"slot {state.n}: policy budget {budget:.6g} J "
+                               f"exceeds stored energy {E[p]:.6g} J")
 
     lim = limiter.clip(state.x, L, lim_params.M)
     active = np.array([d.mode == "active" for d in decisions])

@@ -22,7 +22,8 @@ import numpy as np
 
 from ehncs.analysis import delta_constant
 from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
-from ehncs.energy import check_feasible, sample_arrival, spend_and_harvest
+from ehncs.energy import (check_feasible, precoder_budget, sample_arrival,
+                          spend_and_harvest)
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs import sim
@@ -42,7 +43,7 @@ def kkt_residual(ctx, decision):
     if decision.mode == "dormant":
         return 0.0
     y = decision.allocations
-    energy = decision.energy_used
+    energy = precoder_budget(decision.F, ctx.M, ctx.tau)
     s = max(ctx.theta - ctx.E, 0.0) + decision.beta
     nu = s - (ctx.theta - ctx.E)  # multiplier of the budget constraint
 

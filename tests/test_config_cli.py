@@ -222,6 +222,18 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["analyze", "--paths", "5"],
+                                      ["regions", "--policy", "baseline1"],
+                                      ["sweep", "--policy", "baseline1"]])
+    def test_flag_the_subcommand_ignores_is_rejected(self, tmp_path, capsys, argv):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_in_config_is_validation_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, seed=-3)
         out = tmp_path / "out"

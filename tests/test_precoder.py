@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ehncs.energy import precoder_budget
 from ehncs.numerics import InputDomainError, eig_sym, svd
 from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
@@ -30,6 +31,10 @@ def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
                         norm_AAT=rng.uniform(1.0, 4.0), slot=slot)
 
 
+def budget_of(ctx, d):
+    return precoder_budget(d.F, ctx.M, ctx.tau)
+
+
 def diagonal_ctx(h, sigma, E, theta, tau=1.0, M=1.0, L=20.0, norm_AAT=2.56, slot=0):
     from ehncs.numerics import SvdResult
     K = len(h)
@@ -46,7 +51,7 @@ class TestDormantActive:
         d = solve_theorem1(ctx)
         assert d.mode == "dormant"
         assert not np.any(d.F)
-        assert d.energy_used == 0.0
+        assert budget_of(ctx, d) == 0.0
         assert kkt_residual(ctx, d) == 0.0
 
     def test_zero_eigenvalue_seabed_divides_nothing_by_zero(self):
@@ -67,7 +72,7 @@ class TestDormantActive:
             d = solve_theorem1(ctx)
             assert d.mode == "active"
             assert not np.any(d.F)
-            assert d.beta == 0.0 and d.energy_used == 0.0
+            assert d.beta == 0.0 and budget_of(ctx, d) == 0.0
             assert kkt_residual(ctx, d) == 0.0
 
     def test_empty_battery_transmits_nothing(self):
@@ -88,8 +93,27 @@ class TestBudget:
     def test_slack_budget_beta_zero(self):
         ctx = diagonal_ctx([4.0, 3.0], [70.0, 50.0], E=30.0, theta=36.0, L=5.0)
         d = solve_theorem1(ctx)
-        if d.energy_used < ctx.E:
-            assert d.beta == 0.0
+        assert d.mode == "active" and np.any(d.allocations > 0)
+        assert d.beta == 0.0
+        assert budget_of(ctx, d) < ctx.E
+
+    def test_slack_budget_meets_kkt(self):
+        # K = 1..4 streams: random contexts whose water level stays at
+        # (theta - E)^+, so the budget has slack and beta = 0
+        rng = np.random.default_rng(13)
+        n_slack = np.zeros(4, dtype=int)
+        for trial in range(2000):
+            K = trial % 4 + 1
+            theta = log_uniform(rng, 1.0, 100.0)
+            ctx = make_ctx(rng, K=K, E=rng.uniform(0.01, theta), theta=theta,
+                           L=log_uniform(rng, 1.0, 30.0),
+                           tau=log_uniform(rng, 1e-3, 1.0))
+            d = solve_theorem1(ctx)
+            if d.mode == "active" and d.beta == 0.0 and np.any(d.allocations > 0):
+                n_slack[K - 1] += 1
+                assert budget_of(ctx, d) < ctx.E
+                assert kkt_residual(ctx, d) < 1e-9
+        assert n_slack.min() > 100, n_slack
 
     def test_binding_budget_meets_energy(self):
         # K = 1..4 streams: random contexts, and decoupled ones where two
@@ -120,10 +144,10 @@ class TestBudget:
                                    tau=rng.uniform(0.01, 1.0),
                                    norm_AAT=rng.uniform(1.0, 4.0))
             d = solve_theorem1(ctx)
-            assert d.energy_used <= ctx.E * (1.0 + 1e-9)
+            assert budget_of(ctx, d) <= ctx.E * (1.0 + 1e-9)
             if d.mode == "active" and d.beta > 0:
                 n_binding[K - 1, kind] += 1
-                assert d.energy_used == pytest.approx(ctx.E, rel=1e-9)
+                assert budget_of(ctx, d) == pytest.approx(ctx.E, rel=1e-9)
                 assert kkt_residual(ctx, d) < 1e-9
         # the regime is exercised for every K and every kind of context (a
         # lone stream cannot tie, and with a zero eigenvalue it never binds)
@@ -131,12 +155,14 @@ class TestBudget:
         assert n_binding.sum(axis=0).min() > 10
 
     def test_energy_used_matches_frobenius(self):
+        # the assembled F spends L^2 tau sum_i y_i / Pi_ii^2
         rng = np.random.default_rng(1)
         for _ in range(100):
             ctx = make_ctx(rng)
             d = solve_theorem1(ctx)
-            direct = ctx.M**2 * float(np.real(np.vdot(d.F, d.F))) * ctx.tau
-            assert d.energy_used == pytest.approx(direct, abs=1e-12 * max(1.0, direct))
+            of_alloc = ctx.L**2 * ctx.tau * np.sum(d.allocations / ctx.Pi_K**2)
+            assert budget_of(ctx, d) == pytest.approx(of_alloc,
+                                                      abs=1e-12 * max(1.0, of_alloc))
 
     def test_kkt_residual_small(self):
         rng = np.random.default_rng(2)
@@ -269,13 +295,13 @@ class TestBaselines:
                     want = water_filling_bisection(weights(ctx.Pi_K), 1.0 / ctx.Pi_K,
                                                    budget)
                     assert np.abs(d.allocations - want).max() <= 1e-9 * max(1.0, budget)
-                    assert d.energy_used == pytest.approx(spend, rel=1e-9, abs=1e-12)
+                    assert budget_of(ctx, d) == pytest.approx(spend, rel=1e-9, abs=1e-12)
 
     def test_capacity_baseline_spends_battery(self):
         rng = np.random.default_rng(5)
         ctx = make_ctx(rng, E=2.0)
         d = baseline_capacity_wf(ctx)
-        assert d.energy_used == pytest.approx(ctx.E, rel=1e-9)
+        assert budget_of(ctx, d) == pytest.approx(ctx.E, rel=1e-9)
 
     def test_periodic_schedule(self):
         rng = np.random.default_rng(6)
@@ -295,10 +321,10 @@ class TestBaselines:
         rng = np.random.default_rng(8)
         ctx = make_ctx(rng, E=1.0)
         d = baseline_constant_power(ctx, mean_alpha=50.0)
-        assert d.energy_used <= ctx.E * (1.0 + 1e-9)
+        assert budget_of(ctx, d) <= ctx.E * (1.0 + 1e-9)
         ctx2 = make_ctx(np.random.default_rng(8), E=40.0)
         d2 = baseline_constant_power(ctx2, mean_alpha=2.0)
-        assert d2.energy_used == pytest.approx(min(2.0, ctx2.E), rel=1e-9)
+        assert budget_of(ctx2, d2) == pytest.approx(min(2.0, ctx2.E), rel=1e-9)
 
     def test_constant_power_unknown_profile(self):
         rng = np.random.default_rng(9)

@@ -34,7 +34,7 @@ def zero_policy(ctx):
     K = len(ctx.Pi_K)
     n_s = ctx.svd.U.shape[0]
     return PrecoderDecision(F=np.zeros((n_s, K), dtype=complex), mode="dormant",
-                            beta=0.0, allocations=np.zeros(K), energy_used=0.0)
+                            beta=0.0, allocations=np.zeros(K))
 
 
 class TestRunSlot:
@@ -71,10 +71,10 @@ class TestRunSlot:
             K = len(ctx.Pi_K)
             F = np.full((n_s, K), 1e6, dtype=complex)
             return PrecoderDecision(F=F, mode="active", beta=0.0,
-                                    allocations=np.zeros(K),
-                                    energy_used=1e12)
+                                    allocations=np.zeros(K))
 
-        with pytest.raises(FeasibilityError):
+        # budget M^2 Tr(F^H F) tau = 1 * 6e12 * 0.01
+        with pytest.raises(FeasibilityError, match=r"policy budget 6e\+10 J"):
             run_slot(setup, state, greedy, [np.random.default_rng(2)])
 
     def test_battery_stays_in_range(self):

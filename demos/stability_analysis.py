@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ehncs.analysis import BoundUndefinedError, check_stability, mse_bound
+from ehncs.analysis import check_stability
 from ehncs.channel import estimate_pitilde_stats
 from ehncs.config import build_limiter, build_model, parse_config
 from ehncs.energy import ArrivalModel, estimate_inverse_mean
@@ -31,11 +31,11 @@ def show(name, model, params, stats, e_inv, theta, tau):
     for req in rep.requirements:
         print(f"  requirement {req.name}: actual={req.actual:.4g} "
               f"threshold={req.threshold:.4g} ok={req.satisfied}")
-    try:
-        b = mse_bound(model, params, stats, e_inv, theta, tau, xi_star=rep.xi_star)
-        print(f"  eta={b.eta:.4g}, steady-state Tr(Sigma) bound={b.bound:.4g}")
-    except BoundUndefinedError as exc:
-        print(f"  error bound undefined: {exc}")
+    if rep.mse_bound is None:
+        print(f"  error bound undefined: mse_bound: eta = {rep.eta:.4g} <= 0, "
+              "bound undefined")
+    else:
+        print(f"  eta={rep.eta:.4g}, steady-state Tr(Sigma) bound={rep.mse_bound:.4g}")
     print()
 
 

@@ -15,8 +15,7 @@ Library layout:
   config/cli -- experiment files and the command-line runner
 """
 
-from .analysis import (MseBoundReport, StabilityReport, check_stability,
-                       delta_constant, mse_bound)
+from .analysis import StabilityReport, check_stability, delta_constant
 from .channel import ChannelDraw, PiTildeStats, estimate_pitilde_stats, sample_channel
 from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel

@@ -45,19 +45,17 @@ def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
     return ChannelDraw(H=H, svd=dec, Pi_K=dec.s[..., :K])
 
 
-def receive(draw: ChannelDraw, F: np.ndarray, q: np.ndarray, rngs,
-            noiseless: np.ndarray) -> np.ndarray:
-    """Received signal y = H F q + z with z ~ CN(0, I_{N_c}) on each path.
+def receive(H: np.ndarray, Fq: np.ndarray, rngs, noiseless: np.ndarray) -> np.ndarray:
+    """Received signal y = H (F q) + z with z ~ CN(0, I_{N_c}) on each path.
 
-    F and q carry the draw's path axis, rngs holds one generator per path and
-    noiseless one flag per path; a noiseless path draws nothing from its
-    generator.
+    H (P, N_c, N_s) and the precoded symbols Fq (P, N_s) carry a path axis,
+    rngs holds one generator per path and noiseless one flag per path; a
+    noiseless path draws nothing from its generator.
     """
-    q = np.asarray(q, dtype=float)
-    y = (draw.H @ (np.asarray(F) @ q[..., None]))[..., 0]
+    y = (H @ Fq[..., None])[..., 0]
     noisy = np.flatnonzero(~noiseless)
     if noisy.size:
-        N_c = draw.H.shape[-2]
+        N_c = H.shape[-2]
         z = np.array([rngs[p].standard_normal((2, N_c)) for p in noisy])
         y[noisy] += _complex_normal(z[:, 0], z[:, 1])
     return y

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BoundUndefinedError, check_stability, mse_bound
+from .analysis import check_stability
 from .channel import estimate_pitilde_stats
 from .config import (POLICY_NAMES, ConfigError, ExperimentConfig, build_limiter,
                      build_model, build_setup, parse_config)
@@ -133,13 +133,12 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path) -> int:
         lines.append(f"requirement {req.name}: actual={req.actual!r} "
                      f"threshold={req.threshold!r} "
                      f"satisfied={str(req.satisfied).lower()}")
-    try:
-        mse = mse_bound(model, params, stats, e_inv, cfg.theta, cfg.tau,
-                        xi_star=report.xi_star)
-        lines.append(f"eta: {mse.eta!r}")
-        lines.append(f"mse_bound: {mse.bound!r}")
-    except BoundUndefinedError as exc:
-        lines.append(f"mse_bound: undefined ({exc})")
+    if report.mse_bound is None:
+        lines.append(f"mse_bound: undefined (mse_bound: eta = {report.eta:.4g} <= 0, "
+                     "bound undefined)")
+    else:
+        lines.append(f"eta: {report.eta!r}")
+        lines.append(f"mse_bound: {report.mse_bound!r}")
     (out_dir / "stability_report.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ POLICY_NAMES = ("proposed", "baseline1", "baseline2", "baseline3",
 _MATRIX_KEYS = ("A", "B", "W", "Psi", "P", "R")
 _SCALAR_KEYS = {
     "eps": float, "M": float, "theta": float, "E0": float, "tau": float,
-    "mean_alpha": float, "N_s": int, "N_c": int, "K": int,
+    "mean_alpha": float, "N_s": int, "N_c": int,
     "n_paths": int, "n_slots": int, "seed": int, "period": int,
 }
 _STRING_KEYS = ("arrival", "policy", "sweep_axis")
@@ -49,7 +49,6 @@ class ExperimentConfig:
     M: float
     N_s: int
     N_c: int
-    K: int
     arrival: str
     mean_alpha: float
     theta: float
@@ -63,6 +62,10 @@ class ExperimentConfig:
     sweep_axis: str | None = None
     sweep_values: list = field(default_factory=list)
     raw_text: str = ""
+
+    @property
+    def K(self) -> int:
+        return self.A.shape[0]
 
     @property
     def config_hash(self) -> str:
@@ -144,7 +147,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for key in values:
         violations.append(f"{key}: unknown key")
 
-    required = ["A", "B", "W", "eps", "M", "N_s", "N_c", "K", "arrival",
+    required = ["A", "B", "W", "eps", "M", "N_s", "N_c", "arrival",
                 "mean_alpha", "theta", "tau", "n_paths", "n_slots", "seed"]
     # a key already reported as malformed is not also reported as missing
     reported = {v.split(":")[0] for v in violations}
@@ -174,24 +177,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _validate_semantics(out: dict, violations: list) -> None:
     A, B, W, Psi = out["A"], out["B"], out["W"], out["Psi"]
-    K_plant = A.shape[0] if A.ndim == 2 else -1
+    K = A.shape[0] if A.ndim == 2 else -1
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         violations.append(f"A: must be square, got shape {A.shape}")
     if W.shape != A.shape:
         violations.append(f"W: shape {W.shape} does not match A {A.shape}")
-    if B.ndim != 2 or B.shape[0] != K_plant:
+    if B.ndim != 2 or B.shape[0] != K:
         violations.append(f"B: row count must match A, got shape {B.shape}")
-    elif Psi.shape != (B.shape[1], K_plant):
+    elif Psi.shape != (B.shape[1], K):
         violations.append(f"Psi: shape {Psi.shape} inconsistent with B {B.shape}")
     if not 0 < out["eps"] < 1:
         violations.append(f"eps: must lie in (0, 1), got {out['eps']}")
     if out["M"] <= 0:
         violations.append("M: must be > 0")
-    if out["K"] > min(out["N_s"], out["N_c"]):
+    if K > min(out["N_s"], out["N_c"]):
         violations.append(
-            f"K: {out['K']} exceeds min(N_s, N_c) = {min(out['N_s'], out['N_c'])}")
-    if out["K"] != K_plant:
-        violations.append(f"K: {out['K']} does not match plant dimension {K_plant}")
+            f"K: {K} exceeds min(N_s, N_c) = {min(out['N_s'], out['N_c'])}")
     if out["arrival"] not in ("poisson", "deterministic"):
         violations.append(f"arrival: unknown distribution {out['arrival']!r}")
     if out["mean_alpha"] < 0:

@@ -145,8 +145,8 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     lim = limiter.clip(state.x, L, lim_params.M)
     active = np.array([d.mode == "active" for d in decisions])
     transmitting = active & F.any(axis=(1, 2))
-    y = receive(draw, F, lim.q, rngs, noiseless=~transmitting)
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
+    y = receive(draw.H, Fq, rngs, noiseless=~transmitting)
     spend = np.where(transmitting, np.linalg.norm(Fq, axis=1) ** 2 * setup.tau, 0.0)
     update = transmitting & ~lim.saturated
     Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)

@@ -9,7 +9,7 @@ diagonalized convex program, without the closed-form precoder path, so the
 closed-form solution can be checked against it; the baselines'
 water-filling powers are checked against a bisection on the water level.
 The channel statistics and the stability curve have their per-draw-SVD and
-per-xi references.  The per-point decision-region scan is the reference the
+per-xi references, and the MSE bound its term-by-term formula at a given xi.  The per-point decision-region scan is the reference the
 one-call scan is checked against: one `DriftContext` and one scalar
 `solve_theorem1` walk per grid point.  The per-path slot loop at the end is
 the reference the stacked simulation engine is checked against: one path at
@@ -253,6 +253,32 @@ def reference_rhs_curve(model, params, stats, tau, xi_grid):
     return rhs
 
 
+def reference_mse_bound(model, params, stats, E_inv_alpha, theta, tau, xi_star):
+    """(eta, bound) of the steady-state MSE bound at xi_star, each term
+    evaluated on its own; bound is None when eta <= 0:
+
+        eta = 1 - (eps + K Pr(pt<xi*)) M(AA^T)
+              - (E[1/alpha] + 1/theta) K delta^2 tau E[pt^{-1}|pt>=xi*] M(A) M(AA^T)
+        bound = (1/eta)(1 + K tau (delta^2/||B Psi||^2) E[pt^{-1}|pt>=xi*]
+                        (E[1/alpha] + 1/theta) M(A) M(AA^T)) Tr(W) + theta^2/eta
+    """
+    K = model.K
+    m_a = instability_measure(model.A)
+    m_aat = instability_measure(model.A @ model.A.T)
+    delta = delta_constant(model, params)
+    inv_mean = stats.inv_mean_above(xi_star)
+    lhs = E_inv_alpha + 1.0 / theta
+    drift_term = lhs * K * delta**2 * tau * inv_mean * m_a * m_aat
+    eta = 1.0 - (params.eps + K * stats.prob_below(xi_star)) * m_aat - drift_term
+    if eta <= 0:
+        return eta, None
+    n_bpsi = model.norm_BPsi
+    bound = (1.0 / eta) * (1.0 + K * tau * (delta / n_bpsi) ** 2 * inv_mean
+                           * lhs * m_a * m_aat) * float(np.trace(model.W)) \
+        + theta**2 / eta
+    return eta, float(bound)
+
+
 # -- per-point reference of the decision-region scan ------------------------
 
 def _diagonal_context(E, theta, tau, M, L, norm_AAT, h, sigma):
@@ -334,10 +360,10 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     gamma = 0 if lim.saturated else 1
     active = decision.mode == "active"
     if active and np.any(decision.F):
-        y = receive(draw, decision.F[None], lim.q[None], [rng],
-                    noiseless=np.array([False]))[0]
+        Fq = decision.F @ lim.q
+        y = receive(draw.H, Fq[None], [rng], noiseless=np.array([False]))[0]
         Ftilde = draw.H[0] @ decision.F * lim.g
-        spend = float(np.linalg.norm(decision.F @ lim.q) ** 2) * setup.tau
+        spend = float(np.linalg.norm(Fq) ** 2) * setup.tau
     else:
         y, Ftilde, spend = None, None, 0.0
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ehncs.analysis import (BoundUndefinedError, _rhs_curve, check_stability,
-                            delta_constant, mse_bound)
+from ehncs.analysis import _plug_in_terms, check_stability, delta_constant
 from ehncs.channel import PiTildeStats, estimate_pitilde_stats
 from ehncs.limiter import make_params
 from ehncs.plant import PlantModel, instability_measure
@@ -13,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (drift_bound, problem1_objective,  # noqa: E402
-                     random_feasible_precoder, reference_rhs_curve)
+                     random_feasible_precoder, reference_mse_bound,
+                     reference_rhs_curve)
 from test_precoder import diagonal_ctx, make_ctx  # noqa: E402
 
 
@@ -83,13 +83,19 @@ class TestCheckStability:
         assert all(r.satisfied for r in report.requirements)
 
 
+def rhs_curve(m, p, stats, tau, xi):
+    """num/den from the plug-in terms, -inf where den is inf."""
+    num, den, _, delta = _plug_in_terms(m, p, stats, tau, xi)
+    return np.where(den < np.inf, num / den, -np.inf), delta
+
+
 class TestRhsCurve:
     def test_matches_per_xi_loop_exactly(self):
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.01)
         stats = estimate_pitilde_stats(np.random.default_rng(8), 2, 3, 2, 5000)
         xi = np.concatenate([stats.quantiles(200), [0.0, stats.samples[-1], 1e9]])
-        rhs, delta = _rhs_curve(m, p, stats, 0.01, xi)
+        rhs, delta = rhs_curve(m, p, stats, 0.01, xi)
         assert delta == delta_constant(m, p)
         assert np.array_equal(rhs, reference_rhs_curve(m, p, stats, 0.01, xi))
         assert rhs[-1] == -np.inf  # no sample at or above xi
@@ -100,13 +106,14 @@ class TestRhsCurve:
         # E[1/pt | pt >= xi] is -0.25 at xi = -2 and 0.5 at xi = 1
         stats = PiTildeStats(np.array([-1.0, 2.0]))
         xi = np.array([-2.0, 1.0, 3.0])
-        rhs, _ = _rhs_curve(m, p, stats, 0.01, xi)
+        rhs, _ = rhs_curve(m, p, stats, 0.01, xi)
         assert np.array_equal(rhs, reference_rhs_curve(m, p, stats, 0.01, xi))
         assert rhs[0] == -np.inf and np.isfinite(rhs[1]) and rhs[2] == -np.inf
 
 
 class TestMseBound:
     def args(self):
+        # every quantile of the constant distribution, so xi*, is 3.0
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.001)
         stats = PiTildeStats(np.full(100, 3.0))
@@ -114,30 +121,59 @@ class TestMseBound:
 
     def test_finite_when_stable(self):
         m, p, stats = self.args()
-        rep = mse_bound(m, p, stats, 1e-9, 1e3, 1e-5)
+        rep = check_stability(m, p, stats, 1e-9, 1e3, 1e-5)
+        assert rep.xi_star == 3.0
         assert rep.eta > 0
-        assert np.isfinite(rep.bound)
+        assert np.isfinite(rep.mse_bound)
 
     def test_doubling_noise_scales_first_term(self):
         m, p, stats = self.args()
         m2 = PlantModel(A=m.A, B=m.B, W=2.0 * m.W, Psi=m.Psi)
         theta, tau = 1e3, 1e-5
-        r1 = mse_bound(m, p, stats, 1e-9, theta, tau, xi_star=3.0)
-        r2 = mse_bound(m2, p, stats, 1e-9, theta, tau, xi_star=3.0)
+        r1 = check_stability(m, p, stats, 1e-9, theta, tau)
+        r2 = check_stability(m2, p, stats, 1e-9, theta, tau)
+        assert r1.xi_star == r2.xi_star == 3.0
         assert r2.eta == pytest.approx(r1.eta)
-        assert (r2.bound - theta**2 / r2.eta) == pytest.approx(
-            2.0 * (r1.bound - theta**2 / r1.eta), rel=1e-9)
+        assert (r2.mse_bound - theta**2 / r2.eta) == pytest.approx(
+            2.0 * (r1.mse_bound - theta**2 / r1.eta), rel=1e-9)
 
     def test_decreasing_in_arrival_rate(self):
         m, p, stats = self.args()
-        b_small = mse_bound(m, p, stats, 1e-6, 1e3, 1e-5, xi_star=3.0).bound
-        b_large = mse_bound(m, p, stats, 1e-4, 1e3, 1e-5, xi_star=3.0).bound
+        b_small = check_stability(m, p, stats, 1e-6, 1e3, 1e-5).mse_bound
+        b_large = check_stability(m, p, stats, 1e-4, 1e3, 1e-5).mse_bound
         assert b_small < b_large
 
     def test_undefined_when_eta_negative(self):
         m, p, stats = self.args()
-        with pytest.raises(BoundUndefinedError):
-            mse_bound(m, p, stats, E_inv_alpha=10.0, theta=1.0, tau=1.0, xi_star=3.0)
+        rep = check_stability(m, p, stats, E_inv_alpha=10.0, theta=1.0, tau=1.0)
+        assert rep.xi_star == 3.0
+        assert rep.eta <= 0 and rep.mse_bound is None and not rep.satisfied
+
+    @pytest.mark.parametrize("stats", [
+        PiTildeStats(np.full(100, 3.0)),
+        estimate_pitilde_stats(np.random.default_rng(21), 2, 3, 2, 2000)],
+        ids=["constant", "estimated"])
+    def test_matches_term_by_term_formula(self, stats):
+        # eta = den (rhs_max - lhs) and the bound read off the plug-in terms
+        # at xi* agree with each term evaluated on its own
+        m = decoupled_model()
+        rng = np.random.default_rng(22)
+        outcomes = set()
+        for _ in range(400):
+            eps, tau = 10 ** rng.uniform(-3, -0.7), 10 ** rng.uniform(-7, -2)
+            theta, e_inv = 10 ** rng.uniform(0, 4), 10 ** rng.uniform(-6, 0)
+            p = make_params(m, M=1.0, eps=eps)
+            rep = check_stability(m, p, stats, e_inv, theta, tau)
+            eta, bound = reference_mse_bound(m, p, stats, e_inv, theta, tau,
+                                             rep.xi_star)
+            case = (eps, tau, theta, e_inv)
+            assert rep.eta == pytest.approx(eta, rel=1e-12), case
+            assert (rep.mse_bound is None) == (eta <= 0), case
+            if bound is not None:
+                assert rep.mse_bound == pytest.approx(bound, rel=1e-12), case
+            assert (rep.eta > 0) == rep.satisfied, case
+            outcomes.add(rep.satisfied)
+        assert outcomes == {True, False}
 
 
 class TestDriftBound:

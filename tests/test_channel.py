@@ -39,13 +39,14 @@ class TestReceive:
     def test_noiseless_is_linear_map(self):
         draw, F, q = self.setup_draw(2, 2)
         rngs = [np.random.default_rng(5), np.random.default_rng(6)]
-        y = receive(draw, F, q, rngs, noiseless=np.array([True, True]))
+        y = receive(draw.H, (F @ q[:, :, None])[:, :, 0], rngs,
+                    noiseless=np.array([True, True]))
         assert np.allclose(y, (draw.H @ F @ q[:, :, None])[:, :, 0])
 
     def test_noise_is_unit_variance(self):
         rng = np.random.default_rng(3)
         draw = sample_channel([rng] * 4000, 2, 3, 2)
-        ys = receive(draw, np.zeros((4000, 3, 2)), np.zeros((4000, 2)), [rng] * 4000,
+        ys = receive(draw.H, np.zeros((4000, 3)), [rng] * 4000,
                      noiseless=np.zeros(4000, dtype=bool))
         assert abs(np.mean(np.abs(ys) ** 2) - 1.0) < 0.05
 
@@ -54,7 +55,8 @@ class TestReceive:
         draw, F, q = self.setup_draw(2, 7)
         rngs = [np.random.default_rng(8), np.random.default_rng(9)]
         twins = [np.random.default_rng(8), np.random.default_rng(9)]
-        y = receive(draw, F, q, rngs, noiseless=np.array([True, False]))
+        y = receive(draw.H, (F @ q[:, :, None])[:, :, 0], rngs,
+                    noiseless=np.array([True, False]))
         clean = (draw.H @ (F @ q[:, :, None]))[:, :, 0]
         assert np.array_equal(y[0], clean[0])
         z = twins[1].standard_normal((2, 2))

@@ -86,7 +86,7 @@ class TestParse:
             parse_config_text("\n".join(lines))
         assert err.value.violations == [f"line {len(lines)}: duplicate key 'theta'"]
 
-    @pytest.mark.parametrize("key, value", [("K", "abc"), ("A", "[[1, 'a'], [0, 1]]"),
+    @pytest.mark.parametrize("key, value", [("N_s", "abc"), ("A", "[[1, 'a'], [0, 1]]"),
                                             ("theta", "'x'")])
     def test_malformed_required_key_reported_once(self, key, value):
         with pytest.raises(ConfigError) as err:
@@ -177,7 +177,7 @@ class TestCli:
         ("theta", "1e400", "theta: must be finite"),
         ("A", "[[1e400, 0.1], [-0.2, 1.2]]", "A: entries must be finite"),
         ("sweep_values", "[1, 'a']", "sweep_values: not a list of numbers"),
-        ("K", "2.9", "K: must be an integer"),
+        ("N_s", "2.9", "N_s: must be an integer"),
         ("n_paths", "2.7", "n_paths: must be an integer"),
     ])
     def test_non_finite_or_non_integral_value_is_validation_error(
@@ -242,6 +242,17 @@ class TestCli:
         assert [line for line in err.splitlines() if line.startswith("error: ")] \
             == ["error: invalid configuration:"]
         assert "seed: must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_k_key_is_validation_error(self, tmp_path, capsys):
+        # K is read from A, so a config that still sets it is rejected
+        cfg = self.write_config(tmp_path, K=2)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] \
+            == ["error: invalid configuration:"]
+        assert "K: unknown key" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_policy_override(self, tmp_path):

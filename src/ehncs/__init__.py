@@ -5,6 +5,7 @@ Library layout:
                 Stein, Riccati)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel and singular-value statistics
+                (exact for two streams, else sampled)
   energy     -- arrival models and the battery update
   limiter    -- saturation limiter and its adaptive dynamic range
   estimator  -- virtual covariance recursion and state estimator
@@ -16,7 +17,8 @@ Library layout:
 """
 
 from .analysis import StabilityReport, check_stability, delta_constant
-from .channel import ChannelDraw, PiTildeStats, estimate_pitilde_stats, sample_channel
+from .channel import (ChannelDraw, PiTildeLaw, PiTildeStats, estimate_pitilde_stats,
+                      pitilde_stats, sample_channel)
 from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel
 from .estimator import filter_step

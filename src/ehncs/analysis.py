@@ -1,19 +1,20 @@
 """Stability sufficient condition, design requirements and the MSE bound.
 
-All checks are plug-in evaluations over an empirical snapshot of the
-normalized channel singular-value distribution.  The stability test compares
-the energy-side quantity lhs = E[1/alpha] + 1/theta against the best
-achievable channel/plant-side rate rhs(xi) = num(xi) / den(xi) over a
-threshold xi.  The MSE bound is built from the same num and den at the same
-maximizer xi*: with eta = num(xi*) - lhs den(xi*) = den(xi*) (rhs_max - lhs),
-the bound is defined exactly when eta > 0, i.e. when the condition holds.
+All checks are plug-in evaluations over the distribution of the normalized
+channel singular value, its exact law or a sampled estimate of it.  The
+stability test compares the energy-side quantity lhs = E[1/alpha] + 1/theta
+against the best achievable channel/plant-side rate rhs(xi) = num(xi) /
+den(xi) over a threshold xi.  The MSE bound is built from the same num and
+den at the same maximizer xi*: with eta = num(xi*) - lhs den(xi*) =
+den(xi*) (rhs_max - lhs), the bound is defined exactly when eta > 0, i.e.
+when the condition holds.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PiTildeStats
+from .channel import PiTildeLaw, PiTildeStats
 from .limiter import LimiterParams
 from .numerics import InputDomainError
 from .plant import PlantModel, instability_measure
@@ -52,8 +53,8 @@ def delta_constant(model: PlantModel, params: LimiterParams) -> float:
     return float(np.sqrt(2.0 / params.eps) * (1.0 + n_cl * params.Theta) * n_bpsi * n_a)
 
 
-def _plug_in_terms(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
-                   tau: float, xi: np.ndarray):
+def _plug_in_terms(model: PlantModel, params: LimiterParams,
+                   stats: PiTildeStats | PiTildeLaw, tau: float, xi: np.ndarray):
     """num(xi), den(xi), the limiter cap 1/M(AA^T) - K Pr(pt < xi) and delta.
 
     num = 1 - (eps + K Pr(pt < xi)) M(AA^T) and
@@ -72,8 +73,9 @@ def _plug_in_terms(model: PlantModel, params: LimiterParams, stats: PiTildeStats
     return num, den, 1.0 / m_aat - k_below, delta
 
 
-def check_stability(model: PlantModel, params: LimiterParams, stats: PiTildeStats,
-                    E_inv_alpha: float, theta: float, tau: float) -> StabilityReport:
+def check_stability(model: PlantModel, params: LimiterParams,
+                    stats: PiTildeStats | PiTildeLaw, E_inv_alpha: float,
+                    theta: float, tau: float) -> StabilityReport:
     """Sufficient stability condition and steady-state MSE bound
 
         lhs = E[1/alpha] + 1/theta < rhs_max = max_xi num(xi) / den(xi),
@@ -81,11 +83,12 @@ def check_stability(model: PlantModel, params: LimiterParams, stats: PiTildeStat
         den = delta^2 K tau E[pt^{-1} | pt >= xi] M(A) M(AA^T),
 
     with pt the normalized unordered channel singular value.  The maximizer
-    xi* is found by grid search over _N_XI_QUANTILES empirical quantiles, and
-    the three derived design requirements are evaluated at it.  At xi*,
-    eta = num - lhs den = den (rhs_max - lhs), and the bound on the
-    steady-state MSE is ((1 + lhs den / ||B Psi||^2) Tr(W) + theta^2) / eta;
-    it is None unless eta > 0.
+    xi* is found by grid search over the quantiles of pt at the levels
+    j / _N_XI_QUANTILES, and the three derived design requirements are
+    evaluated at it.  At xi*, eta = num - lhs den = den (rhs_max - lhs), and
+    the bound on the steady-state MSE is
+    ((1 + lhs den / ||B Psi||^2) Tr(W) + theta^2) / eta; it is None unless
+    eta > 0.
     """
     if theta <= 0 or tau <= 0 or E_inv_alpha < 0:
         raise InputDomainError("check_stability: theta, tau > 0 and E_inv_alpha >= 0")

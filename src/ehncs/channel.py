@@ -3,10 +3,14 @@
 The channel is i.i.d. across slots; each draw caches its SVD because the
 precoder consumes the left singular basis and the leading singular values
 every slot.  The normalized singular value pi_tilde = sigma / Tr(Pi_K^{-1})
-drives the stability condition, and its tail statistics are estimated here
-empirically (they would come from offline measurements in a deployment).
+drives the stability condition.  For K = min(N_c, N_s) = 2 its law is
+evaluated exactly, by one-dimensional quadrature of the complex Wishart
+eigenvalue density (`PiTildeLaw`); other shapes estimate its statistics from
+sampled channel draws (`estimate_pitilde_stats`).  `pitilde_stats` picks one
+by the shape.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,3 +120,117 @@ def estimate_pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
     t = (1.0 / s).sum(axis=1, keepdims=True)
     return PiTildeStats(samples=(s / t).ravel(), n_excluded=n_excluded)
 
+
+# tanh-sinh rule on (0, pi/2): nodes at t = -_TS_SPAN, ..., _TS_SPAN in steps
+# of _TS_STEP (201 nodes); halving the step moves Pr, the 200 quantiles and
+# the conditional mean (relative) by less than 1e-13 for 2 <= n <= EXACT_MAX_N
+_TS_STEP = 0.025
+_TS_SPAN = 2.5
+EXACT_MAX_N = 32
+# x = xi / h is capped here, where Q(2n, x) < 1e-200 for every n <= EXACT_MAX_N
+_X_CAP = 800.0
+# quantile search: a table of Pr on a geometric xi grid (in units of n), then
+# Halley steps until every level is met to _LEVEL_TOL
+_TABLE_XI = (1e-3, 2.0, 64)
+_LEVEL_TOL = 2e-15
+_MAX_HALLEY_STEPS = 8
+
+
+class PiTildeLaw:
+    """Exact law of the normalized unordered singular value pi_tilde for
+    K = min(N_c, N_s) = 2 and n = max(N_c, N_s) (2 <= n <= EXACT_MAX_N).
+
+    The unordered Gram eigenvalues of an i.i.d. CN(0, 1) channel have the
+    joint density (l_a - l_b)^2 (l_a l_b)^(n-2) e^(-l_a-l_b) / (2 (n-1)! (n-2)!).
+    With sigma_a = r cos(phi), sigma_b = r sin(phi) and u = r^2 it is
+    u^(2n-1) e^(-u) w(phi) / ((n-1)! (n-2)!), w = cos^2(2 phi) (cos phi
+    sin phi)^(2n-3), and pi_tilde = sigma_a^2 sigma_b / (sigma_a + sigma_b)
+    = u h(phi), h = cos^2 phi sin phi / (cos phi + sin phi).  The integrals
+    over u are regularized upper gammas of integer order at x = xi / h:
+
+        Pr(pt >= xi)       = int a(phi) Q(2n, x) dphi,
+        E[1/pt; pt >= xi]  = int a(phi) Q(2n-1, x) / ((2n-1) h(phi)) dphi,
+
+    a = (2n-1)! w / ((n-1)! (n-2)!), and the integral over phi is a tanh-sinh
+    rule.  It has the interface of `PiTildeStats`.
+    """
+
+    def __init__(self, n: int):
+        if not 2 <= n <= EXACT_MAX_N:
+            raise InputDomainError(
+                f"PiTildeLaw: n = max(N_c, N_s) must be in [2, {EXACT_MAX_N}], got {n}")
+        self.n = n
+        t = np.arange(-_TS_SPAN, _TS_SPAN + _TS_STEP / 2, _TS_STEP)
+        v = 0.5 * math.pi * np.sinh(t)
+        # phi and pi/2 - phi, each accurate near its own end
+        sin = np.sin(0.5 * math.pi / (1.0 + np.exp(-2.0 * v)))
+        cos = np.sin(0.5 * math.pi / (1.0 + np.exp(2.0 * v)))
+        h = cos * cos * sin / (cos + sin)
+        # w times the rule's weight dphi/dt, up to a constant factor: the
+        # normalization to total mass 1 takes the place of step, the
+        # factorials and that factor
+        a = np.cosh(t) / np.cosh(v) ** 2 * (cos * cos - sin * sin) ** 2 \
+            * (cos * sin) ** (2 * n - 3)
+        a /= a.sum()
+        self._inv_h = 1.0 / h
+        self._a = a
+        self._a_over_h = a / h
+
+    def _poisson(self, xi):
+        """Q(2n, x) and the Poisson terms x^j e^-x / j! at j = 2n-2 and 2n-1,
+        at x = xi / h for each rule node (a trailing node axis)."""
+        x = np.minimum(np.maximum(xi, 0.0)[..., None] * self._inv_h, _X_CAP)
+        term = np.exp(-x)
+        q = term.copy()
+        for j in range(1, 2 * self.n):
+            prev = term
+            term = term * x
+            term *= 1.0 / j
+            q += term
+        return q, prev, term
+
+    def prob_below(self, xi):
+        """Pr(pi_tilde < xi), for a scalar or an array of xi."""
+        q, _, _ = self._poisson(np.asarray(xi, dtype=float))
+        p = (1.0 - q) @ self._a
+        return p if np.ndim(p) else float(p)
+
+    def inv_mean_above(self, xi):
+        """E[1/pi_tilde | pi_tilde >= xi], for a scalar or an array of xi;
+        inf at xi <= 0 when n = 2, where E[1/pi_tilde] diverges, and nan
+        where Pr(pi_tilde >= xi) underflows to 0."""
+        xi = np.asarray(xi, dtype=float)
+        q, _, last = self._poisson(xi)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = ((q - last) @ self._a_over_h) / ((2 * self.n - 1) * (q @ self._a))
+        if self.n == 2:
+            m = np.where(xi <= 0.0, np.inf, m)
+        return m if np.ndim(m) else float(m)
+
+    def quantiles(self, n: int) -> np.ndarray:
+        """xi at the levels j/n, j = 0, ..., n-1; level 0 is xi = 0."""
+        levels = np.arange(1, n) / n
+        lo, hi, size = _TABLE_XI
+        grid = self.n * np.geomspace(lo, hi, size)
+        xi = np.exp(np.interp(levels, self.prob_below(grid), np.log(grid)))
+        for _ in range(_MAX_HALLEY_STEPS):
+            q, prev, last = self._poisson(xi)
+            g = (1.0 - q) @ self._a - levels
+            if np.all(np.abs(g) <= _LEVEL_TOL):
+                break
+            # density and its slope in xi: Pr' = sum a/h term_{2n-1},
+            # Pr'' = sum a/h^2 (term_{2n-2} - term_{2n-1})
+            d1 = last @ self._a_over_h
+            d2 = (prev - last) @ (self._a_over_h * self._inv_h)
+            xi = xi - g / d1 / (1.0 - g * d2 / (2.0 * d1 * d1))
+        return np.concatenate([[0.0], xi])
+
+
+def pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
+                  n_samples: int):
+    """The pi_tilde statistics of the stability analysis: the exact law when
+    K = min(N_c, N_s) = 2 and max(N_c, N_s) <= EXACT_MAX_N, else the estimate
+    from n_samples draws of rng."""
+    if K == 2 == min(N_c, N_s) and max(N_c, N_s) <= EXACT_MAX_N:
+        return PiTildeLaw(max(N_c, N_s))
+    return estimate_pitilde_stats(rng, N_c, N_s, K, n_samples)

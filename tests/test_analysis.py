@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ehncs.analysis import _plug_in_terms, check_stability, delta_constant
-from ehncs.channel import PiTildeStats, estimate_pitilde_stats
+from ehncs.channel import PiTildeLaw, PiTildeStats, estimate_pitilde_stats
 from ehncs.limiter import make_params
 from ehncs.plant import PlantModel, instability_measure
 from ehncs.precoder import solve_theorem1
@@ -151,8 +151,9 @@ class TestMseBound:
 
     @pytest.mark.parametrize("stats", [
         PiTildeStats(np.full(100, 3.0)),
-        estimate_pitilde_stats(np.random.default_rng(21), 2, 3, 2, 2000)],
-        ids=["constant", "estimated"])
+        estimate_pitilde_stats(np.random.default_rng(21), 2, 3, 2, 2000),
+        PiTildeLaw(3)],
+        ids=["constant", "estimated", "exact"])
     def test_matches_term_by_term_formula(self, stats):
         # eta = den (rhs_max - lhs) and the bound read off the plug-in terms
         # at xi* agree with each term evaluated on its own

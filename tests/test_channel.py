@@ -4,8 +4,13 @@ import pytest
 import sys
 from pathlib import Path
 
-from ehncs.channel import PiTildeStats, estimate_pitilde_stats, receive, sample_channel
+from ehncs import channel
+from ehncs.analysis import _plug_in_terms, check_stability
+from ehncs.channel import (EXACT_MAX_N, PiTildeLaw, PiTildeStats, estimate_pitilde_stats,
+                           pitilde_stats, receive, sample_channel)
+from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
+from ehncs.plant import PlantModel
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pitilde_stats  # noqa: E402
@@ -136,3 +141,102 @@ class TestEstimateStats:
     def test_nonpositive_sample_count_rejected(self, n_samples):
         with pytest.raises(InputDomainError, match="n_samples"):
             estimate_pitilde_stats(np.random.default_rng(7), 2, 3, 2, n_samples)
+
+
+def mc_oracle(n, n_draws=1_000_000, chunk=100_000):
+    """`estimate_pitilde_stats` over n_draws 2 x n channels, drawn in chunks
+    to bound memory."""
+    samples = [estimate_pitilde_stats(np.random.default_rng([30, n, i]), 2, n, 2,
+                                      chunk).samples
+               for i in range(n_draws // chunk)]
+    return PiTildeStats(np.concatenate(samples))
+
+
+class TestPiTildeLaw:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_rule_orders_agree(self, n, monkeypatch):
+        law = PiTildeLaw(n)
+        monkeypatch.setattr(channel, "_TS_STEP", channel._TS_STEP / 2)
+        fine = PiTildeLaw(n)
+        assert fine._a.size == 2 * law._a.size - 1
+        q = fine.quantiles(200)
+        assert np.abs(law.quantiles(200) - q).max() < 1e-10
+        xi = np.concatenate([q[1:], np.geomspace(0.02, 2.0, 9)])
+        assert np.abs(law.prob_below(xi) - fine.prob_below(xi)).max() < 1e-10
+
+        def partial_inv_mean(stats):  # E[1/pt; pt >= xi]
+            return stats.inv_mean_above(xi) * (1.0 - stats.prob_below(xi))
+
+        assert np.abs(partial_inv_mean(law) - partial_inv_mean(fine)).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, EXACT_MAX_N])
+    def test_quantiles_meet_their_levels(self, n):
+        law = PiTildeLaw(n)
+        q = law.quantiles(200)
+        assert q.shape == (200,) and q[0] == 0.0 and np.all(np.diff(q) > 0)
+        assert np.abs(law.prob_below(q) - np.arange(200) / 200).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_monte_carlo_oracle(self, n):
+        # each draw gives two correlated samples, so the variance of a mean
+        # over m samples is at most 2 var / m; that bound is the standard error
+        law, mc = PiTildeLaw(n), mc_oracle(n)
+        for xi in np.geomspace(0.02, 2.0, 9):
+            p_mc = mc.prob_below(xi)
+            se = np.sqrt(2.0 * p_mc * (1.0 - p_mc) / mc.samples.size)
+            assert abs(law.prob_below(xi) - p_mc) <= 3.0 * se, (n, xi)
+            inv = 1.0 / mc.samples[np.searchsorted(mc.samples, xi):]
+            se = np.sqrt(2.0 * inv.var() / inv.size)
+            assert abs(law.inv_mean_above(xi) - mc.inv_mean_above(xi)) <= 3.0 * se, (n, xi)
+
+    def test_inverse_mean_diverges_at_zero_only_for_two_antennas(self):
+        # at n = 2 the density of the smaller sigma is proportional to sigma
+        # near 0, so E[1/pt] = E[1/sigma_a^2 + 1/(sigma_a sigma_b)] diverges
+        assert PiTildeLaw(2).inv_mean_above(0.0) == np.inf
+        assert np.isfinite(PiTildeLaw(2).inv_mean_above(1e-6))
+        assert np.isfinite(PiTildeLaw(3).inv_mean_above(0.0))
+        assert PiTildeLaw(3).prob_below(0.0) == 0.0
+        assert np.isnan(PiTildeLaw(3).inv_mean_above(1e6))
+
+    def test_check_stability_masks_the_infinite_level(self):
+        model = PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),
+                           Psi=0.5 * np.eye(2))
+        params = make_params(model, M=1.0, eps=0.01)
+        law = PiTildeLaw(2)
+        xi = law.quantiles(200)
+        _, den, _, _ = _plug_in_terms(model, params, law, 1e-4, xi)
+        assert den[0] == np.inf and np.all(np.isfinite(den[1:]))
+        rep = check_stability(model, params, law, 1e-3, 1e3, 1e-4)
+        assert np.isfinite(rep.rhs_max) and rep.xi_star > 0.0
+
+    def test_scalar_and_array_lookups(self):
+        law = PiTildeLaw(3)
+        xi = np.array([0.0, 0.05, 0.5, 2.0])
+        assert type(law.prob_below(0.5)) is float
+        assert type(law.inv_mean_above(0.5)) is float
+        # one rule, summed by a matrix-vector or a vector-vector product
+        for lookup in (law.prob_below, law.inv_mean_above):
+            np.testing.assert_allclose(lookup(xi), [lookup(x) for x in xi],
+                                       rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, EXACT_MAX_N + 1])
+    def test_antenna_count_outside_the_checked_range_rejected(self, n):
+        with pytest.raises(InputDomainError, match="PiTildeLaw"):
+            PiTildeLaw(n)
+
+
+class TestPiTildeStatsChoice:
+    @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 2), (2, 2), (2, EXACT_MAX_N)])
+    def test_exact_for_two_streams_on_the_smaller_side(self, N_c, N_s):
+        rng = np.random.default_rng(40)
+        stats = pitilde_stats(rng, N_c, N_s, 2, 1000)
+        assert isinstance(stats, PiTildeLaw) and stats.n == max(N_c, N_s)
+        assert rng.random() == np.random.default_rng(40).random()  # drew nothing
+
+    @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 1), (3, 3, 2), (3, 3, 3),
+                                             (2, EXACT_MAX_N + 1, 2)])
+    def test_sampled_for_other_shapes(self, N_c, N_s, K):
+        stats = pitilde_stats(np.random.default_rng(41), N_c, N_s, K, 1000)
+        ref = estimate_pitilde_stats(np.random.default_rng(41), N_c, N_s, K, 1000)
+        assert isinstance(stats, PiTildeStats)
+        assert np.array_equal(stats.samples, ref.samples)

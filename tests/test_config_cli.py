@@ -152,6 +152,21 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3 + 6 * 2  # headers + column row + policies x values
 
+    def test_analyze_channel_fields_do_not_depend_on_the_seed(self, tmp_path):
+        # the reference channel is 2 x 3, whose pi_tilde law is exact; only
+        # the arrival-side fields (lhs, margin, eta) move with the seed
+        fields = ("rhs_max:", "xi_star:", "delta:", "requirement limiter_eps_cap:",
+                  "requirement battery_theta_floor:")
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["analyze", "--config", str(BUNDLED), "--out", str(out),
+                         "--seed", seed]) == 0
+            lines = (out / "stability_report.txt").read_text().splitlines()
+            reports.append([line for line in lines if line.startswith(fields)])
+        assert len(reports[0]) == len(fields)
+        assert reports[0] == reports[1]
+
     def test_analyze_writes_report(self, tmp_path):
         cfg = self.write_config(tmp_path)
         code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path)])

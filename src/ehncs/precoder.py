@@ -11,9 +11,12 @@ whose solution diagonalizes in the channel's right singular basis and the
 covariance eigenbasis: per-stream allocations follow a water-filling rule
 with water level set by (channel gain, stored energy) and seabed level set
 by the per-stream estimation error.  A positive-definiteness test on the
-threshold matrix decides dormant vs active mode before any allocation.  In
-active mode the water level is s* = max((theta - E)^+, s_E), with s_E the
-root of spend(s) = E, and the budget multiplier is beta = s* - (theta - E)^+.
+threshold matrix decides dormant vs active mode before any allocation: its
+diagonal entries are theta - (t_i + E), with t_i the breakpoint at which
+stream i switches on, so the test reads the breakpoints the allocation
+walk uses.  In active mode the water level is s* = max((theta - E)^+, s_E),
+with s_E the root of spend(s) = E, and the budget multiplier is
+beta = s* - (theta - E)^+.
 
 Capacity and MMSE water-filling (the baselines) have the same structure
 with other weights, so one scalar active-set walk, `_walk`, inverts the
@@ -86,12 +89,6 @@ def _breakpoints(Lam, Pi_K, L, tau: float, c: float) -> np.ndarray:
     return c * (Pi_K * Lam / L) ** 2 / tau
 
 
-def _dormant(Lam, Pi_K, E, L, theta: float, tau: float, c: float):
-    """Dormant iff every diagonal entry of the threshold matrix,
-    theta - (c (Lam_ii Pi_ii)^2 / (tau L^2) + E), is positive."""
-    return np.all(theta - (c * (Lam * Pi_K) ** 2 / (tau * L**2) + E) > ALLOC_TOL, axis=-1)
-
-
 def _walk_weights(Pi_K, L, tau: float, c: float,
                   seabed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a_i and b_i: on a fixed active set the budget L^2 tau sum_i y_i(s) /
@@ -130,16 +127,16 @@ def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
 def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     """Closed-form drift-minimizing precoder (event-driven water-filling).
 
-    Dormant iff theta - (||AA^T|| (Lam_ii Pi_ii)^2 / (tau L^2) + E) > 0 for
-    every stream.  Otherwise the water level is s* = max((theta - E)^+, s_E),
-    with s_E the root of spend(s) = E, and beta = s* - (theta - E)^+: beta
-    is 0 when the spend at (theta - E)^+ fits in E and positive when the
-    budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
+    Dormant iff theta - (t_i + E) > 0 for every stream, with the breakpoint
+    t_i = ||AA^T|| (Lam_ii Pi_ii)^2 / (tau L^2).  Otherwise the water level
+    is s* = max((theta - E)^+, s_E), with s_E the root of spend(s) = E, and
+    beta = s* - (theta - E)^+: beta is 0 when the spend at (theta - E)^+
+    fits in E and positive when the budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
     c = ctx.norm_AAT
-    if _dormant(ctx.Lam, ctx.Pi_K, ctx.E, ctx.L, ctx.theta, ctx.tau, c):
-        return _dormant_decision(ctx)
     t = _breakpoints(ctx.Lam, ctx.Pi_K, ctx.L, ctx.tau, c)
+    if np.all(ctx.theta - (t + ctx.E) > ALLOC_TOL):
+        return _dormant_decision(ctx)
     if ctx.E <= 0.0 or t.max() <= 0:
         # an empty battery pins F at zero; with Sigma = 0 every breakpoint is
         # 0 and no stream switches on
@@ -174,8 +171,8 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
     Lam = np.broadcast_to(np.asarray(Lam, dtype=float), shape)
     Pi_K = np.broadcast_to(np.asarray(Pi_K, dtype=float), shape)
     c = norm_AAT
-    active = ~_dormant(Lam, Pi_K, E, L, theta, tau, c)
     t = _breakpoints(Lam, Pi_K, L, tau, c)
+    active = ~np.all(theta - (t + E) > ALLOC_TOL, axis=-1)
     seabed = _seabed(Lam)
     s0 = np.maximum(theta - E, 0.0)
     # entries outside their own branch see 1/0, inf - inf and the like; the
@@ -247,7 +244,7 @@ def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> np.ndarray:
 
 def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
-    F = ctx.svd.U[:, :len(p)] @ np.diag(np.sqrt(p))
+    F = ctx.svd.U[:, :len(p)] * np.sqrt(p)
     mode = "active" if p.sum() > 0 else "dormant"
     return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p)
 

@@ -147,7 +147,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     transmitting = active & F.any(axis=(1, 2))
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
     y = receive(draw.H, Fq, rngs, noiseless=~transmitting)
-    spend = np.where(transmitting, np.linalg.norm(Fq, axis=1) ** 2 * setup.tau, 0.0)
+    spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * setup.tau, 0.0)
     update = transmitting & ~lim.saturated
     Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)
 

@@ -9,11 +9,14 @@ diagonalized convex program, without the closed-form precoder path, so the
 closed-form solution can be checked against it; the baselines'
 water-filling powers are checked against a bisection on the water level.
 The channel statistics and the stability curve have their per-draw-SVD and
-per-xi references, and the MSE bound its term-by-term formula at a given xi.  The per-point decision-region scan is the reference the
-one-call scan is checked against: one `DriftContext` and one scalar
-`solve_theorem1` walk per grid point.  The per-path slot loop at the end is
-the reference the stacked simulation engine is checked against: one path at
-a time, one kernel call per stage, with its own textbook estimator update.
+per-xi references, and the MSE bound its term-by-term formula at a given
+xi.  The per-point decision-region scan is the reference the one-call scan
+is checked against: one `DriftContext` and one scalar `solve_theorem1`
+walk per grid point.  Theorem 1's dormancy test has its threshold-matrix
+form, and the information-form estimator update its augmented-stack solve.
+The per-path slot loop at the end is the reference the stacked simulation
+engine is checked against: one path at a time, one kernel call per stage,
+with its own textbook estimator update.
 """
 
 from dataclasses import dataclass
@@ -305,6 +308,54 @@ def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_value
     return counts
 
 
+# -- augmented-stack reference of the estimator update ----------------------
+
+def augment(Ftilde):
+    """Stack Ftilde over its elementwise conjugate: (..., 2 N_c, K)."""
+    return np.concatenate([Ftilde, Ftilde.conj()], axis=-2)
+
+
+def _real_part(z, core_ndim):
+    """Real part of z, after asserting per path (the leading axes) that its
+    imaginary part is round-off."""
+    axes = tuple(range(-core_ndim, 0))
+    scale = np.maximum(1.0, np.abs(z).max(axis=axes))
+    assert (np.abs(z.imag).max(axis=axes) <= 1e-6 * scale).all()
+    return z.real
+
+
+def augmented_filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W):
+    """`filter_step` by a (2 N_c) x (2 N_c) complex solve on the augmented
+    stack F^a, over stacked paths like the package function.
+
+    X = (F^a Sigma F^aH + I)^{-1} F^a Sigma gives the Kalman gain X^H, the
+    estimate A x_hat + B u + A X^H (y^a - F^a x_hat) and the covariance
+    A (Sigma - (F^a Sigma)^H X) A^T + W, symmetrized.
+    """
+    Fa = augment(Ftilde)
+    FS = Fa @ Sigma
+    X = np.linalg.solve(FS @ np.swapaxes(Fa, -1, -2).conj() + np.eye(Fa.shape[-2]), FS)
+    ya = np.concatenate([y, y.conj()], axis=-1)
+    innovation = ya - (Fa @ x_hat[..., None])[..., 0]
+    corr = (np.swapaxes(X, -1, -2).conj() @ innovation[..., None])[..., 0] @ A.T
+    x_next = x_hat @ A.T + u @ B.T + _real_part(corr, 1)
+    core = Sigma - _real_part(np.swapaxes(FS, -1, -2).conj() @ X, 2)
+    Sigma_next = A @ core @ A.T + W
+    return x_next, (Sigma_next + np.swapaxes(Sigma_next, -1, -2)) / 2
+
+
+# -- threshold-matrix reference of Theorem 1's dormancy test ----------------
+
+def threshold_dormant(Lam, Pi_K, E, L, theta, tau, norm_AAT):
+    """Dormant iff every diagonal entry of the threshold matrix,
+    theta - (||AA^T|| (Lam_ii Pi_ii)^2 / (tau L^2) + E), exceeds ALLOC_TOL;
+    over any leading axes, with E and L broadcasting against them."""
+    E = np.asarray(E, dtype=float)[..., None]
+    L = np.asarray(L, dtype=float)[..., None]
+    entries = theta - (norm_AAT * (Lam * Pi_K) ** 2 / (tau * L**2) + E)
+    return np.all(entries > ALLOC_TOL, axis=-1)
+
+
 # -- per-path reference of the closed loop ----------------------------------
 
 def reference_update(x_hat, Sigma, y, Ftilde, A, B, u, W):
@@ -318,7 +369,7 @@ def reference_update(x_hat, Sigma, y, Ftilde, A, B, u, W):
     x_next = A @ x_hat + B @ u
     Sigma_post = Sigma
     if Ftilde is not None:
-        Fa = np.vstack([Ftilde, Ftilde.conj()])
+        Fa = augment(Ftilde)
         ya = np.concatenate([y, y.conj()])
         gain = Sigma @ Fa.conj().T @ np.linalg.inv(Fa @ Sigma @ Fa.conj().T
                                                     + np.eye(len(Fa)))

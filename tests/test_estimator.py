@@ -4,10 +4,16 @@ The classes group the checks by the output they read: the covariance
 recursion (sigma step), the estimate, and the Kalman gain behind both.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ehncs.estimator import augment, filter_step, mse_sample
+from ehncs.estimator import filter_step, mse_sample
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import augment, augmented_filter_step  # noqa: E402
 
 
 def random_instance(rng, K=None, N_c=None):
@@ -86,7 +92,7 @@ class TestSigmaStep:
             a = covariance(Sigma, Ftilde, A, W)
             assert np.abs(g - a).max() < 1e-8 * max(1.0, np.abs(g).max())
 
-    def test_singular_sigma_uses_augmented_path(self):
+    def test_singular_sigma_needs_no_inverse(self):
         # Sigma = 0 start-up, where the Gram form would need Sigma^{-1}
         Ftilde = np.array([[1.0 + 1.0j, 0.5]])
         A = np.diag([1.3, 1.2])
@@ -158,22 +164,36 @@ class TestKalmanGain:
 
 
 def test_stack_matches_one_path_calls():
+    # Sigma at scales 1e-6 to 1e3, Sigma = 0 and a rank-one Sigma, with and
+    # without a measurement update: each path of the stack equals its own
+    # call and agrees with the augmented-stack solve, exactly where gated
     rng = np.random.default_rng(8)
-    P, K, N_c = 6, 3, 2
-    Ftilde, Sigma = zip(*(random_instance(rng, K=K, N_c=N_c) for _ in range(P)))
-    Ftilde = np.array(Ftilde)
-    Ftilde[2] = 0.0  # one path without a measurement update
-    Sigma = np.array(Sigma)
-    x_hat = rng.standard_normal((P, K))
-    y = rng.standard_normal((P, N_c)) + 1j * rng.standard_normal((P, N_c))
-    u = rng.standard_normal((P, K))
-    A, B = rng.standard_normal((K, K)), rng.standard_normal((K, K))
-    W = np.eye(K)
-    x_next, Sigma_next = filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
-    for p in range(P):
-        x_p, Sigma_p = filter_step(x_hat[p], Sigma[p], y[p], Ftilde[p], A, B, u[p], W)
-        assert np.abs(x_next[p] - x_p).max() <= 1e-12 * max(1.0, np.abs(x_p).max())
-        assert np.abs(Sigma_next[p] - Sigma_p).max() <= 1e-12 * max(1.0, np.abs(Sigma_p).max())
+    for K, N_c in ((3, 2), (3, 1), (1, 1), (4, 3)):
+        v = rng.standard_normal(K)
+        Sigma = [scale * random_instance(rng, K=K, N_c=N_c)[1]
+                 for scale in 10.0 ** np.arange(-6, 4)] + [np.zeros((K, K)),
+                                                          np.outer(v, v)]
+        Sigma = np.array(Sigma + Sigma[-3:])
+        P = len(Sigma)
+        Ftilde = np.array([random_instance(rng, K=K, N_c=N_c)[0] for _ in range(P)])
+        gated = np.arange(P) >= P - 3
+        Ftilde[gated] = 0.0
+        x_hat = rng.standard_normal((P, K))
+        y = rng.standard_normal((P, N_c)) + 1j * rng.standard_normal((P, N_c))
+        u = rng.standard_normal((P, K))
+        A, B = rng.standard_normal((K, K)), rng.standard_normal((K, K))
+        W = np.eye(K)
+        x_next, Sigma_next = filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
+        x_ref, Sigma_ref = augmented_filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
+        for p in range(P):
+            x_p, Sigma_p = filter_step(x_hat[p], Sigma[p], y[p], Ftilde[p], A, B, u[p], W)
+            assert np.abs(x_next[p] - x_p).max() <= 1e-12 * max(1.0, np.abs(x_p).max())
+            assert np.abs(Sigma_next[p] - Sigma_p).max() <= 1e-12 * max(1.0, np.abs(Sigma_p).max())
+            for got, want in ((x_next[p], x_ref[p]), (Sigma_next[p], Sigma_ref[p])):
+                if gated[p]:
+                    assert np.array_equal(got, want), (K, N_c, p)
+                else:
+                    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (K, N_c, p)
 
 
 def test_mse_sample():

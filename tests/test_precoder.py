@@ -12,7 +12,8 @@ from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
                             theorem1_allocations)
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import kkt_residual, water_filling_bisection  # noqa: E402
+from oracles import (kkt_residual, threshold_dormant,  # noqa: E402
+                     water_filling_bisection)
 
 
 def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
@@ -53,6 +54,34 @@ class TestDormantActive:
         assert not np.any(d.F)
         assert budget_of(ctx, d) == 0.0
         assert kkt_residual(ctx, d) == 0.0
+
+    def test_mode_matches_threshold_matrix(self):
+        # the breakpoint form of the dormancy test against the threshold
+        # matrix's diagonal, on random contexts (no constructed ties) with
+        # some zero eigenvalues; the stacked kernel decides every context,
+        # the scalar walk the first ten of each group
+        rng = np.random.default_rng(14)
+        n_dormant = n_contexts = 0
+        for K in range(1, 5):
+            for _ in range(20):
+                theta = log_uniform(rng, 1.0, 100.0)
+                tau = log_uniform(rng, 1e-3, 1.0)
+                norm_AAT = rng.uniform(1.0, 4.0)
+                Lam = log_uniform(rng, 1e-2, 1e2, (100, K))
+                Lam[::7, rng.integers(K)] = 0.0
+                Pi_K = log_uniform(rng, 0.05, 5.0, (100, K))
+                L = log_uniform(rng, 1.0, 100.0, 100)
+                E = rng.uniform(0.0, theta, 100)
+                want = threshold_dormant(Lam, Pi_K, E, L, theta, tau, norm_AAT)
+                _, _, active = theorem1_allocations(Lam, Pi_K, E, L, theta, tau, norm_AAT)
+                assert np.array_equal(active, ~want)
+                for j in range(10):
+                    d = solve_theorem1(diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=theta,
+                                                    tau=tau, L=L[j], norm_AAT=norm_AAT))
+                    assert (d.mode == "dormant") == want[j]
+                n_dormant += int(want.sum())
+                n_contexts += want.size
+        assert 0.2 < n_dormant / n_contexts < 0.8, (n_dormant, n_contexts)
 
     def test_zero_eigenvalue_seabed_divides_nothing_by_zero(self):
         with np.errstate(divide="raise"):

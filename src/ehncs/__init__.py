@@ -2,7 +2,7 @@
 
 Library layout:
   numerics   -- decomposition/equation kernels (SVD, singular values, eig,
-                Stein, Riccati)
+                Stein)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel and singular-value statistics
                 (exact for two streams, else sampled)
@@ -23,7 +23,7 @@ from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel
 from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
-from .numerics import eig_sym, singular_values, solve_dare, solve_stein, svd
+from .numerics import eig_sym, singular_values, solve_stein, svd
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step
 from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,

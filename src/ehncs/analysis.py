@@ -90,7 +90,7 @@ def check_stability(model: PlantModel, params: LimiterParams,
     ((1 + lhs den / ||B Psi||^2) Tr(W) + theta^2) / eta; it is None unless
     eta > 0.
     """
-    if theta <= 0 or tau <= 0 or E_inv_alpha < 0:
+    if not (theta > 0 and tau > 0 and E_inv_alpha >= 0):  # also rejects NaN
         raise InputDomainError("check_stability: theta, tau > 0 and E_inv_alpha >= 0")
     xi_grid = stats.quantiles(_N_XI_QUANTILES)
     num, den, eps_cap, delta = _plug_in_terms(model, params, stats, tau, xi_grid)

@@ -212,7 +212,8 @@ def _validate_semantics(out: dict, violations: list) -> None:
     if out.get("period", 3) < 1:
         violations.append("period: must be >= 1")
     if out.get("sweep_axis") not in (None, "theta", "mean_alpha"):
-        violations.append(f"sweep_axis: must be theta or mean_alpha")
+        violations.append(
+            f"sweep_axis: must be theta or mean_alpha, got {out['sweep_axis']!r}")
 
 
 def build_model(cfg: ExperimentConfig) -> PlantModel:

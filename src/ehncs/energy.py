@@ -1,5 +1,6 @@
 """Renewable-energy arrival models and the battery dynamics (0 <= E <= theta)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in ("poisson", "deterministic"):
             raise InputDomainError(f"ArrivalModel: unknown kind {self.kind!r}")
-        if self.mean < 0:
-            raise InputDomainError("ArrivalModel: mean must be non-negative")
+        if not 0 <= self.mean < math.inf:
+            raise InputDomainError("ArrivalModel: mean must be finite and >= 0")
 
 
 def _draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):

@@ -6,6 +6,7 @@ budget M^2 Tr(F^H F) tau <= E.  The dynamic range L adapts to the virtual
 covariance so the saturation probability stays below the target eps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,12 @@ class LimiterParams:
     Theta: float  # precomputed drift constant
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise InputDomainError("LimiterParams: M must be > 0")
+        if not 0 < self.M < math.inf:
+            raise InputDomainError("LimiterParams: M must be finite and > 0")
         if not 0 < self.eps < 1:
             raise InputDomainError("LimiterParams: eps must lie in (0, 1)")
-        if self.Theta <= 0:
-            raise InputDomainError("LimiterParams: Theta must be > 0")
+        if not 0 < self.Theta < math.inf:
+            raise InputDomainError("LimiterParams: Theta must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def clip(x: np.ndarray, L, M: float) -> LimiterOutput:
 
     x may stack one state per path, with one range L per path.
     """
-    if np.min(L) <= 0 or M <= 0:
+    if not (np.min(L) > 0 and M > 0):  # also rejects NaN
         raise InputDomainError("clip: L and M must be > 0")
     x = np.asarray(x, dtype=float)
     norm = np.sqrt((x * x).sum(axis=-1))

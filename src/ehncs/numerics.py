@@ -1,12 +1,13 @@
-"""Matrix decomposition and equation-solving kernels shared by all modules.
+"""Matrix decomposition and equation-solving kernels shared by several modules.
 
-Every nontrivial linear-algebra operation used elsewhere lives behind one of
-the functions here so it can be validated in isolation.  Ordering rules
+The SVD, singular-value, symmetric-eigen and Stein kernels that the
+per-slot loop, the channel statistics and the limiter use live here, so
+each can be validated in isolation.  Algebra with one caller stays in its
+module: the estimator's solve, the spectral norms in `plant`, `limiter`
+and `analysis`, and the gain design's Riccati solve.  Ordering rules
 (descending singular values / eigenvalues) are enforced here once, so the
-per-stream pairing done by the precoder is deterministic.
-
-Everything here but `solve_dare` is NumPy.  `solve_dare` imports SciPy when
-first called, so importing the package does not load `scipy.linalg`.
+per-stream pairing done by the precoder is deterministic.  Everything here
+is NumPy.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,6 @@ class InputDomainError(ValueError):
 
 class NotSchurStableError(ValueError):
     """Matrix expected to have spectral radius < 1 does not."""
-
-
-class ConvergenceError(RuntimeError):
-    """Equation solver found no finite solution."""
 
 
 # eigenvalues of a PSD matrix may round off slightly negative; anything more
@@ -186,19 +183,3 @@ def solve_stein(F: np.ndarray, T: np.ndarray) -> np.ndarray:
     Q = np.linalg.solve(np.eye(K * K) - np.kron(F.T, F.T), T.ravel()).reshape(K, K)
     return (Q + Q.T) / 2
 
-
-def solve_dare(A: np.ndarray, B: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Stabilizing solution of Z = A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P.
-
-    SciPy's generalized-eigenproblem solver (Arnold & Laub, Proc. IEEE 1984),
-    symmetrized; raises ConvergenceError when it finds no finite solution.
-    SciPy is imported on first use: only the gain design for a config that
-    gives P and R in place of Psi calls this.
-    """
-    from scipy.linalg import LinAlgError, solve_discrete_are
-
-    try:
-        Z = solve_discrete_are(A, B, P, R)
-    except (LinAlgError, ValueError) as exc:
-        raise ConvergenceError(f"solve_dare: {exc}") from exc
-    return (Z + Z.T) / 2

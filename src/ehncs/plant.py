@@ -4,17 +4,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    InputDomainError,
-    NotSchurStableError,
-    eig_sym,
-    solve_dare,
-    spectral_radius,
-)
+from .numerics import InputDomainError, NotSchurStableError, eig_sym, spectral_radius
 
 
 class GainDesignError(ValueError):
-    """Certainty-equivalent design produced an unstable closed loop."""
+    """Certainty-equivalent design found no stabilizing gain."""
 
 
 @dataclass(frozen=True)
@@ -103,16 +97,24 @@ def instability_measure(Mtx: np.ndarray) -> float:
 
 def design_gain_ce(A, B, P, R) -> np.ndarray:
     """Certainty-equivalent gain Psi = (B^T Z B + R)^{-1} B^T Z for the control
-    law u = -Psi A x_hat, which makes it the usual LQR feedback.  The closed
-    loop is checked for Schur stability.
+    law u = -Psi A x_hat, which makes it the usual LQR feedback.
+
+    Z is the stabilizing solution of the Riccati equation
+    Z = A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P from SciPy's
+    generalized-eigenproblem solver (Arnold & Laub, Proc. IEEE 1984),
+    symmetrized.  SciPy is imported here, so only a config that gives P and
+    R in place of Psi loads it.  A failed solve or a closed loop that is not
+    Schur-stable raises GainDesignError.
     """
+    from scipy.linalg import LinAlgError, solve_discrete_are
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     try:
-        Z = solve_dare(A, B, P, R)
-    except Exception as exc:
+        Z = solve_discrete_are(A, B, P, R)
+    except (LinAlgError, ValueError) as exc:
         raise GainDesignError(f"design_gain_ce: DARE solve failed ({exc})") from exc
-    BtZ = B.T @ Z
+    BtZ = B.T @ ((Z + Z.T) / 2)
     Psi = np.linalg.solve(BtZ @ B + np.asarray(R, dtype=float), BtZ)
     cl = A - B @ Psi @ A
     if spectral_radius(cl) >= 1.0:

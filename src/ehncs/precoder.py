@@ -10,18 +10,19 @@ The proposed policy solves, per slot, the drift minimization
 whose solution diagonalizes in the channel's right singular basis and the
 covariance eigenbasis: per-stream allocations follow a water-filling rule
 with water level set by (channel gain, stored energy) and seabed level set
-by the per-stream estimation error.  A positive-definiteness test on the
-threshold matrix decides dormant vs active mode before any allocation: its
-diagonal entries are theta - (t_i + E), with t_i the breakpoint at which
-stream i switches on, so the test reads the breakpoints the allocation
-walk uses.  In active mode the water level is s* = max((theta - E)^+, s_E),
-with s_E the root of spend(s) = E, and the budget multiplier is
-beta = s* - (theta - E)^+.
+by the per-stream estimation error.  Dormant vs active mode is decided
+before any allocation from the breakpoints t_i at which stream i switches
+on, the ones the allocation walk uses: the sensor stays dormant iff
+theta - (t_i + E) > 0 for every stream.  In active mode the water level is
+s* = max((theta - E)^+, s_E), with s_E the root of spend(s) = E, and the
+budget multiplier is beta = s* - (theta - E)^+.
 
 Capacity and MMSE water-filling (the baselines) have the same structure
-with other weights, so one scalar active-set walk, `_walk`, inverts the
-budget equation for Theorem 1 and for both baseline power profiles, and
-every precoder is assembled on the leading K left singular vectors.
+with other weights, so the scalar active-set walk `_walk` inverts the
+budget equation for one Theorem-1 context (`solve_theorem1`) and for both
+baseline power profiles; `theorem1_allocations` takes the same walk over
+stacked contexts as one cumulative sum.  Every precoder is assembled on the
+leading K left singular vectors.
 """
 
 from dataclasses import dataclass
@@ -52,9 +53,10 @@ class DriftContext:
     slot: int = 0  # slot index (periodic baseline only)
 
     def __post_init__(self):
-        if self.L <= 0:
+        # negated comparisons also reject NaN
+        if not self.L > 0:
             raise InputDomainError("DriftContext: L must be > 0")
-        if self.E < 0:
+        if not self.E >= 0:
             raise InputDomainError("DriftContext: E must be >= 0")
 
 
@@ -212,6 +214,9 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
     """
     if not E >= 0:  # also rejects NaN
         raise InputDomainError(f"decision_region_scan: E must be >= 0, got {E}")
+    if not (theta > 0 and tau > 0):
+        raise InputDomainError(
+            f"decision_region_scan: theta and tau must be > 0, got {theta} and {tau}")
     h2_values = np.asarray(h2_values, dtype=float)
     sigma2_values = np.asarray(sigma2_values, dtype=float)
     Lam = np.stack(np.broadcast_arrays(float(sigma1), sigma2_values), axis=-1)

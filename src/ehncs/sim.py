@@ -52,8 +52,8 @@ class SimSetup:
     E0: float | None = None  # initial battery level, default theta/2
 
     def __post_init__(self):
-        if self.tau <= 0 or self.theta <= 0:
-            raise InputDomainError("SimSetup: tau and theta must be > 0")
+        if not (0 < self.tau < math.inf and 0 < self.theta < math.inf):
+            raise InputDomainError("SimSetup: tau and theta must be finite and > 0")
         K = self.model.K
         if K > min(self.N_s, self.N_c):
             raise InputDomainError("SimSetup: need K <= min(N_s, N_c)")
@@ -76,7 +76,6 @@ class SimState:
     x_hat: np.ndarray  # (P, K)
     Sigma: np.ndarray  # (P, K, K)
     E: np.ndarray  # (P,) battery
-    diverged: np.ndarray  # (P,) bool
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,6 @@ def initial_state(setup: SimSetup, n_paths: int = 1) -> SimState:
         n=0, x=np.zeros((n_paths, K)), x_hat=np.zeros((n_paths, K)),
         Sigma=np.zeros((n_paths, K, K)),
         E=np.full(n_paths, float(setup.E0)),
-        diverged=np.zeros(n_paths, dtype=bool),
     )
 
 
@@ -168,8 +166,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
     next_state = SimState(n=state.n + 1, x=x_next, x_hat=x_hat_next,
-                          Sigma=Sigma_next, E=E_next,
-                          diverged=state.diverged | (sq_state > DIVERGENCE_GUARD))
+                          Sigma=Sigma_next, E=E_next)
     return next_state, trace
 
 
@@ -210,8 +207,7 @@ class RunResult:
 
 def _take(state: SimState, keep: np.ndarray) -> SimState:
     return SimState(n=state.n, x=state.x[keep], x_hat=state.x_hat[keep],
-                    Sigma=state.Sigma[keep], E=state.E[keep],
-                    diverged=state.diverged[keep])
+                    Sigma=state.Sigma[keep], E=state.E[keep])
 
 
 def _metric(values: np.ndarray) -> Metric:
@@ -241,39 +237,34 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
     # per-path sums of squared error, Tr(Sigma), spend, harvest, saturated
     # and active slots, and slots run
     sums = np.zeros((6, P))
-    n_run = np.zeros(P)
+    n_run = np.zeros(P, dtype=int)
     diverged = np.zeros(P, dtype=bool)
-    slots = []  # (live, SlotTrace) of each slot, with keep_traces
-    for _ in range(n_slots):
+    columns = []  # one (P, n_slots) column per SlotTrace field, with keep_traces
+    for j in range(n_slots):
         state, t = run_slot(setup, state, policy, rngs)
         sums[:, live] += (t.sq_error, t.Tr_Sigma, t.energy_used, t.alpha, 1 - t.gamma,
                           t.active)
         n_run[live] += 1
         if keep_traces:
-            slots.append((live, t))
-        if state.diverged.any():
-            diverged[live] = state.diverged
-            keep = ~state.diverged
+            values = [getattr(t, f.name) for f in fields(SlotTrace)]
+            if j == 0:
+                columns = [np.zeros((P, n_slots), np.asarray(v).dtype) for v in values]
+            for column, v in zip(columns, values):
+                column[live, j] = v
+        tripped = t.sq_state > DIVERGENCE_GUARD
+        if tripped.any():
+            diverged[live] = tripped
+            keep = ~tripped
             live = live[keep]
             if not live.size:
                 break
             state = _take(state, keep)
             rngs = [g for g, k in zip(rngs, keep) if k]
+    # a path runs from slot 0 until it leaves, so its trace is a row prefix
     traces = [None] * P
     if keep_traces:
-        # scatter each slot's live-path entries into (P, slots) columns; a
-        # path runs from slot 0 until it leaves, so its row is a prefix
-        rows = np.concatenate([idx for idx, _ in slots])
-        cols = np.repeat(np.arange(len(slots)), [idx.size for idx, _ in slots])
-        columns = []
-        for f in fields(SlotTrace):
-            values = np.concatenate([np.broadcast_to(getattr(t, f.name), idx.shape)
-                                     for idx, t in slots])
-            column = np.zeros((P, len(slots)), values.dtype)
-            column[rows, cols] = values
-            columns.append(column)
         traces = [SlotTrace(*(c[p, :n] for c in columns))
-                  for p, n in enumerate(n_run.astype(int).tolist())]
+                  for p, n in enumerate(n_run.tolist())]
     sq_err, tr_sigma, spent, harvested, n_sat, n_active = sums
     paths = [PathResult(*values) for values in zip(
         (sq_err / (n_run * K)).tolist(), (tr_sigma / n_run).tolist(),

@@ -13,7 +13,8 @@ per-xi references, and the MSE bound its term-by-term formula at a given
 xi.  The per-point decision-region scan is the reference the one-call scan
 is checked against: one `DriftContext` and one scalar `solve_theorem1`
 walk per grid point.  Theorem 1's dormancy test has its threshold-matrix
-form, and the information-form estimator update its augmented-stack solve.
+form, the information-form estimator update its augmented-stack solve, and
+the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
 engine is checked against: one path at a time, one kernel call per stage,
 with its own textbook estimator update.
@@ -306,6 +307,23 @@ def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_value
                                     h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
             counts[i, j] = int(np.count_nonzero(solve_theorem1(ctx).allocations > 0))
     return counts
+
+
+# -- value-iteration reference of the certainty-equivalent gain -------------
+
+def value_iteration_gain(A, B, P, R, n_iter=10_000, rtol=1e-15):
+    """Psi = (B^T Z B + R)^{-1} B^T Z with Z the limit of the Riccati value
+    iteration Z <- A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P from
+    Z = P, which converges to the stabilizing solution for a stabilizable,
+    detectable plant."""
+    Z = P
+    for _ in range(n_iter):
+        gain = np.linalg.solve(B.T @ Z @ B + R, B.T @ Z @ A)
+        Z_next = A.T @ Z @ A - A.T @ Z @ B @ gain + P
+        if np.abs(Z_next - Z).max() <= rtol * np.abs(Z_next).max():
+            return np.linalg.solve(B.T @ Z_next @ B + R, B.T @ Z_next)
+        Z = Z_next
+    raise AssertionError("value_iteration_gain: no convergence")
 
 
 # -- augmented-stack reference of the estimator update ----------------------

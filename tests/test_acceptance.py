@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (kkt_residual, p2_objective, problem1_objective,
                      solve_p2_projected_gradient)  # noqa: E402
 
+from ehncs import sim
 from ehncs.cli import main
 from ehncs.config import build_model, build_setup, parse_config
 from ehncs.energy import ArrivalModel
@@ -398,7 +399,7 @@ def test_criterion_10_event_driven_reset():
         if not active.all():
             last_dormant = trace.n
         final_tr_sigma[live] = trace.Tr_Sigma
-        keep = ~nxt.diverged
+        keep = ~(trace.sq_state > sim.DIVERGENCE_GUARD)
         state, live = _take(nxt, keep), live[keep]
         rngs = [g for g, k in zip(rngs, keep) if k]
         if not live.size:

@@ -4,6 +4,7 @@ import pytest
 from ehncs.analysis import _plug_in_terms, check_stability, delta_constant
 from ehncs.channel import PiTildeLaw, PiTildeStats, estimate_pitilde_stats
 from ehncs.limiter import make_params
+from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel, instability_measure
 from ehncs.precoder import solve_theorem1
 
@@ -51,6 +52,15 @@ class TestCheckStability:
         assert report.rhs_max == pytest.approx(expected, rel=1e-9)
         assert report.margin == pytest.approx(report.rhs_max - report.lhs)
         assert report.satisfied == (report.margin > 0)
+
+    @pytest.mark.parametrize("E_inv_alpha, theta, tau", [
+        (0.01, 10.0, np.nan), (0.01, np.nan, 0.01), (np.nan, 10.0, 0.01)])
+    def test_nan_inputs_rejected(self, E_inv_alpha, theta, tau):
+        m = decoupled_model()
+        stats = PiTildeStats(np.full(50, 1.0))
+        with pytest.raises(InputDomainError):
+            check_stability(m, make_params(m, M=1.0, eps=0.1), stats, E_inv_alpha,
+                            theta, tau)
 
     def test_unsatisfiable_when_eps_too_large(self):
         m = decoupled_model()

@@ -38,6 +38,10 @@ class TestArrivals:
     def test_invalid_kind(self):
         with pytest.raises(InputDomainError):
             ArrivalModel(kind="uniform", mean=1.0)
+        for kind in ("poisson", "deterministic"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(InputDomainError):
+                    ArrivalModel(kind=kind, mean=bad)
 
 
 class TestFeasibility:

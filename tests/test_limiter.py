@@ -35,6 +35,11 @@ class TestParams:
             LimiterParams(M=-1.0, eps=0.1, Theta=5.0)
         with pytest.raises(InputDomainError):
             LimiterParams(M=1.0, eps=0.1, Theta=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputDomainError):
+                LimiterParams(M=bad, eps=0.1, Theta=5.0)
+            with pytest.raises(InputDomainError):
+                LimiterParams(M=1.0, eps=0.1, Theta=bad)
 
     def test_make_params(self):
         p = make_params(decoupled_model(), M=1.0, eps=0.1)
@@ -95,6 +100,10 @@ class TestClip:
     def test_invalid_range(self):
         with pytest.raises(InputDomainError):
             clip(np.ones(2), L=0.0, M=1.0)
+        with pytest.raises(InputDomainError):
+            clip(np.ones((2, 2)), L=np.array([1.0, np.nan]), M=1.0)
+        with pytest.raises(InputDomainError):
+            clip(np.ones(2), L=1.0, M=np.nan)
 
     def test_output_never_exceeds_amplitude(self):
         rng = np.random.default_rng(6)

@@ -8,9 +8,8 @@ import pytest
 
 import ehncs
 from ehncs.channel import estimate_pitilde_stats
-from ehncs.numerics import (ConvergenceError, InputDomainError, NotSchurStableError,
-                            eig_sym, singular_values, solve_dare, solve_stein,
-                            spectral_radius, svd)
+from ehncs.numerics import (InputDomainError, NotSchurStableError, eig_sym,
+                            singular_values, solve_stein, spectral_radius, svd)
 
 
 class TestSvd:
@@ -265,32 +264,6 @@ class TestStein:
     def test_indefinite_t_rejected(self):
         with pytest.raises(InputDomainError):
             solve_stein(np.diag([0.5, 0.5]), np.diag([1.0, -1.0]))
-
-
-class TestDare:
-    def test_scalar_zero_dynamics(self):
-        Z = solve_dare(np.array([[0.0]]), np.array([[1.0]]),
-                       np.array([[1.0]]), np.array([[1.0]]))
-        assert np.allclose(Z, 1.0)
-
-    def test_scalar_no_control(self):
-        Z = solve_dare(np.array([[0.5]]), np.array([[0.0]]),
-                       np.array([[1.0]]), np.array([[1.0]]))
-        assert np.allclose(Z, 4.0 / 3.0)
-
-    def test_reference_plant_residual(self):
-        A = np.array([[1.3, 0.1], [-0.2, 1.2]])
-        B = np.eye(2)
-        Z = solve_dare(A, B, np.eye(2), np.eye(2))
-        gain = np.linalg.solve(B.T @ Z @ B + np.eye(2), B.T @ Z @ A)
-        res = A.T @ Z @ A - (A.T @ Z @ B) @ gain + np.eye(2) - Z
-        assert np.abs(res).max() < 1e-8
-        assert np.abs(Z - Z.T).max() < 1e-10
-
-    def test_divergent_iteration_raises(self):
-        with pytest.raises(ConvergenceError):
-            solve_dare(np.array([[2.0]]), np.array([[0.0]]),
-                       np.array([[1.0]]), np.array([[1.0]]))
 
 
 # set-up and `ehncs analyze` on the reference config, in a fresh interpreter;

@@ -1,5 +1,11 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import value_iteration_gain  # noqa: E402
 
 from ehncs.numerics import InputDomainError, NotSchurStableError, spectral_radius
 from ehncs.plant import (GainDesignError, PlantModel, control, design_gain_ce,
@@ -103,6 +109,32 @@ class TestGainDesign:
         A = np.array([[1.3, 0.1], [-0.2, 1.2]])
         Psi = design_gain_ce(A, np.eye(2), np.eye(2), np.eye(2))
         assert spectral_radius(A - Psi @ A) < 1.0
+
+    def test_scalar_zero_dynamics(self):
+        # A = 0 leaves Z = P = 1, so Psi = Z / (Z + R) = 0.5
+        Psi = design_gain_ce(np.array([[0.0]]), np.array([[1.0]]),
+                             np.array([[1.0]]), np.array([[1.0]]))
+        assert np.allclose(Psi, 0.5)
+
+    def test_scalar_no_control(self):
+        # with B = 0 the gain is 0 whatever Z (here 4/3) is
+        Psi = design_gain_ce(np.array([[0.5]]), np.array([[0.0]]),
+                             np.array([[1.0]]), np.array([[1.0]]))
+        assert np.array_equal(Psi, [[0.0]])
+
+    def test_reference_plant_matches_value_iteration(self):
+        A = np.array([[1.3, 0.1], [-0.2, 1.2]])
+        B, P, R = np.eye(2), np.eye(2), np.eye(2)
+        Psi = design_gain_ce(A, B, P, R)
+        ref = value_iteration_gain(A, B, P, R)
+        assert np.abs(Psi - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_riccati_failure_rejected(self):
+        # SciPy finds the symplectic pencil of an indefinite state weight
+        # too close to the unit circle and raises LinAlgError
+        with pytest.raises(GainDesignError, match="DARE solve failed"):
+            design_gain_ce(np.array([[1.3, 0.1], [-0.2, 1.2]]), np.eye(2),
+                           -np.eye(2), np.eye(2))
 
     def test_unstabilizable_pair_rejected(self):
         # no input reaches the unstable mode, so no gain stabilizes the loop

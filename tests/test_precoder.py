@@ -278,6 +278,10 @@ class TestContextValidation:
             make_ctx(rng, L=0.0)
         with pytest.raises(InputDomainError):
             make_ctx(rng, E=-1.0)
+        with pytest.raises(InputDomainError):
+            make_ctx(rng, L=np.nan)
+        with pytest.raises(InputDomainError):
+            make_ctx(rng, E=np.nan)
 
 
 class TestBaselines:

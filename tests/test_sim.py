@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,11 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(InputDomainError):
             run_monte_carlo(small_setup(), solve_theorem1, 0, 10, seed=1)
+        # a NaN theta is named by its own check, not by the E0 check after it
+        for bad in ({"tau": np.nan}, {"tau": np.inf}, {"theta": np.nan, "E0": None},
+                    {"theta": np.inf, "E0": None}):
+            with pytest.raises(InputDomainError, match="tau and theta"):
+                replace(small_setup(), **bad)
 
 
 class TestStackedEngine:
@@ -233,6 +239,13 @@ class TestDecisionRegions:
         counts = decision_region_scan(*args)["active_streams"]
         assert counts.shape == (len(s2), len(h2))
         assert np.array_equal(counts, reference_region_scan(*args))
+
+    @pytest.mark.parametrize("theta, tau", [(np.nan, 1.0), (36.0, np.nan),
+                                            (0.0, 1.0), (36.0, 0.0)])
+    def test_invalid_theta_tau_rejected(self, theta, tau):
+        with pytest.raises(InputDomainError, match="theta and tau"):
+            decision_region_scan(self.MODEL, self.PARAMS, 12.0, 4.0, 70.0, [1.0],
+                                 [10.0], theta=theta, tau=tau)
 
     def test_far_corner_single_channel(self):
         scan = self.scan(E=12.0)

@@ -38,12 +38,22 @@ def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def standard_normals(rngs, shape: tuple) -> np.ndarray:
+    """One standard_normal(shape) draw per generator in rngs, stacked along a
+    leading axis (len(rngs), *shape): each generator fills its own row, so
+    the values are those of its own standard_normal(shape)."""
+    z = np.empty((len(rngs), *shape))
+    for g, row in zip(rngs, z):
+        g.standard_normal(out=row)
+    return z
+
+
 def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
     """One i.i.d. CN(0,1)-entry channel draw per generator in rngs, with the
     stacked draw decomposed in one SVD."""
     if K > min(N_s, N_c):
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
-    z = np.array([g.standard_normal((2, N_c, N_s)) for g in rngs])
+    z = standard_normals(rngs, (2, N_c, N_s))
     H = _complex_normal(z[:, 0], z[:, 1])
     dec = svd(H)
     return ChannelDraw(H=H, svd=dec, Pi_K=dec.s[..., :K])
@@ -59,8 +69,7 @@ def receive(H: np.ndarray, Fq: np.ndarray, rngs, noiseless: np.ndarray) -> np.nd
     y = (H @ Fq[..., None])[..., 0]
     noisy = np.flatnonzero(~noiseless)
     if noisy.size:
-        N_c = H.shape[-2]
-        z = np.array([rngs[p].standard_normal((2, N_c)) for p in noisy])
+        z = standard_normals([rngs[p] for p in noisy.tolist()], (2, H.shape[-2]))
         y[noisy] += _complex_normal(z[:, 0], z[:, 1])
     return y
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .energy import ArrivalModel
 from .limiter import LimiterParams, make_params
+from .numerics import InputDomainError, eig_sym
 from .plant import PlantModel, design_gain_ce
 from .sim import SimSetup
 
@@ -160,6 +161,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
+    _validate_semantics(out, violations)
+    if violations:
+        raise ConfigError(violations)
+
     # derive Psi from the Riccati design when only weights are given
     if "Psi" not in out:
         try:
@@ -168,15 +173,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError([f"P/R: gain design failed ({exc})"])
     out.pop("P", None)
     out.pop("R", None)
-
-    _validate_semantics(out, violations)
-    if violations:
-        raise ConfigError(violations)
     return ExperimentConfig(raw_text=text, **out)
 
 
 def _validate_semantics(out: dict, violations: list) -> None:
-    A, B, W, Psi = out["A"], out["B"], out["W"], out["Psi"]
+    A, B, W = out["A"], out["B"], out["W"]
     K = A.shape[0] if A.ndim == 2 else -1
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         violations.append(f"A: must be square, got shape {A.shape}")
@@ -184,8 +185,11 @@ def _validate_semantics(out: dict, violations: list) -> None:
         violations.append(f"W: shape {W.shape} does not match A {A.shape}")
     if B.ndim != 2 or B.shape[0] != K:
         violations.append(f"B: row count must match A, got shape {B.shape}")
-    elif Psi.shape != (B.shape[1], K):
-        violations.append(f"Psi: shape {Psi.shape} inconsistent with B {B.shape}")
+    else:
+        if "Psi" in out and out["Psi"].shape != (B.shape[1], K):
+            violations.append(
+                f"Psi: shape {out['Psi'].shape} inconsistent with B {B.shape}")
+        _validate_weights(out, K, B.shape[1], violations)
     if not 0 < out["eps"] < 1:
         violations.append(f"eps: must lie in (0, 1), got {out['eps']}")
     if out["M"] <= 0:
@@ -214,6 +218,27 @@ def _validate_semantics(out: dict, violations: list) -> None:
     if out.get("sweep_axis") not in (None, "theta", "mean_alpha"):
         violations.append(
             f"sweep_axis: must be theta or mean_alpha, got {out['sweep_axis']!r}")
+
+
+def _validate_weights(out: dict, K: int, D: int, violations: list) -> None:
+    """The LQR assumptions on the weights: P is K x K symmetric PSD and R is
+    D x D symmetric positive definite, checked through eig_sym as PlantModel
+    checks W."""
+    for key, n in (("P", K), ("R", D)):
+        if key not in out:
+            continue
+        X = out[key]
+        if X.shape != (n, n):
+            violations.append(f"{key}: must be {n} x {n}, got shape {X.shape}")
+            continue
+        definite = "definite" if key == "R" else "semidefinite"
+        try:
+            Lam = eig_sym(X).Lam
+        except InputDomainError as exc:
+            violations.append(f"{key}: must be symmetric positive {definite} ({exc})")
+            continue
+        if key == "R" and not Lam[-1] > 0:
+            violations.append(f"R: must be positive definite (min eigenvalue {Lam[-1]:.3e})")
 
 
 def build_model(cfg: ExperimentConfig) -> PlantModel:

@@ -47,7 +47,7 @@ def spend_and_harvest(E, spend, alpha, theta):
     Spend happens before harvest within the slot; `check_feasible` keeps the
     spend within E upstream.  E, spend and alpha hold one entry per path.
     """
-    if np.min(spend) < 0 or np.min(alpha) < 0:
+    if not (np.min(spend) >= 0 and np.min(alpha) >= 0):  # also rejects NaN
         raise InputDomainError("spend_and_harvest: spend and alpha must be >= 0")
     return np.minimum(np.maximum(E - spend, 0.0) + alpha, theta)
 

@@ -23,6 +23,14 @@ budget equation for one Theorem-1 context (`solve_theorem1`) and for both
 baseline power profiles; `theorem1_allocations` takes the same walk over
 stacked contexts as one cumulative sum.  Every precoder is assembled on the
 leading K left singular vectors.
+
+The per-stream terms (`_breakpoints`, `_walk_weights`, `_water_fill`,
+`_seabed`) are NumPy expressions shared by both walks.  One context has
+only K values, so `solve_theorem1` and `_walk` take them to Python floats
+with one `.tolist()` and run their control flow there: the dormancy and
+Sigma = 0 tests, the active-set walk and the clamps of s*.  Python float
+arithmetic is IEEE double, as NumPy's float64 is, so the results are the
+same bits at a fraction of the per-element dispatch cost.
 """
 
 from dataclasses import dataclass
@@ -82,7 +90,7 @@ def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecis
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
     allocation on that stream is forced to 0)."""
-    return np.where(Lam > 0, 1.0 / np.where(Lam > 0, Lam, 1.0), np.inf)
+    return np.divide(1.0, Lam, out=np.full(np.shape(Lam), np.inf), where=Lam > 0)
 
 
 def _breakpoints(Lam, Pi_K, L, tau: float, c: float) -> np.ndarray:
@@ -105,7 +113,7 @@ def _water_fill(s, Pi_K, L, tau: float, c: float, seabed: np.ndarray) -> np.ndar
 
 
 def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
-          budget: float) -> tuple[float, float, int]:
+          budget: float) -> tuple[float, float, float]:
     """Active-set walk of a water-filling budget equation.
 
     Stream i switches on once the water parameter s falls below t_i, and on
@@ -114,16 +122,18 @@ def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
     over the set.  Streams switch on in descending t; the walk stops at the
     first set whose root is at or above the next t (0 after the last
     stream).  The spend is continuous and decreasing in s, so that root is
-    the solution.  Returns the sums a and b and the last stream switched on.
+    the solution.  Returns the sums a and b and the breakpoint of the last
+    stream switched on.
     """
-    order = np.argsort(t)[::-1]
+    order = np.argsort(t)[::-1].tolist()
+    a_terms, b_terms, t = a_terms.tolist(), b_terms.tolist(), t.tolist()
     a = b = 0.0
     for m, i in enumerate(order):
         a += a_terms[i]
         b += b_terms[i]
         if (a / (budget + b)) ** 2 >= (t[order[m + 1]] if m + 1 < len(t) else 0.0):
             break
-    return a, b, i
+    return a, b, t[i]
 
 
 def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
@@ -137,9 +147,10 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     """
     c = ctx.norm_AAT
     t = _breakpoints(ctx.Lam, ctx.Pi_K, ctx.L, ctx.tau, c)
-    if np.all(ctx.theta - (t + ctx.E) > ALLOC_TOL):
+    t_list = t.tolist()
+    if all(ctx.theta - (t_i + ctx.E) > ALLOC_TOL for t_i in t_list):
         return _dormant_decision(ctx)
-    if ctx.E <= 0.0 or t.max() <= 0:
+    if ctx.E <= 0.0 or max(t_list) <= 0:
         # an empty battery pins F at zero; with Sigma = 0 every breakpoint is
         # 0 and no stream switches on
         return _dormant_decision(ctx, mode="active")
@@ -147,9 +158,9 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     # the walk finds s_E, clamped to the breakpoint of its last stream to
     # absorb round-off
     seabed = _seabed(ctx.Lam)
-    a, b, i = _walk(*_walk_weights(ctx.Pi_K, ctx.L, ctx.tau, c, seabed), t, ctx.E)
+    a, b, t_last = _walk(*_walk_weights(ctx.Pi_K, ctx.L, ctx.tau, c, seabed), t, ctx.E)
     s0 = max(ctx.theta - ctx.E, 0.0)
-    s_star = max(min((a / (ctx.E + b)) ** 2, t[i]), s0)
+    s_star = max(min((a / (ctx.E + b)) ** 2, t_last), s0)
     y = _water_fill(s_star, ctx.Pi_K, ctx.L, ctx.tau, c, seabed)
     top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
     F = (ctx.L / ctx.M) * (ctx.svd.U[:, :len(y)] @ top)

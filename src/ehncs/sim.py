@@ -21,7 +21,7 @@ import numpy as np
 # Importing the bare names would attach its per-path outcome observers,
 # which call bool() on one path's result and raise on the stacked arrays.
 from . import energy, limiter
-from .channel import receive, sample_channel
+from .channel import receive, sample_channel, standard_normals
 from .energy import ArrivalModel, check_feasible, sample_arrival
 from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
@@ -154,7 +154,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     u = control(model, state.x_hat)
     x_hat_next, Sigma_next = filter_step(
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
-    w = np.array([g.standard_normal(K) for g in rngs]) @ model.W_sqrt.T
+    w = standard_normals(rngs, (K,)) @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
 
     alpha = sample_arrival(setup.arrivals, rngs)

@@ -7,13 +7,24 @@ from pathlib import Path
 from ehncs import channel
 from ehncs.analysis import _plug_in_terms, check_stability
 from ehncs.channel import (EXACT_MAX_N, PiTildeLaw, PiTildeStats, estimate_pitilde_stats,
-                           pitilde_stats, receive, sample_channel)
+                           pitilde_stats, receive, sample_channel, standard_normals)
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pitilde_stats  # noqa: E402
+
+
+class TestStandardNormals:
+    def test_each_row_is_its_generators_own_draw(self):
+        seeds = (3, 4, 5)
+        z = standard_normals([np.random.default_rng(s) for s in seeds], (2, 2, 3))
+        assert z.shape == (3, 2, 2, 3)
+        for s, row in zip(seeds, z):
+            assert np.array_equal(row, np.random.default_rng(s).standard_normal((2, 2, 3)))
+        # no generators: an empty stack
+        assert standard_normals([], (2, 2)).shape == (0, 2, 2)
 
 
 class TestSampleChannel:

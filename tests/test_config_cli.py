@@ -109,6 +109,28 @@ class TestParse:
         assert spectral_radius(cfg.A - cfg.B @ cfg.Psi @ cfg.A) < 1.0
         build_setup(cfg)
 
+    @pytest.mark.parametrize("P, R, message", [
+        ("[[-1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, 1.0]]",
+         "P: must be symmetric positive semidefinite (eig_sym: input is not PSD"),
+        ("[[1.0, 0.5], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, 1.0]]",
+         "P: must be symmetric positive semidefinite (eig_sym: input is not symmetric)"),
+        ("[[1.0]]", "[[1.0, 0.0], [0.0, 1.0]]", "P: must be 2 x 2, got shape (1, 1)"),
+        ("[[1.0, 0.0], [0.0, 1.0]]", "[[0.0, 0.0], [0.0, 0.0]]",
+         "R: must be positive definite (min eigenvalue 0.000e+00)"),
+        ("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 2.0], [2.0, 1.0]]",
+         "R: must be symmetric positive definite (eig_sym: input is not PSD"),
+        ("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]",
+         "R: must be 2 x 2, got shape (3, 3)"),
+    ])
+    def test_weights_outside_the_lqr_assumptions_rejected(self, P, R, message):
+        text = small_config_text(P=P, R=R)
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith("Psi"))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(message)
+
     def test_unstabilizable_weights_rejected(self):
         # B = 0 leaves the unstable plant out of reach of any gain
         text = small_config_text(B="[[0.0, 0.0], [0.0, 0.0]]",
@@ -247,6 +269,19 @@ class TestCli:
             main(argv + ["--config", str(cfg), "--out", str(out)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_control_weight_is_validation_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, P="[[1.0, 0.0], [0.0, 1.0]]",
+                                R="[[0.0, 0.0], [0.0, 0.0]]")
+        cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                                 if not line.startswith("Psi")))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] \
+            == ["error: invalid configuration:"]
+        assert "R: must be positive definite" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_seed_in_config_is_validation_error(self, tmp_path, capsys):

@@ -20,8 +20,10 @@ class TestQueue:
         assert spend_and_harvest(1.0, spend=5.0, alpha=0.0, theta=20.0) == 0.0
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(InputDomainError):
-            spend_and_harvest(10.0, spend=-1.0, alpha=0.0, theta=20.0)
+        for spend, alpha in [(-1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.nan),
+                             (np.array([1.0, math.nan]), np.zeros(2))]:
+            with pytest.raises(InputDomainError):
+                spend_and_harvest(10.0, spend=spend, alpha=alpha, theta=20.0)
 
 
 class TestArrivals:

@@ -10,14 +10,12 @@ with a binding budget (beta > 0 raises the level until the spend fits E).
 import numpy as np
 
 from ehncs.energy import precoder_budget
-from ehncs.numerics import SvdResult
 from ehncs.precoder import DriftContext, solve_theorem1
 
 
 def make_ctx(E, h=(4.0, 3.0), sigma=(70.0, 50.0), theta=36.0, L=20.0):
     K = len(h)
-    dec = SvdResult(U=np.eye(K), s=np.asarray(h, float), V=np.eye(K))
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), svd=dec,
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), U_K=np.eye(K),
                         Pi_K=np.asarray(h, float), E=E, theta=theta, tau=1.0,
                         M=1.0, L=L, norm_AAT=2.56)
 

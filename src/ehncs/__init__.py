@@ -1,10 +1,10 @@
 """Networked control with an energy-harvesting MIMO sensor.
 
 Library layout:
-  numerics   -- decomposition/equation kernels (SVD, singular values, eig,
-                Stein)
+  numerics   -- decomposition/equation kernels (singular values, eig, Stein)
   plant      -- linear stochastic plant, controller gain, instability measures
-  channel    -- block-fading MIMO channel and singular-value statistics
+  channel    -- block-fading MIMO channel draws with their leading right
+                singular vectors and gains, and singular-value statistics
                 (exact for two streams, else sampled)
   energy     -- arrival models and the battery update
   limiter    -- saturation limiter and its adaptive dynamic range
@@ -23,7 +23,7 @@ from .config import ExperimentConfig, parse_config
 from .energy import ArrivalModel
 from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
-from .numerics import eig_sym, singular_values, solve_stein, svd
+from .numerics import eig_sym, singular_values, solve_stein
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step
 from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
                        baseline_constant_power, baseline_mmse_wf,

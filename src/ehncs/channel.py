@@ -1,9 +1,10 @@
 """Block-fading MIMO channel sampling and normalized-singular-value statistics.
 
-The channel is i.i.d. across slots; each draw caches its SVD because the
-precoder consumes the left singular basis and the leading singular values
-every slot.  The normalized singular value pi_tilde = sigma / Tr(Pi_K^{-1})
-drives the stability condition.  For K = min(N_c, N_s) = 2 its law is
+The channel is i.i.d. across slots.  Every precoder reads only the K leading
+right singular vectors U_K and the gains Pi_K of a draw, so `sample_channel`
+returns those with H, from one reduced SVD of the stacked draws.  The
+normalized singular value pi_tilde = sigma / Tr(Pi_K^{-1}) drives the
+stability condition.  For K = min(N_c, N_s) = 2 its law is
 evaluated exactly, by one-dimensional quadrature of the complex Wishart
 eigenvalue density (`PiTildeLaw`); other shapes estimate its statistics from
 sampled channel draws (`estimate_pitilde_stats`).  `pitilde_stats` picks one
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputDomainError, SvdResult, singular_values, svd
+from .numerics import InputDomainError, herm, singular_values
 
 # a draw is degenerate when lambda_K <= DEGENERATE_TOL * lambda_1 for the Gram
 # eigenvalues lambda = sigma^2 (sigma_K / sigma_1 <= 1e-6); a rank-deficient
@@ -26,10 +27,11 @@ DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """P channel draws stacked along a leading path axis."""
+    """P channel draws H = V Pi U^H stacked along a leading path axis, with
+    the K leading right singular vectors and singular values of each."""
 
     H: np.ndarray  # (P, N_c, N_s) complex
-    svd: SvdResult
+    U_K: np.ndarray  # (P, N_s, K) orthonormal columns
     Pi_K: np.ndarray  # (P, K) leading singular values, descending
 
 
@@ -50,13 +52,14 @@ def standard_normals(rngs, shape: tuple) -> np.ndarray:
 
 def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
     """One i.i.d. CN(0,1)-entry channel draw per generator in rngs, with the
-    stacked draw decomposed in one SVD."""
+    stacked draw decomposed in one reduced SVD."""
     if K > min(N_s, N_c):
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
     z = standard_normals(rngs, (2, N_c, N_s))
     H = _complex_normal(z[:, 0], z[:, 1])
-    dec = svd(H)
-    return ChannelDraw(H=H, svd=dec, Pi_K=dec.s[..., :K])
+    # numpy gives H = V diag(s) U^H with U^H as its third factor
+    _, s, Uh = np.linalg.svd(H, full_matrices=False)
+    return ChannelDraw(H=H, U_K=herm(Uh[..., :K, :]), Pi_K=s[..., :K])
 
 
 def receive(H: np.ndarray, Fq: np.ndarray, rngs, noiseless: np.ndarray) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Matrix decomposition and equation-solving kernels shared by several modules.
 
-The SVD, singular-value, symmetric-eigen and Stein kernels that the
-per-slot loop, the channel statistics and the limiter use live here, so
-each can be validated in isolation.  Algebra with one caller stays in its
-module: the estimator's solve, the spectral norms in `plant`, `limiter`
-and `analysis`, and the gain design's Riccati solve.  Ordering rules
-(descending singular values / eigenvalues) are enforced here once, so the
-per-stream pairing done by the precoder is deterministic.  Everything here
-is NumPy.
+The singular-value, symmetric-eigen and Stein kernels that the channel
+statistics, the per-slot loop and the limiter use live here, so each can
+be validated in isolation.  Algebra with one caller stays in its module:
+the channel draw's reduced SVD, the estimator's solve, the spectral norms
+in `plant`, `limiter` and `analysis`, and the gain design's Riccati solve.
+Singular values and eigenvalues come out descending, so the per-stream
+pairing done by the precoder is deterministic.  Everything here is NumPy.
 """
 
 from dataclasses import dataclass
@@ -32,22 +31,6 @@ _GRAM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """H = V Pi U^H, Pi the rectangular diagonal of s (descending).
-
-    Stacked decompositions carry the leading axes of the stacked input.
-    """
-
-    U: np.ndarray  # (..., N_s, N_s) unitary
-    s: np.ndarray  # (..., min(N_c, N_s)) real, non-negative, descending
-    V: np.ndarray  # (..., N_c, N_c) unitary
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.s.shape[-1]
-        return (self.V[..., :k] * self.s[..., None, :]) @ herm(self.U[..., :k])
-
-
-@dataclass(frozen=True)
 class EigSymResult:
     """Sigma = S @ diag(Lam) @ S.T with Lam descending, clamped to >= 0.
 
@@ -64,20 +47,6 @@ class EigSymResult:
 def herm(X: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(X, -1, -2).conj()
-
-
-def svd(H: np.ndarray) -> SvdResult:
-    """Singular value decomposition in the form H = V Pi U^H.
-
-    H may be one (N_c, N_s) matrix or a stack (..., N_c, N_s), decomposed in
-    one LAPACK call.
-    """
-    H = np.asarray(H)
-    if not np.isfinite(H).all():
-        raise InputDomainError("svd: input has non-finite entries")
-    # numpy gives H = V_ @ diag(s) @ Uh_; map onto H = V Pi U^H
-    V_, s, Uh_ = np.linalg.svd(H, full_matrices=True)
-    return SvdResult(U=herm(Uh_), s=s, V=V_)
 
 
 def singular_values(H: np.ndarray) -> np.ndarray:

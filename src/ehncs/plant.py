@@ -102,20 +102,26 @@ def design_gain_ce(A, B, P, R) -> np.ndarray:
     Z is the stabilizing solution of the Riccati equation
     Z = A^T Z A - A^T Z B (B^T Z B + R)^{-1} B^T Z A + P from SciPy's
     generalized-eigenproblem solver (Arnold & Laub, Proc. IEEE 1984),
-    symmetrized.  SciPy is imported here, so only a config that gives P and
-    R in place of Psi loads it.  A failed solve or a closed loop that is not
-    Schur-stable raises GainDesignError.
+    symmetrized.  P and R are symmetrized first, (X + X^T)/2, so an
+    asymmetry that the config's weight check tolerates does not fail SciPy's
+    stricter symmetry test; a symmetric weight is left bit for bit.  SciPy
+    is imported here, so only a config that gives P and R in place of Psi
+    loads it.  A failed solve or a closed loop that is not Schur-stable
+    raises GainDesignError.
     """
     from scipy.linalg import LinAlgError, solve_discrete_are
 
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    P = np.asarray(P, dtype=float)
+    R = np.asarray(R, dtype=float)
+    P, R = (P + P.T) / 2, (R + R.T) / 2
     try:
         Z = solve_discrete_are(A, B, P, R)
     except (LinAlgError, ValueError) as exc:
         raise GainDesignError(f"design_gain_ce: DARE solve failed ({exc})") from exc
     BtZ = B.T @ ((Z + Z.T) / 2)
-    Psi = np.linalg.solve(BtZ @ B + np.asarray(R, dtype=float), BtZ)
+    Psi = np.linalg.solve(BtZ @ B + R, BtZ)
     cl = A - B @ Psi @ A
     if spectral_radius(cl) >= 1.0:
         raise GainDesignError("design_gain_ce: closed loop is not Schur-stable")

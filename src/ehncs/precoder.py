@@ -22,7 +22,7 @@ with other weights, so the scalar active-set walk `_walk` inverts the
 budget equation for one Theorem-1 context (`solve_theorem1`) and for both
 baseline power profiles; `theorem1_allocations` takes the same walk over
 stacked contexts as one cumulative sum.  Every precoder is assembled on the
-leading K left singular vectors.
+channel's K leading right singular vectors U_K.
 
 The per-stream terms (`_breakpoints`, `_walk_weights`, `_water_fill`,
 `_seabed`) are NumPy expressions shared by both walks.  One context has
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limiter import LimiterParams, dynamic_range
-from .numerics import InputDomainError, SvdResult
+from .numerics import InputDomainError
 from .plant import PlantModel
 
 ALLOC_TOL = 1e-12
@@ -50,7 +50,7 @@ class DriftContext:
 
     S: np.ndarray  # (K, K) covariance eigenbasis
     Lam: np.ndarray  # (K,) covariance eigenvalues, descending
-    svd: SvdResult  # channel decomposition H = V Pi U^H
+    U_K: np.ndarray  # (N_s, K) leading right singular vectors of H = V Pi U^H
     Pi_K: np.ndarray  # (K,) leading channel singular values, descending
     E: float
     theta: float
@@ -79,7 +79,7 @@ class PrecoderDecision:
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
     return PrecoderDecision(
-        F=np.zeros((ctx.svd.U.shape[0], K), dtype=complex), mode=mode, beta=0.0,
+        F=np.zeros((ctx.U_K.shape[0], K), dtype=complex), mode=mode, beta=0.0,
         allocations=np.zeros(K),
     )
 
@@ -163,7 +163,7 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     s_star = max(min((a / (ctx.E + b)) ** 2, t_last), s0)
     y = _water_fill(s_star, ctx.Pi_K, ctx.L, ctx.tau, c, seabed)
     top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
-    F = (ctx.L / ctx.M) * (ctx.svd.U[:, :len(y)] @ top)
+    F = (ctx.L / ctx.M) * (ctx.U_K @ top)
     return PrecoderDecision(F=F, mode="active", beta=s_star - s0, allocations=y)
 
 
@@ -260,7 +260,7 @@ def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> np.ndarray:
 
 def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
-    F = ctx.svd.U[:, :len(p)] * np.sqrt(p)
+    F = ctx.U_K * np.sqrt(p)
     mode = "active" if p.sum() > 0 else "dormant"
     return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p)
 

@@ -25,7 +25,7 @@ from .channel import receive, sample_channel, standard_normals
 from .energy import ArrivalModel, check_feasible, sample_arrival
 from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
-from .numerics import InputDomainError, SvdResult, eig_sym
+from .numerics import InputDomainError, eig_sym
 from .plant import PlantModel, control, step
 from .precoder import DriftContext
 
@@ -126,12 +126,11 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     L = dynamic_range(model, lim_params, state.Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [
-        policy(DriftContext(S=S, Lam=Lam, svd=SvdResult(U=U, s=s, V=V), Pi_K=Pi_K,
-                            E=E_p, theta=setup.theta, tau=setup.tau, M=lim_params.M,
-                            L=L_p, norm_AAT=model.norm_AAT, slot=state.n))
-        for S, Lam, U, s, V, Pi_K, E_p, L_p in zip(
-            dec.S, dec.Lam, draw.svd.U, draw.svd.s, draw.svd.V, draw.Pi_K,
-            E.tolist(), L.tolist())]
+        policy(DriftContext(S=S, Lam=Lam, U_K=U_K, Pi_K=Pi_K, E=E_p, theta=setup.theta,
+                            tau=setup.tau, M=lim_params.M, L=L_p,
+                            norm_AAT=model.norm_AAT, slot=state.n))
+        for S, Lam, U_K, Pi_K, E_p, L_p in zip(
+            dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
     F = np.array([d.F for d in decisions])
     feasible = check_feasible(E, F, lim_params.M, setup.tau)
     if not feasible.all():

@@ -4,9 +4,12 @@ The package computes Theorem 1 in closed form; these functions check it and
 nothing in the package calls them.  `kkt_residual` measures a decision's
 violation of the diagonalized KKT system of the drift program, and
 `drift_bound` evaluates the per-realization drift integrand at any
-candidate precoder.  The projected gradient solver works directly on the
-diagonalized convex program, without the closed-form precoder path, so the
-closed-form solution can be checked against it; the baselines'
+candidate precoder.  Both it and `problem1_objective` take the channel H
+itself: a context carries only U_K and Pi_K, which fix H^H H only when
+K = min(N_c, N_s), and a random candidate F need not lie in span(U_K).
+The projected gradient solver works directly on the diagonalized convex
+program, without the closed-form precoder path, so the closed-form
+solution can be checked against it; the baselines'
 water-filling powers are checked against a bisection on the water level.
 The channel statistics and the stability curve have their per-draw-SVD and
 per-xi references, and the MSE bound its term-by-term formula at a given
@@ -31,7 +34,7 @@ from ehncs.energy import (check_feasible, precoder_budget, sample_arrival,
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs import sim
-from ehncs.numerics import SvdResult, eig_sym
+from ehncs.numerics import eig_sym
 from ehncs.plant import control, instability_measure, step
 from ehncs.precoder import ALLOC_TOL, DriftContext, solve_theorem1
 from ehncs.sim import FeasibilityError, PathResult
@@ -75,8 +78,9 @@ def kkt_residual(ctx, decision):
     return float(max(residuals))
 
 
-def drift_bound(ctx, F, eps=0.0):
-    """Per-realization drift integrand for a candidate precoder F:
+def drift_bound(ctx, H, F, eps=0.0):
+    """Per-realization drift integrand for a candidate precoder F on the
+    channel H:
 
         (||AA^T||/2) [eps Tr(Sigma)
                       + Tr(2 (M/L)^2 Re{F^H H^H H F} + Sigma^{-1})^{-1}]
@@ -88,8 +92,7 @@ def drift_bound(ctx, F, eps=0.0):
     drift-minimizing policy minimizes this over feasible F.
     """
     F = np.asarray(F)
-    H = ctx.svd.reconstruct()
-    HF = H @ F
+    HF = np.asarray(H) @ F
     G_full = 2.0 * (ctx.M / ctx.L) ** 2 * np.real(HF.conj().T @ HF)
     G = ctx.S.T @ G_full @ ctx.S  # covariance eigenbasis
     pos = ctx.Lam > 1e-300
@@ -104,13 +107,12 @@ def drift_bound(ctx, F, eps=0.0):
             + energy_term - 0.5 * tr_sigma)
 
 
-def problem1_objective(ctx, F):
-    """Drift objective for a candidate precoder F:
+def problem1_objective(ctx, H, F):
+    """Drift objective for a candidate precoder F on the channel H:
     M^2 Tr(F^H F) tau (theta - E)
     + (||AA^T||/2) Tr(2 (M/L)^2 Re{F^H H^H H F} + Sigma^{-1})^{-1}."""
-    H = ctx.svd.reconstruct()
     Sigma = (ctx.S * ctx.Lam) @ ctx.S.T
-    HF = H @ np.asarray(F)
+    HF = np.asarray(H) @ np.asarray(F)
     G = 2.0 * (ctx.M / ctx.L) ** 2 * np.real(HF.conj().T @ HF)
     term = float(np.trace(np.linalg.inv(G + np.linalg.inv(Sigma))))
     energy = ctx.M**2 * float(np.real(np.vdot(F, F))) * ctx.tau
@@ -212,8 +214,9 @@ def solve_p2_projected_gradient(ctx, n_iter=20000):
 
 
 def random_feasible_precoder(ctx, rng):
-    """Random complex F scaled to satisfy the energy budget."""
-    n_s = ctx.svd.U.shape[0]
+    """Random complex F scaled to satisfy the energy budget; F is not
+    confined to span(U_K)."""
+    n_s = ctx.U_K.shape[0]
     K = len(ctx.Pi_K)
     F = rng.standard_normal((n_s, K)) + 1j * rng.standard_normal((n_s, K))
     budget = ctx.M**2 * float(np.real(np.vdot(F, F))) * ctx.tau
@@ -289,8 +292,7 @@ def _diagonal_context(E, theta, tau, M, L, norm_AAT, h, sigma):
     """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
     reordering so stream i keeps the pair (h_i, sigma_i)."""
     K = len(h)
-    dec = SvdResult(U=np.eye(K), s=np.asarray(h, dtype=float), V=np.eye(K))
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), svd=dec,
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), U_K=np.eye(K),
                         Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT)
 
@@ -416,9 +418,7 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
-        S=dec.S, Lam=dec.Lam, svd=SvdResult(U=draw.svd.U[0], s=draw.svd.s[0],
-                                            V=draw.svd.V[0]),
-        Pi_K=draw.Pi_K[0], E=state.E,
+        S=dec.S, Lam=dec.Lam, U_K=draw.U_K[0], Pi_K=draw.Pi_K[0], E=state.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, slot=state.n)
     decision = policy(ctx)

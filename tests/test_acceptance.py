@@ -24,7 +24,7 @@ from ehncs.config import build_model, build_setup, parse_config
 from ehncs.energy import ArrivalModel
 from ehncs.estimator import filter_step, mse_sample
 from ehncs.limiter import dynamic_range, make_params
-from ehncs.numerics import eig_sym, svd
+from ehncs.numerics import eig_sym
 from ehncs.plant import PlantModel, control, instability_measure
 from ehncs.precoder import (DriftContext, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
@@ -133,18 +133,17 @@ def test_criterion_02_precoder_oracle_equivalence():
         N_c = K + int(rng.integers(0, 3))
         H = (rng.standard_normal((N_c, N_s))
              + 1j * rng.standard_normal((N_c, N_s))) / np.sqrt(2.0)
-        dec = svd(H)
+        _, s, Uh = np.linalg.svd(H, full_matrices=False)
         X = rng.standard_normal((K, K))
         e = eig_sym(X @ X.T + 0.1 * np.eye(K))
         theta = rng.uniform(1.0, 100.0)
-        ctx = DriftContext(S=e.S, Lam=e.Lam, svd=dec,
-                           Pi_K=dec.s[:K],
+        ctx = DriftContext(S=e.S, Lam=e.Lam, U_K=Uh[:K].conj().T, Pi_K=s[:K],
                            E=rng.uniform(0.01, theta), theta=theta,
                            tau=rng.uniform(0.01, 1.0),
                            M=rng.uniform(0.5, 2.0), L=rng.uniform(1.0, 30.0),
                            norm_AAT=rng.uniform(0.5, 5.0))
         d = solve_theorem1(ctx)
-        obj = problem1_objective(ctx, d.F)
+        obj = problem1_objective(ctx, H, d.F)
         obj_oracle = p2_objective(ctx, solve_p2_projected_gradient(ctx, n_iter=5000))
         worst_obj = max(worst_obj, abs(obj - obj_oracle) / max(abs(obj_oracle), 1e-9))
         worst_kkt = max(worst_kkt, kkt_residual(ctx, d))
@@ -199,7 +198,7 @@ def test_criterion_03_decoupled_closed_form():
         L = dynamic_range(model, params, np.diag(sigma), gain_norm="BPsi")
         ctx = DriftContext(S=eig_sym(np.diag(sigma)).S,
                            Lam=eig_sym(np.diag(sigma)).Lam,
-                           svd=svd(np.diag(h).astype(complex)), Pi_K=h.copy(),
+                           U_K=np.eye(2), Pi_K=h.copy(),
                            E=E, theta=36.0, tau=1.0, M=1.0, L=L,
                            norm_AAT=model.norm_AAT)
         d = solve_theorem1(ctx)

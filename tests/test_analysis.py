@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (drift_bound, problem1_objective,  # noqa: E402
                      random_feasible_precoder, reference_mse_bound,
                      reference_rhs_curve)
-from test_precoder import diagonal_ctx, make_ctx  # noqa: E402
+from test_precoder import diagonal_ctx, make_ctx_and_channel  # noqa: E402
 
 
 def decoupled_model():
@@ -193,31 +193,33 @@ class TestDriftBound:
         tr = 8.0
         expected = 0.5 * ctx.norm_AAT * (0.1 * tr + tr) - 0.5 * tr
         F0 = np.zeros((2, 2), dtype=complex)
-        assert drift_bound(ctx, F0, eps=0.1) == pytest.approx(expected, rel=1e-12)
+        H = np.diag([2.0, 1.0]).astype(complex)
+        assert drift_bound(ctx, H, F0, eps=0.1) == pytest.approx(expected, rel=1e-12)
 
     def test_solution_minimizes_over_random_feasible(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            ctx = make_ctx(rng)
+            ctx, H = make_ctx_and_channel(rng)
             d = solve_theorem1(ctx)
-            best = drift_bound(ctx, d.F)
+            best = drift_bound(ctx, H, d.F)
             for _ in range(100):
                 F = random_feasible_precoder(ctx, rng)
-                assert best <= drift_bound(ctx, F) + 1e-9 * max(1.0, abs(best))
+                assert best <= drift_bound(ctx, H, F) + 1e-9 * max(1.0, abs(best))
 
     def test_consistent_with_problem_objective(self):
         # drift_bound differs from the optimization objective only by
         # F-independent terms
         rng = np.random.default_rng(12)
-        ctx = make_ctx(rng)
+        ctx, H = make_ctx_and_channel(rng)
         F1 = random_feasible_precoder(ctx, rng)
         F2 = random_feasible_precoder(ctx, rng)
-        diff_drift = drift_bound(ctx, F1) - drift_bound(ctx, F2)
-        diff_obj = problem1_objective(ctx, F1) - problem1_objective(ctx, F2)
+        diff_drift = drift_bound(ctx, H, F1) - drift_bound(ctx, H, F2)
+        diff_obj = problem1_objective(ctx, H, F1) - problem1_objective(ctx, H, F2)
         assert diff_drift == pytest.approx(diff_obj, rel=1e-9, abs=1e-9)
 
     def test_better_channel_lowers_drift(self):
         F = 0.3 * np.eye(2, dtype=complex)
         weak = diagonal_ctx([1.0, 1.0], [5.0, 3.0], E=4.0, theta=36.0)
         strong = diagonal_ctx([2.0, 1.0], [5.0, 3.0], E=4.0, theta=36.0)
-        assert drift_bound(strong, F) < drift_bound(weak, F)
+        assert (drift_bound(strong, np.diag([2.0, 1.0]), F)
+                < drift_bound(weak, np.eye(2), F))

@@ -28,12 +28,26 @@ class TestStandardNormals:
 
 
 class TestSampleChannel:
-    def test_shapes_and_cached_svd(self):
-        draw = sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=2)
-        assert draw.H.shape == (1, 2, 3)
-        assert draw.Pi_K.shape == (1, 2)
-        assert np.all(np.diff(draw.Pi_K[0]) <= 0)
-        assert np.abs(draw.svd.reconstruct() - draw.H).max() < 1e-10
+    @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 4, 1),
+                                             (4, 6, 3), (5, 3, 2)])
+    def test_leading_right_singular_vectors(self, N_c, N_s, K):
+        seeds = (0, 1, 2)
+        draw = sample_channel([np.random.default_rng(s) for s in seeds], N_c, N_s, K)
+        assert draw.H.shape == (3, N_c, N_s)
+        assert draw.U_K.shape == (3, N_s, K)
+        assert draw.Pi_K.shape == (3, K)
+        for p, seed in enumerate(seeds):
+            U_K, Pi_K = draw.U_K[p], draw.Pi_K[p]
+            assert np.abs(U_K.conj().T @ U_K - np.eye(K)).max() < 1e-12
+            # |H u_i| = pi_i for each leading right singular vector u_i
+            gains = np.linalg.norm(draw.H[p] @ U_K, axis=0)
+            assert np.all(np.abs(gains - Pi_K) <= 1e-12 * Pi_K)
+            assert np.all(np.diff(Pi_K) <= 0)
+            # the stacked draw is each generator's own draw
+            one = sample_channel([np.random.default_rng(seed)], N_c, N_s, K)
+            assert np.array_equal(one.H[0], draw.H[p])
+            assert np.allclose(one.U_K[0], U_K, rtol=0, atol=1e-12)
+            assert np.allclose(one.Pi_K[0], Pi_K, rtol=1e-12, atol=0)
 
     def test_k_too_large(self):
         with pytest.raises(InputDomainError):

@@ -109,6 +109,16 @@ class TestParse:
         assert spectral_radius(cfg.A - cfg.B @ cfg.Psi @ cfg.A) < 1.0
         build_setup(cfg)
 
+    def test_weight_asymmetry_inside_the_check_tolerance_designs(self):
+        # the weight check tolerates this P; the design symmetrizes it
+        text = small_config_text(P="[[1.0, 1e-12], [0.0, 1.0]]",
+                                 R="[[1.0, 0.0], [0.0, 1.0]]")
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith("Psi"))
+        cfg = parse_config_text(text)
+        ref = design_gain_ce(cfg.A, cfg.B, np.eye(2), np.eye(2))
+        assert np.abs(cfg.Psi - ref).max() <= 1e-9 * np.abs(ref).max()
+
     @pytest.mark.parametrize("P, R, message", [
         ("[[-1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, 1.0]]",
          "P: must be symmetric positive semidefinite (eig_sym: input is not PSD"),

@@ -9,52 +9,7 @@ import pytest
 import ehncs
 from ehncs.channel import estimate_pitilde_stats
 from ehncs.numerics import (InputDomainError, NotSchurStableError, eig_sym,
-                            singular_values, solve_stein, spectral_radius, svd)
-
-
-class TestSvd:
-    def test_identity(self):
-        r = svd(np.eye(2))
-        assert np.allclose(r.U, np.eye(2))
-        assert np.allclose(r.s, [1.0, 1.0])
-        assert np.allclose(r.V, np.eye(2))
-
-    def test_diagonal_descending(self):
-        r = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(r.s, [3.0, 1.0])
-
-    def test_random_rectangular_reconstruction(self):
-        rng = np.random.default_rng(0)
-        H = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        r = svd(H)
-        assert np.abs(r.reconstruct() - H).max() < 1e-10 * np.abs(H).max()
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputDomainError):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_reconstruction_and_unitarity_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            n_c = rng.integers(1, 9)
-            n_s = rng.integers(1, 9)
-            H = rng.standard_normal((n_c, n_s)) + 1j * rng.standard_normal((n_c, n_s))
-            r = svd(H)
-            scale = max(1.0, np.abs(H).max())
-            assert np.abs(r.reconstruct() - H).max() < 1e-10 * scale
-            assert np.abs(r.U.conj().T @ r.U - np.eye(n_s)).max() < 1e-10
-            assert np.abs(r.V.conj().T @ r.V - np.eye(n_c)).max() < 1e-10
-            assert r.s.shape == (min(n_c, n_s),)
-            assert np.all(np.diff(r.s) <= 1e-12)
-
-    def test_stack_matches_one_by_one(self):
-        rng = np.random.default_rng(2)
-        H = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
-        r = svd(H)
-        assert np.abs(r.reconstruct() - H).max() < 1e-10
-        for p in range(4):
-            one = svd(H[p])
-            assert np.allclose(r.s[p], one.s)
+                            singular_values, solve_stein, spectral_radius)
 
 
 class _FixedDraws:

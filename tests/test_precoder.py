@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ehncs.energy import precoder_budget
-from ehncs.numerics import InputDomainError, eig_sym, svd
+from ehncs.numerics import InputDomainError, eig_sym
 from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, solve_theorem1,
@@ -16,20 +16,27 @@ from oracles import (kkt_residual, threshold_dormant,  # noqa: E402
                      water_filling_bisection)
 
 
-def make_ctx(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0, slot=0):
+def make_ctx_and_channel(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0,
+                         slot=0):
+    """A random context on a random K x (K + 1) channel H, and that H."""
     N_s = K + 1
     N_c = K
     H = (rng.standard_normal((N_c, N_s)) + 1j * rng.standard_normal((N_c, N_s))) / np.sqrt(2)
-    dec = svd(H)
+    _, s, Uh = np.linalg.svd(H, full_matrices=False)
     X = rng.standard_normal((K, K))
     e = eig_sym(X @ X.T + 0.1 * np.eye(K))
     theta = theta if theta is not None else rng.uniform(1.0, 100.0)
     E = E if E is not None else rng.uniform(0.01, theta)
     L = L if L is not None else rng.uniform(1.0, 30.0)
     tau = tau if tau is not None else rng.uniform(0.01, 1.0)
-    return DriftContext(S=e.S, Lam=e.Lam, svd=dec, Pi_K=dec.s[:K],
-                        E=E, theta=theta, tau=tau, M=M, L=L,
-                        norm_AAT=rng.uniform(1.0, 4.0), slot=slot)
+    ctx = DriftContext(S=e.S, Lam=e.Lam, U_K=Uh[:K].conj().T, Pi_K=s[:K],
+                       E=E, theta=theta, tau=tau, M=M, L=L,
+                       norm_AAT=rng.uniform(1.0, 4.0), slot=slot)
+    return ctx, H
+
+
+def make_ctx(rng, **kwargs):
+    return make_ctx_and_channel(rng, **kwargs)[0]
 
 
 def budget_of(ctx, d):
@@ -37,10 +44,8 @@ def budget_of(ctx, d):
 
 
 def diagonal_ctx(h, sigma, E, theta, tau=1.0, M=1.0, L=20.0, norm_AAT=2.56, slot=0):
-    from ehncs.numerics import SvdResult
     K = len(h)
-    dec = SvdResult(U=np.eye(K), s=np.asarray(h, float), V=np.eye(K))
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), svd=dec,
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), U_K=np.eye(K),
                         Pi_K=np.asarray(h, float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT, slot=slot)
 
@@ -368,8 +373,8 @@ class TestBaselines:
         rng = np.random.default_rng(10)
         ctx = make_ctx(rng, E=2.0)
         d = baseline_capacity_wf(ctx)
-        # F = U [diag(sqrt(p)); 0]: back-rotating recovers the diagonal block
-        block = ctx.svd.U.conj().T @ d.F
-        K = len(ctx.Pi_K)
-        assert np.abs(block[:K] - np.diag(np.sqrt(d.allocations))).max() < 1e-10
-        assert np.abs(block[K:]).max() < 1e-10
+        # F = U_K diag(sqrt(p)): back-rotating recovers the diagonal, and F
+        # lies in span(U_K)
+        block = ctx.U_K.conj().T @ d.F
+        assert np.abs(block - np.diag(np.sqrt(d.allocations))).max() < 1e-10
+        assert np.abs(ctx.U_K @ block - d.F).max() < 1e-10

@@ -33,7 +33,7 @@ def small_setup(theta=80.0, mean_alpha=40.0, eps=0.05):
 
 def zero_policy(ctx):
     K = len(ctx.Pi_K)
-    n_s = ctx.svd.U.shape[0]
+    n_s = ctx.U_K.shape[0]
     return PrecoderDecision(F=np.zeros((n_s, K), dtype=complex), mode="dormant",
                             beta=0.0, allocations=np.zeros(K))
 
@@ -68,7 +68,7 @@ class TestRunSlot:
         state = initial_state(setup)
 
         def greedy(ctx):
-            n_s = ctx.svd.U.shape[0]
+            n_s = ctx.U_K.shape[0]
             K = len(ctx.Pi_K)
             F = np.full((n_s, K), 1e6, dtype=complex)
             return PrecoderDecision(F=F, mode="active", beta=0.0,
@@ -183,6 +183,23 @@ class TestStackedEngine:
             assert a.diverged == b.diverged
             for f in self.FIELDS:
                 assert getattr(a, f) == pytest.approx(getattr(b, f), rel=1e-12)
+
+    @pytest.mark.parametrize("N_c, N_s", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("name", ["proposed", "baseline3"])
+    def test_other_channel_shapes_match_per_path_reference(self, N_c, N_s, name):
+        # more receive antennas than streams, and K < min(N_c, N_s) at 3 x 3
+        n_paths, n_slots = 10, 60
+        setup = replace(small_setup(theta=40.0), N_c=N_c, N_s=N_s)
+        policy = policy_factory(name)(setup)
+        run = run_monte_carlo(setup, policy, n_paths, n_slots, self.SEED)
+        assert run.duty_cycle.mean > 0
+        for p, path in enumerate(run.paths):
+            ref, _ = reference_path(setup, policy, n_slots,
+                                    np.random.default_rng([self.SEED, p]))
+            assert path.diverged == ref.diverged, p
+            for f in self.FIELDS:
+                assert getattr(path, f) == pytest.approx(
+                    getattr(ref, f), rel=1e-9), (p, f)
 
 
 class TestSweep:

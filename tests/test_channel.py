@@ -28,6 +28,16 @@ class TestStandardNormals:
 
 
 class TestSampleChannel:
+    def test_shapes_and_cached_svd(self):
+        draw = sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=2)
+        assert draw.H.shape == (1, 2, 3)
+        assert draw.U_K.shape == (1, 3, 2)
+        assert draw.Pi_K.shape == (1, 2)
+        assert np.all(np.diff(draw.Pi_K[0]) <= 0)
+        # K = N_c: U_K spans the row space of H, so H U_K U_K^H = H
+        U_K = draw.U_K[0]
+        assert np.abs(draw.H[0] @ U_K @ U_K.conj().T - draw.H[0]).max() < 1e-10
+
     @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 4, 1),
                                              (4, 6, 3), (5, 3, 2)])
     def test_leading_right_singular_vectors(self, N_c, N_s, K):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ehncs
-from ehncs.channel import estimate_pitilde_stats
+from ehncs.channel import estimate_pitilde_stats, sample_channel
 from ehncs.numerics import (InputDomainError, NotSchurStableError, eig_sym,
                             singular_values, solve_stein, spectral_radius)
 
@@ -18,10 +18,57 @@ class _FixedDraws:
     def __init__(self, *arrays):
         self.arrays = list(arrays)
 
-    def standard_normal(self, shape):
-        out = self.arrays.pop(0)
-        assert out.shape == shape
+    def standard_normal(self, shape=None, out=None):
+        arr = self.arrays.pop(0)
+        if out is None:
+            assert arr.shape == shape
+            return arr
+        assert arr.shape == out.shape
+        out[...] = arr
         return out
+
+
+class TestSvd:
+    """The one reduced SVD of a channel draw, H = V Pi U^H, as its leading
+    right singular vectors U_K and gains Pi_K."""
+
+    @staticmethod
+    def draw_of(H, K):
+        # sample_channel builds H = (re + i im) / sqrt(2) from one draw
+        H = np.asarray(H, dtype=complex)
+        z = np.sqrt(2.0) * np.stack([H.real, H.imag])
+        return sample_channel([_FixedDraws(z)], *H.shape, K)
+
+    def test_diagonal_descending(self):
+        draw = self.draw_of(np.diag([1.0, 3.0]), K=2)
+        assert np.allclose(draw.Pi_K[0], [3.0, 1.0])
+        # u_1 and u_2 are e_2 and e_1, each up to a phase
+        assert np.allclose(np.abs(draw.U_K[0]), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_reconstruction_and_unitarity_random(self):
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            n_c = rng.integers(1, 9)
+            n_s = rng.integers(1, 9)
+            k = min(n_c, n_s)
+            draw = sample_channel([rng], n_c, n_s, k)
+            H, U_K, Pi_K = draw.H[0], draw.U_K[0], draw.Pi_K[0]
+            scale = max(1.0, np.abs(H).max())
+            # at K = min(N_c, N_s), U_K spans the row space of H
+            assert np.abs(H @ U_K @ U_K.conj().T - H).max() < 1e-10 * scale
+            assert np.abs(U_K.conj().T @ U_K - np.eye(k)).max() < 1e-10
+            assert np.abs(np.linalg.norm(H @ U_K, axis=0) - Pi_K).max() < 1e-10 * scale
+            assert Pi_K.shape == (k,)
+            assert np.all(np.diff(Pi_K) <= 1e-12)
+
+    def test_stack_matches_one_by_one(self):
+        seeds = (2, 3, 4, 5)
+        draw = sample_channel([np.random.default_rng(s) for s in seeds], 2, 3, 2)
+        H, U_K = draw.H, draw.U_K
+        assert np.abs(H @ U_K @ np.swapaxes(U_K, -1, -2).conj() - H).max() < 1e-10
+        for p, seed in enumerate(seeds):
+            one = sample_channel([np.random.default_rng(seed)], 2, 3, 2)
+            assert np.allclose(draw.Pi_K[p], one.Pi_K[0])
 
 
 class TestSingularValues:

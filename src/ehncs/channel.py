@@ -62,19 +62,13 @@ def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
     return ChannelDraw(H=H, U_K=herm(Uh[..., :K, :]), Pi_K=s[..., :K])
 
 
-def receive(H: np.ndarray, Fq: np.ndarray, rngs, noiseless: np.ndarray) -> np.ndarray:
-    """Received signal y = H (F q) + z with z ~ CN(0, I_{N_c}) on each path.
-
-    H (P, N_c, N_s) and the precoded symbols Fq (P, N_s) carry a path axis,
-    rngs holds one generator per path and noiseless one flag per path; a
-    noiseless path draws nothing from its generator.
-    """
-    y = (H @ Fq[..., None])[..., 0]
-    noisy = np.flatnonzero(~noiseless)
-    if noisy.size:
-        z = standard_normals([rngs[p] for p in noisy.tolist()], (2, H.shape[-2]))
-        y[noisy] += _complex_normal(z[:, 0], z[:, 1])
-    return y
+def receive(H: np.ndarray, Fq: np.ndarray, rngs) -> np.ndarray:
+    """Received signal y = H (F q) + z, z ~ CN(0, I_{N_c}), on each path: H
+    (P, N_c, N_s) and the precoded symbols Fq (P, N_s) carry a path axis and
+    rngs holds one generator per path.  Every path draws its noise, sending
+    or not, so no generator's stream depends on what its policy decides."""
+    z = standard_normals(rngs, (2, H.shape[-2]))
+    return (H @ Fq[..., None])[..., 0] + _complex_normal(z[:, 0], z[:, 1])
 
 
 class PiTildeStats:

@@ -1,8 +1,8 @@
 """Command-line orchestration: run, sweep, analyze, regions.
 
-Every output file starts with comment lines carrying the config hash and
-seed so results are traceable; identical (config, seed) pairs produce
-byte-identical files.
+Every output file starts with comment lines carrying the config hash, the
+seed and any --paths, --slots or --policy flag that overrides the config, so
+results are traceable; identical (config, seed, flags) give identical bytes.
 """
 
 import argparse
@@ -54,27 +54,23 @@ def policy_factory(name: str, period: int = 3):
     raise ConfigError([f"policy: unknown policy {name!r}"])
 
 
-def _header_rows(cfg: ExperimentConfig) -> list[list[str]]:
-    return [[f"# config_hash={cfg.config_hash}"], [f"# seed={cfg.seed}"]]
-
-
-def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows) -> None:
+def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows,
+               overrides=()) -> None:
+    header = [f"# config_hash={cfg.config_hash}", f"# seed={cfg.seed}"]
+    if overrides:
+        header.append(f"# overrides={' '.join(overrides)}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for line in _header_rows(cfg):
-            writer.writerow(line)
+        writer.writerows([line] for line in header)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+    return repr(v) if isinstance(v, float) else v
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_run(cfg: ExperimentConfig, out_dir: Path, overrides=()) -> int:
     setup = build_setup(cfg)
     policy = policy_factory(cfg.policy, cfg.period)(setup)
     result = run_monte_carlo(setup, policy, cfg.n_paths, cfg.n_slots, cfg.seed)
@@ -89,11 +85,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
                  result.duty_cycle.ci_half_width, "", "", ""])
     _write_csv(out_dir / "run.csv", cfg,
                ["path", "mse", "tr_sigma", "saturation_rate", "duty_cycle",
-                "energy_used", "energy_harvested", "diverged"], rows)
+                "energy_used", "energy_harvested", "diverged"], rows, overrides)
     return EXIT_DIVERGENCE if result.n_diverged else EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, overrides=()) -> int:
     if not cfg.sweep_axis or not cfg.sweep_values:
         raise ConfigError(["sweep_axis/sweep_values: required for the sweep command"])
     setup = build_setup(cfg)
@@ -105,7 +101,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
               r["n_diverged"]] for r in rows]
     _write_csv(out_dir / "sweep.csv", cfg,
                ["policy", "axis", "value", "mse", "mse_ci", "tr_sigma",
-                "saturation_rate", "duty_cycle", "n_diverged"], table)
+                "saturation_rate", "duty_cycle", "n_diverged"], table, overrides)
     n_div = sum(r["n_diverged"] for r in rows)
     return EXIT_DIVERGENCE if n_div else EXIT_OK
 
@@ -216,12 +212,16 @@ def main(argv=None) -> int:
         if args.policy is not None:
             cfg.policy = args.policy
             policy_factory(cfg.policy, cfg.period)  # validate the name
+        # the flags that change a run's config, named in its output header
+        overrides = [f"--{flag} {value}" for flag, value in (
+            ("paths", args.paths), ("slots", args.slots), ("policy", args.policy))
+            if value is not None]
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
-            return cmd_run(cfg, out_dir)
+            return cmd_run(cfg, out_dir, overrides)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
+            return cmd_sweep(cfg, out_dir, overrides)
         if args.command == "analyze":
             return cmd_analyze(cfg, out_dir)
         return cmd_regions(cfg, out_dir, energies=args.energy, n_grid=args.grid)

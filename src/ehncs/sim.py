@@ -5,9 +5,10 @@ transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
-path.  Paths are independent (per-path RNG streams derived from (seed, path
-index), each drawn in the same order as a lone path would draw) so results
-do not depend on which other paths share the run.
+path.  Each slot, a path draws its channel, receiver noise, plant noise and
+arrival, in that order, from its own generator whatever its policy decides,
+so it does not depend on the others in its run, and at one seed every
+policy and swept value sees the same draws.
 """
 
 import math
@@ -54,6 +55,8 @@ class SimSetup:
     def __post_init__(self):
         if not (0 < self.tau < math.inf and 0 < self.theta < math.inf):
             raise InputDomainError("SimSetup: tau and theta must be finite and > 0")
+        if not np.trace(self.model.W) > 0:  # L ~ sqrt(Tr W) would be 0 at Sigma = 0
+            raise InputDomainError("SimSetup: plant noise W must be nonzero (Tr W > 0)")
         K = self.model.K
         if K > min(self.N_s, self.N_c):
             raise InputDomainError("SimSetup: need K <= min(N_s, N_c)")
@@ -112,12 +115,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
              rngs) -> tuple[SimState, SlotTrace]:
     """Advance the P stacked paths of `state` by one slot.
 
-    rngs holds one generator per path.  The policy is called once per path
-    with that path's DriftContext.  The control u(n) = -Psi A x_hat(n) uses
-    the estimate formed from measurements through slot n-1; the same u(n)
-    drives both the estimator prediction and the plant.  Energy spent on air
-    is the realized ||F q||^2 tau while feasibility is checked on the budget
-    M^2 Tr(F^H F) tau (the limiter makes the former <= the latter).
+    rngs holds one generator per path, and every path draws its receiver
+    noise; a silent path's y goes unused.  The policy is called once per path
+    with its DriftContext.  The control u(n) = -Psi A x_hat(n) uses the
+    estimate formed from measurements through slot n-1; the same u(n) drives
+    the estimator prediction and the plant.  Energy spent on air is the
+    realized ||F q||^2 tau; feasibility is checked on the budget M^2 Tr(F^H F)
+    tau, which the limiter makes the larger.
     """
     model, lim_params, K = setup.model, setup.limiter, setup.K
     E = state.E
@@ -143,7 +147,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     active = np.array([d.mode == "active" for d in decisions])
     transmitting = active & F.any(axis=(1, 2))
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
-    y = receive(draw.H, Fq, rngs, noiseless=~transmitting)
+    y = receive(draw.H, Fq, rngs)
     spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * setup.tau, 0.0)
     update = transmitting & ~lim.saturated
     Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)

@@ -20,7 +20,9 @@ form, the information-form estimator update its augmented-stack solve, and
 the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
 engine is checked against: one path at a time, one kernel call per stage,
-with its own textbook estimator update.
+with its own textbook estimator update.  It consumes its generator as the
+engine does: every slot the channel, the receiver noise (used only when the
+path transmits), the plant noise and the arrival.
 """
 
 from dataclasses import dataclass
@@ -428,9 +430,10 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     lim = clip(state.x, L, setup.limiter.M)
     gamma = 0 if lim.saturated else 1
     active = decision.mode == "active"
+    # the receiver noise is drawn every slot and used only when the path sends
+    Fq = decision.F @ lim.q
+    y = receive(draw.H, Fq[None], [rng])[0]
     if active and np.any(decision.F):
-        Fq = decision.F @ lim.q
-        y = receive(draw.H, Fq[None], [rng], noiseless=np.array([False]))[0]
         Ftilde = draw.H[0] @ decision.F * lim.g
         spend = float(np.linalg.norm(Fq) ** 2) * setup.tau
     else:

@@ -76,34 +76,33 @@ class TestReceive:
         q = rng.standard_normal((n_paths, 2))
         return draw, F, q
 
-    def test_noiseless_is_linear_map(self):
+    def test_noise_is_each_generators_own_draw(self):
         draw, F, q = self.setup_draw(2, 2)
         rngs = [np.random.default_rng(5), np.random.default_rng(6)]
-        y = receive(draw.H, (F @ q[:, :, None])[:, :, 0], rngs,
-                    noiseless=np.array([True, True]))
-        assert np.allclose(y, (draw.H @ F @ q[:, :, None])[:, :, 0])
+        twins = [np.random.default_rng(5), np.random.default_rng(6)]
+        Fq = (F @ q[:, :, None])[:, :, 0]
+        y = receive(draw.H, Fq, rngs)
+        for p, twin in enumerate(twins):
+            z = twin.standard_normal((2, 2))
+            assert np.allclose(y[p] - draw.H[p] @ Fq[p], (z[0] + 1j * z[1]) / np.sqrt(2.0))
 
     def test_noise_is_unit_variance(self):
         rng = np.random.default_rng(3)
         draw = sample_channel([rng] * 4000, 2, 3, 2)
-        ys = receive(draw.H, np.zeros((4000, 3)), [rng] * 4000,
-                     noiseless=np.zeros(4000, dtype=bool))
+        ys = receive(draw.H, np.zeros((4000, 3)), [rng] * 4000)
         assert abs(np.mean(np.abs(ys) ** 2) - 1.0) < 0.05
 
-    def test_silent_path_draws_nothing(self):
-        # a path's stream does not depend on whether the others transmit
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_every_path_draws_once_whatever_it_sends(self, silent):
+        # a generator's stream does not depend on what its path transmits
         draw, F, q = self.setup_draw(2, 7)
+        Fq = np.zeros((2, 3)) if silent else (F @ q[:, :, None])[:, :, 0]
         rngs = [np.random.default_rng(8), np.random.default_rng(9)]
         twins = [np.random.default_rng(8), np.random.default_rng(9)]
-        y = receive(draw.H, (F @ q[:, :, None])[:, :, 0], rngs,
-                    noiseless=np.array([True, False]))
-        clean = (draw.H @ (F @ q[:, :, None]))[:, :, 0]
-        assert np.array_equal(y[0], clean[0])
-        z = twins[1].standard_normal((2, 2))
-        assert np.allclose(y[1], clean[1] + (z[0] + 1j * z[1]) / np.sqrt(2.0))
-        # path 0 is untouched; path 1 advanced by exactly one (2, N_c) draw
-        assert rngs[0].random() == twins[0].random()
-        assert rngs[1].random() == twins[1].random()
+        receive(draw.H, Fq, rngs)
+        for rng, twin in zip(rngs, twins):
+            twin.standard_normal((2, 2))
+            assert rng.random() == twin.random()
 
 
 class TestPiTildeStats:

@@ -321,6 +321,39 @@ class TestCli:
                      "--policy", "baseline2"])
         assert code == 0
 
+    def test_header_names_the_flags_that_override_the_config(self, tmp_path):
+        cfg = self.write_config(tmp_path, n_slots=10, sweep_values="[60.0]")
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "plain")])
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "flags"),
+              "--policy", "baseline1", "--paths", "2", "--slots", "10"])
+        plain = (tmp_path / "plain" / "run.csv").read_text().splitlines()
+        flags = (tmp_path / "flags" / "run.csv").read_text().splitlines()
+        assert plain[2].startswith("path,")
+        assert flags[:2] == plain[:2]
+        assert flags[2] == "# overrides=--paths 2 --slots 10 --policy baseline1"
+        assert flags[3] == plain[2]
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+              "--slots", "5"])
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert lines[2] == "# overrides=--slots 5"
+
+    def test_sweep_without_an_axis_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(line for line in small_config_text().splitlines()
+                                  if not line.startswith("sweep_")))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "sweep_axis/sweep_values: required" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_zero_plant_noise_is_validation_error(self, tmp_path, capsys):
+        # the simulation rejects W = 0 before any slot; analyze still reports
+        cfg = self.write_config(tmp_path, W="[[0.0, 0.0], [0.0, 0.0]]")
+        for command in ("run", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "plant noise W" in err and "Traceback" not in err
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
     def test_unknown_policy_is_validation_error(self, tmp_path):
         cfg = self.write_config(tmp_path)
         assert main(["run", "--config", str(cfg), "--policy", "baseline9"]) == 2

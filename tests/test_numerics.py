@@ -182,6 +182,13 @@ class TestEigSym:
         r = eig_sym(np.zeros((3, 3)))
         assert np.allclose(r.Lam, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        Sigma = np.eye(2)[None].repeat(3, axis=0)
+        Sigma[1, 0, 0] = bad
+        with pytest.raises(InputDomainError, match="non-finite"):
+            eig_sym(Sigma)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InputDomainError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))

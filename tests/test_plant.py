@@ -37,6 +37,19 @@ class TestPlantModel:
             PlantModel(A=0.5 * np.eye(2), B=np.eye(2),
                        W=np.array([[1.0, 0.5], [0.0, 1.0]]), Psi=np.eye(2))
 
+    @pytest.mark.parametrize("B, Psi", [
+        (np.eye(3), np.eye(2)),  # B has 3 rows for 2 states
+        (np.eye(2), np.eye(3, 2)),  # Psi has 3 rows for 2 inputs
+        (np.eye(2), np.eye(2, 3)),  # Psi has 3 columns for 2 states
+    ])
+    def test_inconsistent_b_psi_rejected(self, B, Psi):
+        with pytest.raises(InputDomainError, match="B/Psi"):
+            PlantModel(A=0.5 * np.eye(2), B=B, W=np.eye(2), Psi=Psi)
+
+    def test_w_of_wrong_shape_rejected(self):
+        with pytest.raises(InputDomainError, match="W must be K x K"):
+            PlantModel(A=0.5 * np.eye(2), B=np.eye(2), W=np.eye(3), Psi=np.eye(2))
+
     def test_unstable_closed_loop_rejected(self):
         with pytest.raises(NotSchurStableError):
             PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),

@@ -10,6 +10,7 @@ from oracles import reference_path, reference_region_scan  # noqa: E402
 
 from ehncs import sim
 from ehncs.cli import policy_factory
+from ehncs.config import POLICY_NAMES
 from ehncs.energy import ArrivalModel
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
@@ -125,6 +126,28 @@ class TestMonteCarlo:
         r = run_monte_carlo(setup, solve_theorem1, 20, 150, seed=17)
         assert r.mse.mean * setup.K <= r.tr_sigma.mean * (1.0 + 0.25)
 
+    def test_run_stops_when_every_path_has_diverged(self, monkeypatch):
+        # below any ||x||^2, so every path trips the guard on slot 0
+        monkeypatch.setattr(sim, "DIVERGENCE_GUARD", -1.0)
+        run = run_monte_carlo(small_setup(), solve_theorem1, 3, 10, seed=1,
+                              keep_traces=True)
+        assert run.n_diverged == 3
+        assert all(p.diverged and len(p.trace.n) == 1 for p in run.paths)
+
+    def test_policies_and_theta_share_their_draws(self):
+        # no draw depends on a decision, so at one seed every policy and
+        # battery size sees the same arrivals on each path: common random
+        # numbers for the comparisons
+        columns = []
+        for theta in (40.0, 120.0):
+            setup = small_setup(theta=theta)
+            for name in POLICY_NAMES:
+                run = run_monte_carlo(setup, policy_factory(name)(setup), 6, 50,
+                                      seed=11, keep_traces=True)
+                columns.append(np.array([p.trace.alpha for p in run.paths]))
+        for column in columns[1:]:
+            assert np.array_equal(column, columns[0])
+
     def test_validation(self):
         with pytest.raises(InputDomainError):
             run_monte_carlo(small_setup(), solve_theorem1, 0, 10, seed=1)
@@ -133,6 +156,19 @@ class TestMonteCarlo:
                     {"theta": np.inf, "E0": None}):
             with pytest.raises(InputDomainError, match="tau and theta"):
                 replace(small_setup(), **bad)
+        with pytest.raises(InputDomainError, match="K <= min"):
+            replace(small_setup(), N_c=1)
+        for E0 in (-1.0, 81.0):
+            with pytest.raises(InputDomainError, match="E0 must lie"):
+                replace(small_setup(theta=80.0), E0=E0)
+
+    def test_zero_plant_noise_rejected(self):
+        # L at Sigma = 0 is proportional to sqrt(Tr W), so W = 0 would stop
+        # the first slot at the limiter; the setup names W instead
+        model = PlantModel(A=reference_model().A, B=np.eye(2), W=np.zeros((2, 2)),
+                           Psi=0.25 * np.eye(2))
+        with pytest.raises(InputDomainError, match=r"plant noise W .*Tr W > 0"):
+            replace(small_setup(), model=model)
 
 
 class TestStackedEngine:
@@ -141,9 +177,10 @@ class TestStackedEngine:
     FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle",
               "energy_used", "energy_harvested")
     SEED = 3
-    # at 60 slots no path reaches the default 1e12 guard; at 1e6 two
-    # baseline2 paths at theta 40 trip it (paths 3 and 16 at SEED)
-    GUARD = 1e6
+    # at 60 slots no path reaches the default 1e12 guard; at 5e5 four
+    # baseline2 paths at theta 40 trip it (paths 4, 10, 13 and 18 at SEED),
+    # path 4 at 5.15e5 being the one of the 8-path run below
+    GUARD = 5e5
 
     @pytest.fixture(autouse=True)
     def lowered_guard(self, monkeypatch):

@@ -36,9 +36,8 @@ def main():
     print(f"{'policy':<30} {'mse':>8} {'+-':>6} {'duty':>6} {'energy':>8}")
     for name, policy in policies.items():
         r = run_monte_carlo(setup, policy, N_PATHS, N_SLOTS, SEED)
-        e = sum(p.energy_used for p in r.paths) / len(r.paths)
         print(f"{name:<30} {r.mse.mean:8.3f} {r.mse.ci_half_width:6.3f} "
-              f"{r.duty_cycle.mean:6.3f} {e:8.1f}")
+              f"{r.duty_cycle.mean:6.3f} {r.paths.energy_used.mean():8.1f}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .numerics import InputDomainError
 from .precoder import (baseline_capacity_wf, baseline_constant_power,
                        baseline_mmse_wf, baseline_periodic_wf,
                        decision_region_scan, solve_theorem1)
-from .sim import run_monte_carlo, sweep
+from .sim import PATH_FIELDS, run_monte_carlo, sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,9 +74,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, overrides=()) -> int:
     setup = build_setup(cfg)
     policy = policy_factory(cfg.policy, cfg.period)(setup)
     result = run_monte_carlo(setup, policy, cfg.n_paths, cfg.n_slots, cfg.seed)
-    rows = [[p_idx, p.mse, p.mean_tr_sigma, p.saturation_rate, p.duty_cycle,
-             p.energy_used, p.energy_harvested, int(p.diverged)]
-            for p_idx, p in enumerate(result.paths)]
+    # tolist() hands _fmt the Python floats it writes by repr
+    columns = [result.paths[f].tolist() for f in PATH_FIELDS[:7]]
+    rows = [[p, *row, int(div)] for p, (*row, div) in enumerate(zip(*columns))]
     rows.append(["mean", result.mse.mean, result.tr_sigma.mean,
                  result.saturation_rate.mean, result.duty_cycle.mean, "", "",
                  result.n_diverged])

@@ -26,10 +26,6 @@ class NotSchurStableError(ValueError):
 # negative than this is treated as a genuinely indefinite input
 PSD_CLAMP_TOL = 1e-12
 
-# matrices per eigvalsh call in singular_values (Gram orders other than 2)
-_GRAM_BLOCK = 8192
-
-
 @dataclass(frozen=True)
 class EigSymResult:
     """Sigma = S @ diag(Lam) @ S.T with Lam descending, clamped to >= 0.
@@ -56,8 +52,8 @@ def singular_values(H: np.ndarray) -> np.ndarray:
     They are sqrt(lambda) for the eigenvalues lambda of the smaller Gram
     matrix (H H^H when N_c <= N_s, else H^H H).  A 2 x 2 Gram (min(N_c, N_s)
     = 2) takes the closed form of _gram2_eigvals over the whole stack; any
-    other order takes one eigvalsh call per block of _GRAM_BLOCK matrices so
-    the Gram stack's memory stays bounded.  The Gram squares the condition
+    other order takes one eigvalsh call over the Gram stack, which is never
+    larger than the input.  The Gram squares the condition
     number: on either path lambda carries an absolute rounding error of
     about 1e-16 * lambda_1.
     """
@@ -70,10 +66,7 @@ def singular_values(H: np.ndarray) -> np.ndarray:
     if stack.shape[-2] == 2:
         lam = _gram2_eigvals(stack)
     else:
-        lam = np.empty(stack.shape[:-1])
-        for i in range(0, len(stack), _GRAM_BLOCK):
-            block = stack[i:i + _GRAM_BLOCK]
-            lam[i:i + _GRAM_BLOCK] = np.linalg.eigvalsh(block @ herm(block))[:, ::-1]
+        lam = np.linalg.eigvalsh(stack @ herm(stack))[:, ::-1]
     np.clip(lam, 0.0, None, out=lam)
     return np.sqrt(lam, out=lam).reshape(H.shape[:-2] + lam.shape[-1:])
 

@@ -8,7 +8,9 @@ call over all paths, except the random draws and the policy, which stay per
 path.  Each slot, a path draws its channel, receiver noise, plant noise and
 arrival, in that order, from its own generator whatever its policy decides,
 so it does not depend on the others in its run, and at one seed every
-policy and swept value sees the same draws.
+policy and swept value sees the same draws.  `run_monte_carlo` keeps its
+per-path results as columns: one record array with a row per path and,
+with traces kept, one SlotTrace of (P, n_slots) columns.
 """
 
 import math
@@ -83,14 +85,11 @@ class SimState:
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """Per-slot record whose fields are 1-D arrays along one axis.
-
-    In the trace `run_slot` returns, the axis is the live paths of the run,
-    and n is the slot index they share, a plain int.  In `PathResult.trace`
-    the axis is the slots that path ran, n included.
+    """Per-slot record.  From `run_slot` each field is a (P,) array over the
+    live paths; in `RunResult.traces` each is a (P, n_slots) column, the
+    slot index being the column index.
     """
 
-    n: int | np.ndarray  # slot index
     E_before: np.ndarray  # battery at the start of the slot
     L: np.ndarray  # dynamic range
     active: np.ndarray  # bool, the policy decided active mode
@@ -164,7 +163,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     E_next = energy.spend_and_harvest(E, spend, alpha, setup.theta)
 
     trace = SlotTrace(
-        n=state.n, E_before=E, L=L, active=active, gamma=(~lim.saturated).astype(int),
+        E_before=E, L=L, active=active, gamma=(~lim.saturated).astype(int),
         energy_used=spend, Tr_Sigma=np.trace(state.Sigma, axis1=1, axis2=2),
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
@@ -173,16 +172,9 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     return next_state, trace
 
 
-@dataclass(frozen=True)
-class PathResult:
-    mse: float  # time-averaged ||x - x_hat||^2 / K
-    mean_tr_sigma: float
-    saturation_rate: float
-    duty_cycle: float  # fraction of active-mode slots
-    energy_used: float
-    energy_harvested: float
-    diverged: bool
-    trace: SlotTrace | None = None  # the slots this path ran, with keep_traces
+# per-path result columns of RunResult.paths
+PATH_FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle", "energy_used",
+               "energy_harvested", "diverged", "n_run")
 
 
 @dataclass(frozen=True)
@@ -193,6 +185,17 @@ class Metric:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Means over paths, and the per-path results they come from.
+
+    paths is a record array with one row per path and the fields of
+    PATH_FIELDS: mse is the time-averaged ||x - x_hat||^2 / K, duty_cycle
+    the fraction of active-mode slots, energy_used the realized spend, and
+    n_run the slots the path ran before leaving the run.  paths.mse is a
+    (P,) column, and iterating paths yields rows with one attribute per
+    field.  With keep_traces, traces holds (P, n_slots) columns whose row p
+    is valid for its first paths.n_run[p] slots.
+    """
+
     n_paths: int
     n_slots: int
     seed: int
@@ -201,7 +204,8 @@ class RunResult:
     saturation_rate: Metric
     duty_cycle: Metric
     n_diverged: int
-    paths: list[PathResult] = field(repr=False, default_factory=list)
+    paths: np.recarray = field(repr=False)
+    traces: SlotTrace | None = field(repr=False, default=None)
 
     @property
     def diverged(self) -> bool:
@@ -214,7 +218,6 @@ def _take(state: SimState, keep: np.ndarray) -> SimState:
 
 
 def _metric(values: np.ndarray) -> Metric:
-    values = np.asarray(values, dtype=float)
     mean = float(values.mean())
     if values.size < 2:
         return Metric(mean=mean, ci_half_width=float("inf"))
@@ -251,7 +254,7 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
         if keep_traces:
             values = [getattr(t, f.name) for f in fields(SlotTrace)]
             if j == 0:
-                columns = [np.zeros((P, n_slots), np.asarray(v).dtype) for v in values]
+                columns = [np.zeros((P, n_slots), v.dtype) for v in values]
             for column, v in zip(columns, values):
                 column[live, j] = v
         tripped = t.sq_state > DIVERGENCE_GUARD
@@ -263,23 +266,18 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
                 break
             state = _take(state, keep)
             rngs = [g for g, k in zip(rngs, keep) if k]
-    # a path runs from slot 0 until it leaves, so its trace is a row prefix
-    traces = [None] * P
-    if keep_traces:
-        traces = [SlotTrace(*(c[p, :n] for c in columns))
-                  for p, n in enumerate(n_run.tolist())]
     sq_err, tr_sigma, spent, harvested, n_sat, n_active = sums
-    paths = [PathResult(*values) for values in zip(
-        (sq_err / (n_run * K)).tolist(), (tr_sigma / n_run).tolist(),
-        (n_sat / n_run).tolist(), (n_active / n_run).tolist(), spent.tolist(),
-        harvested.tolist(), diverged.tolist(), traces)]
+    # aligned: numpy buffers reductions over packed (unaligned) rows in
+    # chunks, which moves the last bits of the means above 8192 paths
+    paths = np.rec.fromarrays(
+        [sq_err / (n_run * K), tr_sigma / n_run, n_sat / n_run, n_active / n_run,
+         spent, harvested, diverged, n_run], names=PATH_FIELDS, aligned=True)
     return RunResult(
-        n_paths=n_paths, n_slots=n_slots, seed=seed,
-        mse=_metric([p.mse for p in paths]),
-        tr_sigma=_metric([p.mean_tr_sigma for p in paths]),
-        saturation_rate=_metric([p.saturation_rate for p in paths]),
-        duty_cycle=_metric([p.duty_cycle for p in paths]),
-        n_diverged=sum(p.diverged for p in paths), paths=paths,
+        n_paths=n_paths, n_slots=n_slots, seed=seed, mse=_metric(paths.mse),
+        tr_sigma=_metric(paths.mean_tr_sigma),
+        saturation_rate=_metric(paths.saturation_rate),
+        duty_cycle=_metric(paths.duty_cycle), n_diverged=int(diverged.sum()),
+        paths=paths, traces=SlotTrace(*columns) if keep_traces else None,
     )
 
 

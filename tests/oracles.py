@@ -39,7 +39,7 @@ from ehncs import sim
 from ehncs.numerics import eig_sym
 from ehncs.plant import control, instability_measure, step
 from ehncs.precoder import ALLOC_TOL, DriftContext, solve_theorem1
-from ehncs.sim import FeasibilityError, PathResult
+from ehncs.sim import FeasibilityError
 
 
 def kkt_residual(ctx, decision):
@@ -457,7 +457,9 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
 
 
 def reference_path(setup, policy, n_slots, rng):
-    """PathResult of one path driven slot by slot through `reference_slot`."""
+    """One path driven slot by slot through `reference_slot`: a dict of its
+    results under the names of `sim.PATH_FIELDS`, summed slot by slot here
+    rather than read from the harness."""
     K = setup.K
     W = eig_sym(setup.model.W)
     noise_sqrt = W.S * np.sqrt(W.Lam)
@@ -477,7 +479,7 @@ def reference_path(setup, policy, n_slots, rng):
         if state.diverged:
             break
     n = state.n
-    return PathResult(mse=sq_err / (n * K), mean_tr_sigma=tr_sigma / n,
-                      saturation_rate=n_sat / n, duty_cycle=n_active / n,
-                      energy_used=spent, energy_harvested=harvested,
-                      diverged=state.diverged), n
+    return dict(mse=sq_err / (n * K), mean_tr_sigma=tr_sigma / n,
+                saturation_rate=n_sat / n, duty_cycle=n_active / n,
+                energy_used=spent, energy_harvested=harvested,
+                diverged=state.diverged, n_run=n)

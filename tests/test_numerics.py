@@ -76,7 +76,7 @@ class TestSingularValues:
                                        (5, 1, 1)])
     def test_matches_lapack_svd(self, shape):
         # a 2 x 2 Gram ((9000, 2, 3), (9000, 4, 2)) takes the closed form;
-        # the (9000, 3, 3) stack spans two eigvalsh blocks, the last one partial
+        # the (9000, 3, 3) and (5, 1, 1) stacks take one eigvalsh call each
         rng = np.random.default_rng(10)
         H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         s = singular_values(H)

@@ -95,14 +95,14 @@ class TestMonteCarlo:
         r1 = run_monte_carlo(setup, solve_theorem1, 3, 50, seed=7)
         r2 = run_monte_carlo(setup, solve_theorem1, 3, 50, seed=7)
         assert r1.mse.mean == r2.mse.mean
-        assert [p.mse for p in r1.paths] == [p.mse for p in r2.paths]
+        assert r1.paths.mse.tolist() == r2.paths.mse.tolist()
 
     def test_energy_ledger(self):
         setup = small_setup()
-        path = run_monte_carlo(setup, solve_theorem1, 1, 100, seed=5,
-                               keep_traces=True).paths[0]
-        spent = path.trace.energy_used.sum()
-        harvested = path.trace.alpha.sum()
+        traces = run_monte_carlo(setup, solve_theorem1, 1, 100, seed=5,
+                                 keep_traces=True).traces
+        spent = traces.energy_used[0].sum()
+        harvested = traces.alpha[0].sum()
         assert spent <= setup.E0 + harvested + 1e-9
 
     @pytest.mark.parametrize("name", ["baseline1", "baseline3"])
@@ -132,7 +132,45 @@ class TestMonteCarlo:
         run = run_monte_carlo(small_setup(), solve_theorem1, 3, 10, seed=1,
                               keep_traces=True)
         assert run.n_diverged == 3
-        assert all(p.diverged and len(p.trace.n) == 1 for p in run.paths)
+        assert run.paths.diverged.all() and (run.paths.n_run == 1).all()
+
+    def test_paths_read_as_rows_and_means_as_plain_numbers(self):
+        # bench/workloads.py iterates result.paths for .mse and .diverged and
+        # prints the Metric means and n_diverged into its record lines
+        run = run_monte_carlo(small_setup(), solve_theorem1, 4, 30, seed=7)
+        assert len(run.paths) == 4
+        rows = list(run.paths)
+        assert [r.mse for r in rows] == run.paths.mse.tolist()
+        assert [r.diverged for r in rows] == run.paths.diverged.tolist()
+        for metric in (run.mse, run.tr_sigma, run.saturation_rate, run.duty_cycle):
+            assert type(metric.mean) is float and type(metric.ci_half_width) is float
+        assert type(run.n_diverged) is int
+
+    def test_columns_equal_their_trace_prefixes(self, monkeypatch):
+        # ||x||^2 peaks at 605 on path 2 (slot 44 is its first above 580) and
+        # at 549 or less on the other 7, so path 2 alone trips this guard
+        guard, n_slots = 580.0, 60
+        monkeypatch.setattr(sim, "DIVERGENCE_GUARD", guard)
+        setup = small_setup(theta=40.0)
+        run = run_monte_carlo(setup, solve_theorem1, 8, n_slots, seed=3,
+                              keep_traces=True)
+        paths, t = run.paths, run.traces
+        assert paths.diverged.tolist() == [p == 2 for p in range(8)]
+        assert paths.n_run.tolist() == [n_slots] * 2 + [45] + [n_slots] * 5
+        for p, n in enumerate(paths.n_run.tolist()):
+            # a path runs until the first slot over the guard, that one included
+            over = np.flatnonzero(t.sq_state[p, :n] > guard).tolist()
+            assert over == ([n - 1] if p == 2 else [])
+            expected = {
+                "mse": t.sq_error[p, :n].sum() / (n * setup.K),
+                "mean_tr_sigma": t.Tr_Sigma[p, :n].mean(),
+                "saturation_rate": (1 - t.gamma[p, :n]).mean(),
+                "duty_cycle": t.active[p, :n].mean(),
+                "energy_used": t.energy_used[p, :n].sum(),
+                "energy_harvested": t.alpha[p, :n].sum(),
+            }
+            for f, value in expected.items():
+                assert paths[f][p] == pytest.approx(value, rel=1e-12), (p, f)
 
     def test_policies_and_theta_share_their_draws(self):
         # no draw depends on a decision, so at one seed every policy and
@@ -144,7 +182,7 @@ class TestMonteCarlo:
             for name in POLICY_NAMES:
                 run = run_monte_carlo(setup, policy_factory(name)(setup), 6, 50,
                                       seed=11, keep_traces=True)
-                columns.append(np.array([p.trace.alpha for p in run.paths]))
+                columns.append(run.traces.alpha)
         for column in columns[1:]:
             assert np.array_equal(column, columns[0])
 
@@ -172,8 +210,7 @@ class TestMonteCarlo:
 
 
 class TestStackedEngine:
-    POLICIES = ("proposed", "baseline1", "baseline2", "baseline3", "baseline4",
-                "baseline5")
+    POLICIES = POLICY_NAMES
     FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle",
               "energy_used", "energy_harvested")
     SEED = 3
@@ -195,16 +232,18 @@ class TestStackedEngine:
                 policy = policy_factory(name)(setup)
                 run = run_monte_carlo(setup, policy, n_paths, n_slots, self.SEED,
                                       keep_traces=True)
+                # slots past a row's n_run are left at zero, so the whole
+                # column can be checked
+                assert np.all(run.traces.energy_used
+                              <= run.traces.E_before + 1e-9), (name, theta)
                 for p, path in enumerate(run.paths):
-                    ref, ref_slots = reference_path(
+                    ref = reference_path(
                         setup, policy, n_slots, np.random.default_rng([self.SEED, p]))
-                    assert path.diverged == ref.diverged, (name, theta, p)
-                    assert len(path.trace.E_before) == ref_slots, (name, theta, p)
-                    assert np.all(path.trace.energy_used
-                                  <= path.trace.E_before + 1e-9), (name, theta, p)
+                    assert path.diverged == ref["diverged"], (name, theta, p)
+                    assert path.n_run == ref["n_run"], (name, theta, p)
                     for f in self.FIELDS:
                         assert getattr(path, f) == pytest.approx(
-                            getattr(ref, f), rel=1e-9), (name, theta, p, f)
+                            ref[f], rel=1e-9), (name, theta, p, f)
                 if (name, theta) == ("baseline2", 40.0):
                     n_tripped = run.n_diverged
         assert n_tripped >= 1
@@ -231,12 +270,11 @@ class TestStackedEngine:
         run = run_monte_carlo(setup, policy, n_paths, n_slots, self.SEED)
         assert run.duty_cycle.mean > 0
         for p, path in enumerate(run.paths):
-            ref, _ = reference_path(setup, policy, n_slots,
-                                    np.random.default_rng([self.SEED, p]))
-            assert path.diverged == ref.diverged, p
+            ref = reference_path(setup, policy, n_slots,
+                                 np.random.default_rng([self.SEED, p]))
+            assert path.diverged == ref["diverged"], p
             for f in self.FIELDS:
-                assert getattr(path, f) == pytest.approx(
-                    getattr(ref, f), rel=1e-9), (p, f)
+                assert getattr(path, f) == pytest.approx(ref[f], rel=1e-9), (p, f)
 
 
 class TestSweep:

@@ -2,7 +2,8 @@
 
 The channel is i.i.d. across slots.  Every precoder reads only the K leading
 right singular vectors U_K and the gains Pi_K of a draw, so `sample_channel`
-returns those with H, from one reduced SVD of the stacked draws.  The
+returns those with H, from one reduced SVD of the stacked draws.  It and
+`receive` take the standard normals their caller drew.  The
 normalized singular value pi_tilde = sigma / Tr(Pi_K^{-1}) drives the
 stability condition.  For K = min(N_c, N_s) = 2 its law is
 evaluated exactly, by one-dimensional quadrature of the complex Wishart
@@ -40,34 +41,22 @@ def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def standard_normals(rngs, shape: tuple) -> np.ndarray:
-    """One standard_normal(shape) draw per generator in rngs, stacked along a
-    leading axis (len(rngs), *shape): each generator fills its own row, so
-    the values are those of its own standard_normal(shape)."""
-    z = np.empty((len(rngs), *shape))
-    for g, row in zip(rngs, z):
-        g.standard_normal(out=row)
-    return z
-
-
-def sample_channel(rngs, N_c: int, N_s: int, K: int) -> ChannelDraw:
-    """One i.i.d. CN(0,1)-entry channel draw per generator in rngs, with the
+def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
+    """One i.i.d. CN(0,1)-entry channel draw per path from the standard
+    normals z (P, 2, N_c, N_s), real parts then imaginary parts, with the
     stacked draw decomposed in one reduced SVD."""
-    if K > min(N_s, N_c):
+    if K > min(z.shape[-2:]):
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
-    z = standard_normals(rngs, (2, N_c, N_s))
     H = _complex_normal(z[:, 0], z[:, 1])
     # numpy gives H = V diag(s) U^H with U^H as its third factor
     _, s, Uh = np.linalg.svd(H, full_matrices=False)
     return ChannelDraw(H=H, U_K=herm(Uh[..., :K, :]), Pi_K=s[..., :K])
 
 
-def receive(H: np.ndarray, Fq: np.ndarray, rngs) -> np.ndarray:
-    """Received signal y = H (F q) + z, z ~ CN(0, I_{N_c}), on each path: H
-    (P, N_c, N_s) and the precoded symbols Fq (P, N_s) carry a path axis and
-    rngs holds one generator per path.  Every path draws its noise, sending
-    or not, so no generator's stream depends on what its policy decides."""
-    z = standard_normals(rngs, (2, H.shape[-2]))
+def receive(H: np.ndarray, Fq: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Received signal y = H (F q) + n, n ~ CN(0, I_{N_c}), on each path: H
+    (P, N_c, N_s), the precoded symbols Fq (P, N_s) and the standard normals
+    z (P, 2, N_c) of the noise, real parts then imaginary parts."""
     return (H @ Fq[..., None])[..., 0] + _complex_normal(z[:, 0], z[:, 1])
 
 

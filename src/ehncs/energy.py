@@ -26,19 +26,15 @@ class ArrivalModel:
             raise InputDomainError("ArrivalModel: mean must be finite and >= 0")
 
 
-def _draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):
+def draw_arrival(model: ArrivalModel, rng: np.random.Generator, size=None):
     """One harvest draw as a float, or `size` draws as an array (the same
-    values as `size` single draws)."""
+    values as `size` single draws).  A deterministic arrival draws nothing
+    from rng."""
     if model.kind == "poisson":
         draw = rng.poisson(model.mean, size)
     else:
         draw = model.mean if size is None else np.full(size, model.mean)
     return float(draw) if size is None else draw.astype(float)
-
-
-def sample_arrival(model: ArrivalModel, rngs) -> np.ndarray:
-    """One harvest draw per generator in rngs."""
-    return np.array([_draw_arrival(model, g) for g in rngs])
 
 
 def spend_and_harvest(E, spend, alpha, theta):
@@ -79,7 +75,7 @@ def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,
         if model.mean <= 0:
             raise InputDomainError("estimate_inverse_mean: deterministic mean is 0")
         return 1.0 / model.mean, 0.0
-    draws = _draw_arrival(model, rng, size=n)
+    draws = draw_arrival(model, rng, size=n)
     pos = draws[draws > 0]
     if pos.size == 0:
         raise InputDomainError("estimate_inverse_mean: all draws were zero")

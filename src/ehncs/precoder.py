@@ -25,14 +25,20 @@ stacked contexts as one cumulative sum.  Every precoder is assembled on the
 channel's K leading right singular vectors U_K.
 
 The per-stream terms (`_breakpoints`, `_walk_weights`, `_water_fill`,
-`_seabed`) are NumPy expressions shared by both walks.  One context has
-only K values, so `solve_theorem1` and `_walk` take them to Python floats
-with one `.tolist()` and run their control flow there: the dormancy and
-Sigma = 0 tests, the active-set walk and the clamps of s*.  Python float
-arithmetic is IEEE double, as NumPy's float64 is, so the results are the
-same bits at a fraction of the per-element dispatch cost.
+`_seabed`) are NumPy expressions that serve `theorem1_allocations` only.
+One context has only K values, so the per-context solvers (`solve_theorem1`
+and the baselines' `_wf_powers`) restate those terms on Python floats after
+one `.tolist()` and share the float walk `_walk`; NumPy is left only to
+assemble F.  Python float arithmetic is IEEE double, as NumPy's float64 is,
+and the floats keep NumPy's evaluation order, so the results are the same
+bits at a fraction of the per-element dispatch cost.  A per-stream square is
+written x * x, which is what NumPy's ** 2 computes on an array.  The
+squares of the scalars L and a/(E+b) are Python's ** 2, which is libm pow
+and rounds differently from x * x about once in a thousand, so the two
+spellings are not interchangeable here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +90,9 @@ def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecis
     )
 
 
-# Theorem 1's per-stream terms.  Each takes one context's (K,) arrays or
-# stacked (..., K) ones, with E and L broadcasting against the leading axes.
+# Theorem 1's per-stream terms on stacked (..., K) contexts, with E and L
+# broadcasting against the leading axes; `solve_theorem1` restates them on
+# floats.
 
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
@@ -112,21 +119,20 @@ def _water_fill(s, Pi_K, L, tau: float, c: float, seabed: np.ndarray) -> np.ndar
     return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
 
 
-def _walk(a_terms: np.ndarray, b_terms: np.ndarray, t: np.ndarray,
+def _walk(a_terms: list, b_terms: list, t: list,
           budget: float) -> tuple[float, float, float]:
-    """Active-set walk of a water-filling budget equation.
+    """Active-set walk of a water-filling budget equation, on Python floats.
 
     Stream i switches on once the water parameter s falls below t_i, and on
     a fixed active set the budget equation a/sqrt(s) - b = budget has the
     root s = (a/(budget+b))^2, with a and b the sums of a_terms and b_terms
-    over the set.  Streams switch on in descending t; the walk stops at the
-    first set whose root is at or above the next t (0 after the last
-    stream).  The spend is continuous and decreasing in s, so that root is
-    the solution.  Returns the sums a and b and the breakpoint of the last
-    stream switched on.
+    over the set.  Streams switch on in descending t, the later stream first
+    on a tie; the walk stops at the first set whose root is at or above the
+    next t (0 after the last stream).  The spend is continuous and
+    decreasing in s, so that root is the solution.  Returns the sums a and b
+    and the breakpoint of the last stream switched on.
     """
-    order = np.argsort(t)[::-1].tolist()
-    a_terms, b_terms, t = a_terms.tolist(), b_terms.tolist(), t.tolist()
+    order = sorted(range(len(t)), key=t.__getitem__)[::-1]
     a = b = 0.0
     for m, i in enumerate(order):
         a += a_terms[i]
@@ -145,26 +151,30 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     beta = s* - (theta - E)^+: beta is 0 when the spend at (theta - E)^+
     fits in E and positive when the budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
-    c = ctx.norm_AAT
-    t = _breakpoints(ctx.Lam, ctx.Pi_K, ctx.L, ctx.tau, c)
-    t_list = t.tolist()
-    if all(ctx.theta - (t_i + ctx.E) > ALLOC_TOL for t_i in t_list):
+    c, E, L, tau = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau
+    Lam, Pi_K = ctx.Lam.tolist(), ctx.Pi_K.tolist()
+    t = [c * (q * q) / tau for q in (p * lam / L for p, lam in zip(Pi_K, Lam))]
+    if all(ctx.theta - (t_i + E) > ALLOC_TOL for t_i in t):
         return _dormant_decision(ctx)
-    if ctx.E <= 0.0 or max(t_list) <= 0:
+    if E <= 0.0 or max(t) <= 0:
         # an empty battery pins F at zero; with Sigma = 0 every breakpoint is
         # 0 and no stream switches on
         return _dormant_decision(ctx, mode="active")
 
     # the walk finds s_E, clamped to the breakpoint of its last stream to
     # absorb round-off
-    seabed = _seabed(ctx.Lam)
-    a, b, t_last = _walk(*_walk_weights(ctx.Pi_K, ctx.L, ctx.tau, c, seabed), t, ctx.E)
-    s0 = max(ctx.theta - ctx.E, 0.0)
-    s_star = max(min((a / (ctx.E + b)) ** 2, t_last), s0)
-    y = _water_fill(s_star, ctx.Pi_K, ctx.L, ctx.tau, c, seabed)
-    top = (np.sqrt(y) / ctx.Pi_K)[:, None] * ctx.S.T  # Pi_K^{-1} Y^{1/2} S^T
-    F = (ctx.L / ctx.M) * (ctx.U_K @ top)
-    return PrecoderDecision(F=F, mode="active", beta=s_star - s0, allocations=y)
+    seabed = [1.0 / lam if lam > 0 else math.inf for lam in Lam]
+    a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
+    a, b, t_last = _walk([a_scale / p for p in Pi_K],
+                         [b_scale * sb / (p * p) for p, sb in zip(Pi_K, seabed)], t, E)
+    s0 = max(ctx.theta - E, 0.0)
+    s_star = max(min((a / (E + b)) ** 2, t_last), s0)
+    level = math.sqrt(c / (s_star * tau))
+    y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
+    top = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])[:, None] * ctx.S.T
+    F = (L / ctx.M) * (ctx.U_K @ top)  # (L/M) U_K Pi_K^{-1} Y^{1/2} S^T
+    return PrecoderDecision(F=F, mode="active", beta=s_star - s0,
+                            allocations=np.array(y))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -244,25 +254,30 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> np.ndarray:
+def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> list:
     """p_i = [gamma w_i - 1/pi_i]^+ with sum p_i = budget: w_i = 1 maximizes
     capacity, w_i = pi_i^{-1/2} minimizes the MSE."""
+    pi = pi.tolist()
     if budget <= 0:
-        return np.zeros_like(pi)
+        return [0.0] * len(pi)
     capacity = profile == "capacity"
-    w = np.ones_like(pi) if capacity else 1.0 / np.sqrt(pi)
-    floors = 1.0 / pi
+    w = [1.0] * len(pi) if capacity else [1.0 / math.sqrt(x) for x in pi]
+    floors = [1.0 / x for x in pi]
     # stream i is active iff gamma w_i > 1/pi_i, and gamma = (budget+b)/a
-    a, b, _ = _walk(w, floors, pi**2 if capacity else pi, budget)
-    p = np.maximum((budget + b) / a * w - floors, 0.0)
-    return p if capacity else p * (budget / p.sum())  # exact MMSE budget
+    a, b, _ = _walk(w, floors, [x * x for x in pi] if capacity else pi, budget)
+    gamma = (budget + b) / a
+    p = [max(gamma * w_i - f, 0.0) for w_i, f in zip(w, floors)]
+    if capacity:
+        return p
+    scale = budget / sum(p)  # exact MMSE budget
+    return [x * scale for x in p]
 
 
-def _baseline_decision(ctx: DriftContext, p: np.ndarray) -> PrecoderDecision:
+def _baseline_decision(ctx: DriftContext, p: list) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
     F = ctx.U_K * np.sqrt(p)
-    mode = "active" if p.sum() > 0 else "dormant"
-    return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=p)
+    mode = "active" if sum(p) > 0 else "dormant"
+    return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=np.array(p))
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

@@ -5,10 +5,11 @@ transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
-path.  Each slot, a path draws its channel, receiver noise, plant noise and
-arrival, in that order, from its own generator whatever its policy decides,
-so it does not depend on the others in its run, and at one seed every
-policy and swept value sees the same draws.  `run_monte_carlo` keeps its
+path.  At the top of each slot, one loop over the paths has each generator
+fill its row of normals (channel, receiver noise, plant noise, in that
+order) and then draw its arrival, before any policy decides.  So a path
+does not depend on the others in its run, and at one seed every policy and
+swept value sees the same draws.  `run_monte_carlo` keeps its
 per-path results as columns: one record array with a row per path and,
 with traces kept, one SlotTrace of (P, n_slots) columns.
 """
@@ -24,8 +25,8 @@ import numpy as np
 # Importing the bare names would attach its per-path outcome observers,
 # which call bool() on one path's result and raise on the stacked arrays.
 from . import energy, limiter
-from .channel import receive, sample_channel, standard_normals
-from .energy import ArrivalModel, check_feasible, sample_arrival
+from .channel import receive, sample_channel
+from .energy import ArrivalModel, check_feasible, draw_arrival
 from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, eig_sym
@@ -114,18 +115,29 @@ def run_slot(setup: SimSetup, state: SimState, policy,
              rngs) -> tuple[SimState, SlotTrace]:
     """Advance the P stacked paths of `state` by one slot.
 
-    rngs holds one generator per path, and every path draws its receiver
-    noise; a silent path's y goes unused.  The policy is called once per path
-    with its DriftContext.  The control u(n) = -Psi A x_hat(n) uses the
-    estimate formed from measurements through slot n-1; the same u(n) drives
-    the estimator prediction and the plant.  Energy spent on air is the
+    rngs holds one generator per path.  Each draws the whole slot first: one
+    row of 2 N_c N_s channel, 2 N_c receiver-noise and K plant-noise normals,
+    then its arrival (none when deterministic); a silent path's receiver
+    noise goes unused.  The policy is called once per path with its
+    DriftContext.  The control u(n) = -Psi A x_hat(n) uses the estimate
+    formed from measurements through slot n-1; the same u(n) drives the
+    estimator prediction and the plant.  Energy spent on air is the
     realized ||F q||^2 tau; feasibility is checked on the budget M^2 Tr(F^H F)
     tau, which the limiter makes the larger.
     """
     model, lim_params, K = setup.model, setup.limiter, setup.K
-    E = state.E
+    N_c, N_s, E, P = setup.N_c, setup.N_s, state.E, len(rngs)
 
-    draw = sample_channel(rngs, setup.N_c, setup.N_s, K)
+    # each generator's draws of the slot: one row of normals (the channel,
+    # the receiver noise, the plant noise), then the arrival
+    n_H, n_y = 2 * N_c * N_s, 2 * N_c
+    z = np.empty((P, n_H + n_y + K))
+    alpha = np.empty(P)
+    for p, g in enumerate(rngs):
+        g.standard_normal(out=z[p])
+        alpha[p] = draw_arrival(setup.arrivals, g)
+
+    draw = sample_channel(z[:, :n_H].reshape(P, 2, N_c, N_s), K)
     L = dynamic_range(model, lim_params, state.Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [
@@ -146,7 +158,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     active = np.array([d.mode == "active" for d in decisions])
     transmitting = active & F.any(axis=(1, 2))
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
-    y = receive(draw.H, Fq, rngs)
+    y = receive(draw.H, Fq, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))
     spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * setup.tau, 0.0)
     update = transmitting & ~lim.saturated
     Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)
@@ -156,10 +168,8 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     u = control(model, state.x_hat)
     x_hat_next, Sigma_next = filter_step(
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
-    w = standard_normals(rngs, (K,)) @ model.W_sqrt.T
+    w = z[:, n_H + n_y:] @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
-
-    alpha = sample_arrival(setup.arrivals, rngs)
     E_next = energy.spend_and_harvest(E, spend, alpha, setup.theta)
 
     trace = SlotTrace(

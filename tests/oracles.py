@@ -21,8 +21,10 @@ the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
 engine is checked against: one path at a time, one kernel call per stage,
 with its own textbook estimator update.  It consumes its generator as the
-engine does: every slot the channel, the receiver noise (used only when the
-path transmits), the plant noise and the arrival.
+engine does, each draw by the generator's own method: every slot
+2 N_c N_s channel normals, 2 N_c receiver-noise normals (used only when the
+path transmits), K plant-noise normals and the arrival (none when it is
+deterministic).
 """
 
 from dataclasses import dataclass
@@ -31,8 +33,7 @@ import numpy as np
 
 from ehncs.analysis import delta_constant
 from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
-from ehncs.energy import (check_feasible, precoder_budget, sample_arrival,
-                          spend_and_harvest)
+from ehncs.energy import check_feasible, precoder_budget, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
 from ehncs import sim
@@ -415,8 +416,8 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     """One slot of one path; returns the next state and the slot's
     (E_before, L, active, gamma, spend, Tr Sigma, sq_error, sq_state, alpha).
     The kernels are called on stacks of one path."""
-    model = setup.model
-    draw = sample_channel([rng], setup.N_c, setup.N_s, setup.K)
+    model, arrivals = setup.model, setup.arrivals
+    draw = sample_channel(rng.standard_normal((1, 2, setup.N_c, setup.N_s)), setup.K)
     L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
@@ -432,7 +433,7 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     active = decision.mode == "active"
     # the receiver noise is drawn every slot and used only when the path sends
     Fq = decision.F @ lim.q
-    y = receive(draw.H, Fq[None], [rng])[0]
+    y = receive(draw.H, Fq[None], rng.standard_normal((1, 2, setup.N_c)))[0]
     if active and np.any(decision.F):
         Ftilde = draw.H[0] @ decision.F * lim.g
         spend = float(np.linalg.norm(Fq) ** 2) * setup.tau
@@ -446,7 +447,8 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
         state.x_hat, state.Sigma, y, Ftilde if gamma else None, model.A, model.B,
         u, model.W)
     x_next = step(model, state.x, u, noise_sqrt @ rng.standard_normal(setup.K))
-    alpha = float(sample_arrival(setup.arrivals, [rng])[0])
+    alpha = float(rng.poisson(arrivals.mean) if arrivals.kind == "poisson"
+                  else arrivals.mean)
     E_next = spend_and_harvest(state.E, spend, alpha, setup.theta)
     record = (state.E, L, active, gamma, spend,
               float(np.trace(state.Sigma)), sq_error, sq_state, alpha)

@@ -7,7 +7,7 @@ from pathlib import Path
 from ehncs import channel
 from ehncs.analysis import _plug_in_terms, check_stability
 from ehncs.channel import (EXACT_MAX_N, PiTildeLaw, PiTildeStats, estimate_pitilde_stats,
-                           pitilde_stats, receive, sample_channel, standard_normals)
+                           pitilde_stats, receive, sample_channel)
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
@@ -16,20 +16,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pitilde_stats  # noqa: E402
 
 
-class TestStandardNormals:
-    def test_each_row_is_its_generators_own_draw(self):
-        seeds = (3, 4, 5)
-        z = standard_normals([np.random.default_rng(s) for s in seeds], (2, 2, 3))
-        assert z.shape == (3, 2, 2, 3)
-        for s, row in zip(seeds, z):
-            assert np.array_equal(row, np.random.default_rng(s).standard_normal((2, 2, 3)))
-        # no generators: an empty stack
-        assert standard_normals([], (2, 2)).shape == (0, 2, 2)
+def normals(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestSampleChannel:
     def test_shapes_and_cached_svd(self):
-        draw = sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=2)
+        draw = sample_channel(normals(0, 1, 2, 2, 3), K=2)
         assert draw.H.shape == (1, 2, 3)
         assert draw.U_K.shape == (1, 3, 2)
         assert draw.Pi_K.shape == (1, 2)
@@ -41,68 +34,56 @@ class TestSampleChannel:
     @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 4, 1),
                                              (4, 6, 3), (5, 3, 2)])
     def test_leading_right_singular_vectors(self, N_c, N_s, K):
-        seeds = (0, 1, 2)
-        draw = sample_channel([np.random.default_rng(s) for s in seeds], N_c, N_s, K)
+        z = normals(0, 3, 2, N_c, N_s)
+        draw = sample_channel(z, K)
         assert draw.H.shape == (3, N_c, N_s)
         assert draw.U_K.shape == (3, N_s, K)
         assert draw.Pi_K.shape == (3, K)
-        for p, seed in enumerate(seeds):
+        for p in range(3):
             U_K, Pi_K = draw.U_K[p], draw.Pi_K[p]
             assert np.abs(U_K.conj().T @ U_K - np.eye(K)).max() < 1e-12
             # |H u_i| = pi_i for each leading right singular vector u_i
             gains = np.linalg.norm(draw.H[p] @ U_K, axis=0)
             assert np.all(np.abs(gains - Pi_K) <= 1e-12 * Pi_K)
             assert np.all(np.diff(Pi_K) <= 0)
-            # the stacked draw is each generator's own draw
-            one = sample_channel([np.random.default_rng(seed)], N_c, N_s, K)
+            # each path's draw is built from its own row of normals
+            one = sample_channel(z[p:p + 1], K)
             assert np.array_equal(one.H[0], draw.H[p])
+            assert np.array_equal(draw.H[p], (z[p, 0] + 1j * z[p, 1]) / np.sqrt(2.0))
             assert np.allclose(one.U_K[0], U_K, rtol=0, atol=1e-12)
             assert np.allclose(one.Pi_K[0], Pi_K, rtol=1e-12, atol=0)
 
     def test_k_too_large(self):
         with pytest.raises(InputDomainError):
-            sample_channel([np.random.default_rng(0)], N_c=2, N_s=3, K=3)
+            sample_channel(normals(0, 1, 2, 2, 3), K=3)
 
     def test_unit_variance_entries(self):
-        H = sample_channel([np.random.default_rng(1)] * 500, 4, 4, 4).H
+        H = sample_channel(normals(1, 500, 2, 4, 4), 4).H
         assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.05
 
 
 class TestReceive:
     def setup_draw(self, n_paths, seed):
         rng = np.random.default_rng(seed)
-        draw = sample_channel([rng] * n_paths, 2, 3, 2)
+        draw = sample_channel(rng.standard_normal((n_paths, 2, 2, 3)), 2)
         F = rng.standard_normal((n_paths, 3, 2)) + 1j * rng.standard_normal((n_paths, 3, 2))
         q = rng.standard_normal((n_paths, 2))
         return draw, F, q
 
     def test_noise_is_each_generators_own_draw(self):
         draw, F, q = self.setup_draw(2, 2)
-        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
         twins = [np.random.default_rng(5), np.random.default_rng(6)]
+        z = np.array([twin.standard_normal((2, 2)) for twin in twins])
         Fq = (F @ q[:, :, None])[:, :, 0]
-        y = receive(draw.H, Fq, rngs)
-        for p, twin in enumerate(twins):
-            z = twin.standard_normal((2, 2))
-            assert np.allclose(y[p] - draw.H[p] @ Fq[p], (z[0] + 1j * z[1]) / np.sqrt(2.0))
+        y = receive(draw.H, Fq, z)
+        for p in range(2):
+            noise = (z[p, 0] + 1j * z[p, 1]) / np.sqrt(2.0)
+            assert np.allclose(y[p] - draw.H[p] @ Fq[p], noise)
 
     def test_noise_is_unit_variance(self):
-        rng = np.random.default_rng(3)
-        draw = sample_channel([rng] * 4000, 2, 3, 2)
-        ys = receive(draw.H, np.zeros((4000, 3)), [rng] * 4000)
+        draw = sample_channel(normals(3, 4000, 2, 2, 3), 2)
+        ys = receive(draw.H, np.zeros((4000, 3)), normals(4, 4000, 2, 2))
         assert abs(np.mean(np.abs(ys) ** 2) - 1.0) < 0.05
-
-    @pytest.mark.parametrize("silent", [False, True])
-    def test_every_path_draws_once_whatever_it_sends(self, silent):
-        # a generator's stream does not depend on what its path transmits
-        draw, F, q = self.setup_draw(2, 7)
-        Fq = np.zeros((2, 3)) if silent else (F @ q[:, :, None])[:, :, 0]
-        rngs = [np.random.default_rng(8), np.random.default_rng(9)]
-        twins = [np.random.default_rng(8), np.random.default_rng(9)]
-        receive(draw.H, Fq, rngs)
-        for rng, twin in zip(rngs, twins):
-            twin.standard_normal((2, 2))
-            assert rng.random() == twin.random()
 
 
 class TestPiTildeStats:

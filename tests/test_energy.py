@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ehncs.energy import (ArrivalModel, check_feasible, estimate_inverse_mean,
-                          sample_arrival, spend_and_harvest)
+from ehncs.energy import (ArrivalModel, check_feasible, draw_arrival,
+                          estimate_inverse_mean, spend_and_harvest)
 from ehncs.numerics import InputDomainError
 
 
@@ -28,13 +28,16 @@ class TestQueue:
 
 class TestArrivals:
     def test_deterministic(self):
+        # the mean every slot, with nothing drawn from the generator
         m = ArrivalModel(kind="deterministic", mean=3.0)
-        assert sample_arrival(m, [np.random.default_rng(0)])[0] == 3.0
+        rng = np.random.default_rng(0)
+        assert draw_arrival(m, rng) == 3.0
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_poisson_mean(self):
         m = ArrivalModel(kind="poisson", mean=40.0)
         rng = np.random.default_rng(1)
-        draws = sample_arrival(m, [rng] * 20000)
+        draws = [draw_arrival(m, rng) for _ in range(20000)]
         assert abs(np.mean(draws) - 40.0) < 0.3
 
     def test_invalid_kind(self):
@@ -77,7 +80,7 @@ class TestInverseMean:
         # about 14% of the draws are zero and drop out of the mean
         m = ArrivalModel(kind="poisson", mean=2.0)
         rng = np.random.default_rng(12)
-        draws = np.array([sample_arrival(m, [rng])[0] for _ in range(5000)])
+        draws = np.array([draw_arrival(m, rng) for _ in range(5000)])
         pos = draws[draws > 0]
         expect = (float((1.0 / pos).mean()), 1.0 - pos.size / draws.size)
         assert expect[1] > 0.1

@@ -18,14 +18,10 @@ class _FixedDraws:
     def __init__(self, *arrays):
         self.arrays = list(arrays)
 
-    def standard_normal(self, shape=None, out=None):
+    def standard_normal(self, shape):
         arr = self.arrays.pop(0)
-        if out is None:
-            assert arr.shape == shape
-            return arr
-        assert arr.shape == out.shape
-        out[...] = arr
-        return out
+        assert arr.shape == shape
+        return arr
 
 
 class TestSvd:
@@ -34,10 +30,10 @@ class TestSvd:
 
     @staticmethod
     def draw_of(H, K):
-        # sample_channel builds H = (re + i im) / sqrt(2) from one draw
+        # sample_channel builds H = (re + i im) / sqrt(2) from its normals
         H = np.asarray(H, dtype=complex)
         z = np.sqrt(2.0) * np.stack([H.real, H.imag])
-        return sample_channel([_FixedDraws(z)], *H.shape, K)
+        return sample_channel(z[None], K)
 
     def test_diagonal_descending(self):
         draw = self.draw_of(np.diag([1.0, 3.0]), K=2)
@@ -51,7 +47,7 @@ class TestSvd:
             n_c = rng.integers(1, 9)
             n_s = rng.integers(1, 9)
             k = min(n_c, n_s)
-            draw = sample_channel([rng], n_c, n_s, k)
+            draw = sample_channel(rng.standard_normal((1, 2, n_c, n_s)), k)
             H, U_K, Pi_K = draw.H[0], draw.U_K[0], draw.Pi_K[0]
             scale = max(1.0, np.abs(H).max())
             # at K = min(N_c, N_s), U_K spans the row space of H
@@ -62,12 +58,12 @@ class TestSvd:
             assert np.all(np.diff(Pi_K) <= 1e-12)
 
     def test_stack_matches_one_by_one(self):
-        seeds = (2, 3, 4, 5)
-        draw = sample_channel([np.random.default_rng(s) for s in seeds], 2, 3, 2)
+        z = np.random.default_rng(2).standard_normal((4, 2, 2, 3))
+        draw = sample_channel(z, 2)
         H, U_K = draw.H, draw.U_K
         assert np.abs(H @ U_K @ np.swapaxes(U_K, -1, -2).conj() - H).max() < 1e-10
-        for p, seed in enumerate(seeds):
-            one = sample_channel([np.random.default_rng(seed)], 2, 3, 2)
+        for p in range(len(z)):
+            one = sample_channel(z[p:p + 1], 2)
             assert np.allclose(draw.Pi_K[p], one.Pi_K[0])
 
 

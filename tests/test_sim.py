@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_path, reference_region_scan  # noqa: E402
 
 from ehncs import sim
+from ehncs.channel import receive
 from ehncs.cli import policy_factory
 from ehncs.config import POLICY_NAMES
 from ehncs.energy import ArrivalModel
@@ -87,6 +88,39 @@ class TestRunSlot:
             state, trace = run_slot(setup, state, solve_theorem1, rngs)
             assert 0.0 <= state.E[0] <= setup.theta + 1e-12
             assert trace.energy_used[0] <= trace.E_before[0] + 1e-9
+
+    @pytest.mark.parametrize("arrival", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("policy", [solve_theorem1, zero_policy],
+                             ids=["sending", "silent"])
+    def test_draws_follow_the_stream_order(self, arrival, policy, monkeypatch):
+        # each slot consumes a path's generator as per-purpose draws from a
+        # clone do: the channel, the receiver noise, the plant noise, then
+        # the arrival (none when deterministic), whatever the path sends
+        setup = replace(small_setup(), arrivals=ArrivalModel(kind=arrival, mean=40.0))
+        N_c, N_s, K, P = setup.N_c, setup.N_s, setup.K, 3
+        seen = {}
+        for name in ("receive", "step"):
+            def spy(*args, fn=getattr(sim, name), name=name):
+                seen[name] = args, fn(*args)
+                return seen[name][1]
+            monkeypatch.setattr(sim, name, spy)
+        rngs = [np.random.default_rng([4, p]) for p in range(P)]
+        clones = [np.random.default_rng([4, p]) for p in range(P)]
+        state = initial_state(setup, P)
+        sent = False
+        for _ in range(3):
+            state, trace = run_slot(setup, state, policy, rngs)
+            z_H = np.array([g.standard_normal((2, N_c, N_s)) for g in clones])
+            z_y = np.array([g.standard_normal((2, N_c)) for g in clones])
+            z_w = np.array([g.standard_normal(K) for g in clones])
+            alpha = [g.poisson(40.0) if arrival == "poisson" else 40.0 for g in clones]
+            (H, Fq, _), y = seen["receive"]
+            assert np.array_equal(H, (z_H[:, 0] + 1j * z_H[:, 1]) / np.sqrt(2.0))
+            assert np.array_equal(y, receive(H, Fq, z_y))
+            assert np.array_equal(seen["step"][0][3], z_w @ setup.model.W_sqrt.T)
+            assert np.array_equal(trace.alpha, alpha)
+            sent |= bool(trace.energy_used.any())
+        assert sent == (policy is solve_theorem1)
 
 
 class TestMonteCarlo:

@@ -122,6 +122,28 @@ class TestRunSlot:
             sent |= bool(trace.energy_used.any())
         assert sent == (policy is solve_theorem1)
 
+    def test_each_row_is_its_generators_own_draw(self, monkeypatch):
+        # a path's draws follow its generator, not its place in the stack or
+        # the paths beside it: reordering the generators reorders the rows,
+        # and a path run alone draws what it draws in the stack
+        setup = small_setup()
+        seen = []
+        monkeypatch.setattr(sim, "receive",
+                            lambda H, Fq, z: (seen.append(H), receive(H, Fq, z))[1])
+        seeds = (3, 4, 5)
+
+        def one_slot(order):
+            rngs = [np.random.default_rng(seeds[p]) for p in order]
+            _, trace = run_slot(setup, initial_state(setup, len(rngs)), zero_policy, rngs)
+            return seen[-1], trace.alpha
+
+        H, alpha = one_slot([0, 1, 2])
+        H_rev, alpha_rev = one_slot([2, 1, 0])
+        assert np.array_equal(H_rev, H[::-1]) and np.array_equal(alpha_rev, alpha[::-1])
+        for p in range(len(seeds)):
+            H_p, alpha_p = one_slot([p])
+            assert np.array_equal(H_p, H[p:p + 1]) and np.array_equal(alpha_p, alpha[p:p + 1])
+
 
 class TestMonteCarlo:
     def test_deterministic_replay(self):

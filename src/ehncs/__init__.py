@@ -25,8 +25,8 @@ from .estimator import filter_step
 from .limiter import LimiterParams, clip, compute_theta, dynamic_range, make_params
 from .numerics import eig_sym, singular_values, solve_stein
 from .plant import PlantModel, control, design_gain_ce, instability_measure, step
-from .precoder import (DriftContext, PrecoderDecision, baseline_capacity_wf,
-                       baseline_constant_power, baseline_mmse_wf,
+from .precoder import (DriftContext, PrecoderDecision, assemble_precoder,
+                       baseline_capacity_wf, baseline_constant_power, baseline_mmse_wf,
                        baseline_periodic_wf, decision_region_scan,
                        solve_theorem1, theorem1_allocations)
 from .sim import RunResult, SimSetup, run_monte_carlo, run_slot, sweep

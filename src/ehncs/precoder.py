@@ -21,25 +21,29 @@ Capacity and MMSE water-filling (the baselines) have the same structure
 with other weights, so the scalar active-set walk `_walk` inverts the
 budget equation for one Theorem-1 context (`solve_theorem1`) and for both
 baseline power profiles; `theorem1_allocations` takes the same walk over
-stacked contexts as one cumulative sum.  Every precoder is assembled on the
-channel's K leading right singular vectors U_K.
+stacked contexts as one cumulative sum.  A policy does not form its
+precoder: it returns the per-stream factors of F = scale U_K diag(gains)
+basis^T, on the channel's K leading right singular vectors U_K, and
+`assemble_precoder` builds F from them over any leading axes, for one
+decision (`PrecoderDecision.F`) or for every path of a slot at once.
 
 The per-stream terms (`_breakpoints`, `_walk_weights`, `_water_fill`,
 `_seabed`) are NumPy expressions that serve `theorem1_allocations` only.
 One context has only K values, so the per-context solvers (`solve_theorem1`
 and the baselines' `_wf_powers`) restate those terms on Python floats after
-one `.tolist()` and share the float walk `_walk`; NumPy is left only to
-assemble F.  Python float arithmetic is IEEE double, as NumPy's float64 is,
-and the floats keep NumPy's evaluation order, so the results are the same
-bits at a fraction of the per-element dispatch cost.  A per-stream square is
-written x * x, which is what NumPy's ** 2 computes on an array.  The
-squares of the scalars L and a/(E+b) are Python's ** 2, which is libm pow
-and rounds differently from x * x about once in a thousand, so the two
-spellings are not interchangeable here.
+one `.tolist()` and share the float walk `_walk`.  Python float arithmetic
+is IEEE double, as NumPy's float64 is, and the floats keep NumPy's
+evaluation order, so the results are the same bits at a fraction of the
+per-element dispatch cost.  A per-stream square is written x * x, which is
+what NumPy's ** 2 computes on an array.  The squares of the scalars L and
+a/(E+b) are Python's ** 2, which is libm pow and rounds differently from
+x * x about once in a thousand, so the two spellings are not
+interchangeable here.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -74,20 +78,49 @@ class DriftContext:
             raise InputDomainError("DriftContext: E must be >= 0")
 
 
+def assemble_precoder(U_K, gains, basis, scale) -> np.ndarray:
+    """F = scale U_K diag(gains) basis^T over any leading axes.
+
+    U_K is (..., N_s, K), gains (..., K), basis (..., K, K) and scale (...);
+    returns the complex (..., N_s, K) precoders.
+    """
+    top = gains[..., :, None] * np.swapaxes(basis, -1, -2)
+    return np.asarray(scale)[..., None, None] * (U_K @ top)
+
+
 @dataclass(frozen=True)
 class PrecoderDecision:
-    F: np.ndarray  # (N_s, K) complex
+    """A policy's precoder in Theorem 1's factored form,
+    F = scale U_K diag(gains) basis^T: Theorem 1 gives gains sqrt(y_i)/Pi_ii,
+    basis S and scale L/M; the baselines and dormant decisions give the
+    identity basis and scale 1.
+    """
+
+    gains: np.ndarray  # (K,) per-stream amplitudes
+    basis: np.ndarray  # (K, K)
+    scale: float
+    U_K: np.ndarray  # (N_s, K) the context's leading right singular vectors
     mode: str  # "dormant" | "active"
     beta: float
     allocations: np.ndarray  # (K,) per-stream allocations (diag of Y*)
 
+    @property
+    def F(self) -> np.ndarray:
+        """The (N_s, K) complex precoder, assembled as `run_slot` assembles it."""
+        return assemble_precoder(self.U_K, self.gains, self.basis, self.scale)
+
+
+@cache
+def _identity(K: int) -> np.ndarray:
+    eye = np.eye(K)
+    eye.flags.writeable = False  # shared by every decision with this K
+    return eye
+
 
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
-    return PrecoderDecision(
-        F=np.zeros((ctx.U_K.shape[0], K), dtype=complex), mode=mode, beta=0.0,
-        allocations=np.zeros(K),
-    )
+    return PrecoderDecision(gains=np.zeros(K), basis=_identity(K), scale=1.0,
+                            U_K=ctx.U_K, mode=mode, beta=0.0, allocations=np.zeros(K))
 
 
 # Theorem 1's per-stream terms on stacked (..., K) contexts, with E and L
@@ -117,6 +150,14 @@ def _water_fill(s, Pi_K, L, tau: float, c: float, seabed: np.ndarray) -> np.ndar
     """Per-stream allocations y_i(s) = (1/2)[(Pi_ii/L) sqrt(c/(s tau)) - 1/Lam_ii]^+
     at water level s."""
     return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
+
+
+def _descending(t: np.ndarray) -> np.ndarray:
+    """Indices that sort t in descending order along its last axis, the later
+    stream first on a tie, as `_walk` orders them.  The sort must be stable:
+    NumPy's default sort does not keep ties in index order for 4 or more
+    elements on every host."""
+    return np.argsort(t, axis=-1, kind="stable")[..., ::-1]
 
 
 def _walk(a_terms: list, b_terms: list, t: list,
@@ -171,10 +212,9 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     s_star = max(min((a / (E + b)) ** 2, t_last), s0)
     level = math.sqrt(c / (s_star * tau))
     y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
-    top = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])[:, None] * ctx.S.T
-    F = (L / ctx.M) * (ctx.U_K @ top)  # (L/M) U_K Pi_K^{-1} Y^{1/2} S^T
-    return PrecoderDecision(F=F, mode="active", beta=s_star - s0,
-                            allocations=np.array(y))
+    gains = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])
+    return PrecoderDecision(gains=gains, basis=ctx.S, scale=L / ctx.M, U_K=ctx.U_K,
+                            mode="active", beta=s_star - s0, allocations=np.array(y))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -202,7 +242,7 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
     # masks below drop them
     with np.errstate(divide="ignore", invalid="ignore"):
         # walk the active sets in descending-breakpoint order
-        order = np.argsort(t, axis=-1)[..., ::-1]
+        order = _descending(t)
         t_sorted = np.take_along_axis(t, order, axis=-1)
         a, b = (np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
                 for w in _walk_weights(Pi_K, L, tau, c, seabed))
@@ -275,9 +315,10 @@ def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> list:
 
 def _baseline_decision(ctx: DriftContext, p: list) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
-    F = ctx.U_K * np.sqrt(p)
     mode = "active" if sum(p) > 0 else "dormant"
-    return PrecoderDecision(F=F, mode=mode, beta=0.0, allocations=np.array(p))
+    p = np.array(p)
+    return PrecoderDecision(gains=np.sqrt(p), basis=_identity(len(p)), scale=1.0,
+                            U_K=ctx.U_K, mode=mode, beta=0.0, allocations=p)
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

@@ -5,9 +5,11 @@ transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
-path.  At the top of each slot, one loop over the paths has each generator
-fill its row of normals (channel, receiver noise, plant noise, in that
-order) and then draw its arrival, before any policy decides.  So a path
+path.  A policy returns per-stream factors (gains, basis, scale), and the
+slot builds every path's precoder F from them in one stacked product.  At
+the top of each slot, one loop over the paths has each generator fill its
+row of normals (channel, receiver noise, plant noise, in that order) and
+then draw its arrival, before any policy decides.  So a path
 does not depend on the others in its run, and at one seed every policy and
 swept value sees the same draws.  `run_monte_carlo` keeps its
 per-path results as columns: one record array with a row per path and,
@@ -31,7 +33,7 @@ from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, eig_sym
 from .plant import PlantModel, control, step
-from .precoder import DriftContext
+from .precoder import DriftContext, assemble_precoder
 
 
 # a path whose ||x||^2 exceeds this on a slot has diverged and leaves the run
@@ -119,11 +121,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     row of 2 N_c N_s channel, 2 N_c receiver-noise and K plant-noise normals,
     then its arrival (none when deterministic); a silent path's receiver
     noise goes unused.  The policy is called once per path with its
-    DriftContext.  The control u(n) = -Psi A x_hat(n) uses the estimate
-    formed from measurements through slot n-1; the same u(n) drives the
-    estimator prediction and the plant.  Energy spent on air is the
-    realized ||F q||^2 tau; feasibility is checked on the budget M^2 Tr(F^H F)
-    tau, which the limiter makes the larger.
+    DriftContext and returns the factors of its F; `assemble_precoder` then
+    builds all P precoders at once on the stacked U_K.  The control
+    u(n) = -Psi A x_hat(n) uses the estimate formed from measurements
+    through slot n-1; the same u(n) drives the estimator prediction and the
+    plant.  Energy spent on air is the realized ||F q||^2 tau; feasibility
+    is checked on the budget M^2 Tr(F^H F) tau, which the limiter makes the
+    larger.
     """
     model, lim_params, K = setup.model, setup.limiter, setup.K
     N_c, N_s, E, P = setup.N_c, setup.N_s, state.E, len(rngs)
@@ -146,7 +150,9 @@ def run_slot(setup: SimSetup, state: SimState, policy,
                             norm_AAT=model.norm_AAT, slot=state.n))
         for S, Lam, U_K, Pi_K, E_p, L_p in zip(
             dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
-    F = np.array([d.F for d in decisions])
+    F = assemble_precoder(draw.U_K, np.array([d.gains for d in decisions]),
+                          np.array([d.basis for d in decisions]),
+                          np.array([d.scale for d in decisions]))
     feasible = check_feasible(E, F, lim_params.M, setup.tau)
     if not feasible.all():
         p = int(np.argmin(feasible))

@@ -425,17 +425,19 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, slot=state.n)
     decision = policy(ctx)
-    if not check_feasible(state.E, decision.F, setup.limiter.M, setup.tau):
+    # F = scale U_K diag(gains) basis^T, here as a column scaling and a product
+    F = decision.scale * ((ctx.U_K * decision.gains) @ decision.basis.T)
+    if not check_feasible(state.E, F, setup.limiter.M, setup.tau):
         raise FeasibilityError(f"slot {state.n}: policy budget exceeds stored energy")
 
     lim = clip(state.x, L, setup.limiter.M)
     gamma = 0 if lim.saturated else 1
     active = decision.mode == "active"
     # the receiver noise is drawn every slot and used only when the path sends
-    Fq = decision.F @ lim.q
+    Fq = F @ lim.q
     y = receive(draw.H, Fq[None], rng.standard_normal((1, 2, setup.N_c)))[0]
-    if active and np.any(decision.F):
-        Ftilde = draw.H[0] @ decision.F * lim.g
+    if active and np.any(F):
+        Ftilde = draw.H[0] @ F * lim.g
         spend = float(np.linalg.norm(Fq) ** 2) * setup.tau
     else:
         y, Ftilde, spend = None, None, 0.0

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from ehncs.energy import precoder_budget
 from ehncs.numerics import InputDomainError, eig_sym
-from ehncs.precoder import (DriftContext, _seabed, baseline_capacity_wf,
+from ehncs.precoder import (DriftContext, _descending, _seabed, baseline_capacity_wf,
                             baseline_constant_power, baseline_mmse_wf,
                             baseline_periodic_wf, solve_theorem1,
                             theorem1_allocations)
@@ -254,6 +255,16 @@ class TestStackedKernel:
                     elif np.any(d.allocations > 0):
                         branches["slack"] += 1
             assert min(branches.values()) >= 10, (K, branches)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_ties_walk_in_the_float_walks_order(self, K):
+        # every tie pattern of K breakpoints: descending, the later stream
+        # first on a tie, as the float walk `_walk` orders them, both for a
+        # stack of contexts and for one alone
+        t = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=K)))
+        want = [sorted(range(K), key=row.__getitem__)[::-1] for row in t.tolist()]
+        assert _descending(t).tolist() == want
+        assert [_descending(row).tolist() for row in t] == want
 
 
 class TestDecoupledStructure:

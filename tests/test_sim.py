@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from ehncs import sim
 from ehncs.channel import receive
 from ehncs.cli import policy_factory
 from ehncs.config import POLICY_NAMES
-from ehncs.energy import ArrivalModel
+from ehncs.energy import ArrivalModel, check_feasible
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
@@ -35,9 +36,8 @@ def small_setup(theta=80.0, mean_alpha=40.0, eps=0.05):
 
 def zero_policy(ctx):
     K = len(ctx.Pi_K)
-    n_s = ctx.U_K.shape[0]
-    return PrecoderDecision(F=np.zeros((n_s, K), dtype=complex), mode="dormant",
-                            beta=0.0, allocations=np.zeros(K))
+    return PrecoderDecision(gains=np.zeros(K), basis=np.eye(K), scale=1.0, U_K=ctx.U_K,
+                            mode="dormant", beta=0.0, allocations=np.zeros(K))
 
 
 class TestRunSlot:
@@ -70,13 +70,12 @@ class TestRunSlot:
         state = initial_state(setup)
 
         def greedy(ctx):
-            n_s = ctx.U_K.shape[0]
             K = len(ctx.Pi_K)
-            F = np.full((n_s, K), 1e6, dtype=complex)
-            return PrecoderDecision(F=F, mode="active", beta=0.0,
-                                    allocations=np.zeros(K))
+            return PrecoderDecision(gains=np.full(K, math.sqrt(3.0) * 1e6),
+                                    basis=np.eye(K), scale=1.0, U_K=ctx.U_K,
+                                    mode="active", beta=0.0, allocations=np.zeros(K))
 
-        # budget M^2 Tr(F^H F) tau = 1 * 6e12 * 0.01
+        # budget M^2 Tr(F^H F) tau = 1 * (2 * 3e12) * 0.01
         with pytest.raises(FeasibilityError, match=r"policy budget 6e\+10 J"):
             run_slot(setup, state, greedy, [np.random.default_rng(2)])
 
@@ -143,6 +142,50 @@ class TestRunSlot:
         for p in range(len(seeds)):
             H_p, alpha_p = one_slot([p])
             assert np.array_equal(H_p, H[p:p + 1]) and np.array_equal(alpha_p, alpha[p:p + 1])
+
+    @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_stacked_assembly_is_each_decisions_own_precoder(self, name, N_c, N_s,
+                                                            monkeypatch):
+        # the F that run_slot assembles over the stack equals, bit for bit,
+        # what each path's decision assembles alone, on every solver branch
+        setup = replace(small_setup(), N_c=N_c, N_s=N_s)
+        theta, K = setup.theta, setup.K
+        seen = []
+        monkeypatch.setattr(
+            sim, "check_feasible",
+            lambda E, F, M, tau: (seen.append(F), check_feasible(E, F, M, tau))[1])
+        policy = policy_factory(name)(setup)
+        decisions = []
+        sends = set()
+
+        def recorded(ctx):
+            decisions.append(policy(ctx))
+            return decisions[-1]
+
+        X = np.random.default_rng(8).standard_normal((K, K))
+        urgent = 1e4 * np.eye(K) + 1e3 * X @ X.T
+        Sigmas = np.array([np.zeros((K, K)), np.zeros((K, K)), urgent, urgent, urgent])
+        E = np.array([theta, theta / 2, 0.0, theta / 2, theta])
+        P = len(E)
+        for n in (0, 1):  # baseline2 decides only on every third slot
+            state = sim.SimState(n=n, x=np.ones((P, K)), x_hat=np.zeros((P, K)),
+                                 Sigma=Sigmas, E=E)
+            decisions.clear()
+            run_slot(setup, state, recorded,
+                     [np.random.default_rng([9, p]) for p in range(P)])
+            F = seen[-1]
+            assert F.shape == (P, N_s, K)
+            for p, d in enumerate(decisions):
+                assert np.array_equal(F[p], d.F), (n, p)
+            sends.update(F.any(axis=(1, 2)).tolist())
+        assert sends == {False, True}
+        if name == "proposed":
+            # Sigma = 0, dormant, empty battery, then two that transmit
+            assert [d.mode for d in decisions] == ["active", "dormant", "active",
+                                                   "active", "active"]
+            assert [bool(d.allocations.any()) for d in decisions] == [
+                False, False, False, True, True]
 
 
 class TestMonteCarlo:

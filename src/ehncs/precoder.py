@@ -39,11 +39,19 @@ what NumPy's ** 2 computes on an array.  The squares of the scalars L and
 a/(E+b) are Python's ** 2, which is libm pow and rounds differently from
 x * x about once in a thousand, so the two spellings are not
 interchangeable here.
+
+A slot builds one `DriftContext` and one `PrecoderDecision` per path, so
+both are immutable NamedTuples, built positionally: as frozen dataclasses,
+which set every field through object.__setattr__, the pair cost about 4 us
+per path and slot.  `DriftContext.__new__` keeps the L > 0 and E >= 0
+checks, and both records still take keywords.  The policy stays one call
+per path, returning one scalar mode and beta, which is what
+bench/tracing.py reads.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,10 +62,9 @@ from .plant import PlantModel
 ALLOC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DriftContext:
-    """Per-slot state the precoding policies consume."""
-
+# the fields of DriftContext: a NamedTuple body may not define __new__, so
+# the checks live in a subclass
+class _DriftFields(NamedTuple):
     S: np.ndarray  # (K, K) covariance eigenbasis
     Lam: np.ndarray  # (K,) covariance eigenvalues, descending
     U_K: np.ndarray  # (N_s, K) leading right singular vectors of H = V Pi U^H
@@ -70,12 +77,26 @@ class DriftContext:
     norm_AAT: float  # spectral norm of A A^T
     slot: int = 0  # slot index (periodic baseline only)
 
-    def __post_init__(self):
+
+class DriftContext(_DriftFields):
+    """Per-slot state the precoding policies consume, one immutable record
+    per path and slot, built positionally or by keyword."""
+
+    __slots__ = ()
+
+    def __new__(cls, S, Lam, U_K, Pi_K, E, theta, tau, M, L, norm_AAT, slot=0):
         # negated comparisons also reject NaN
-        if not self.L > 0:
+        if not L > 0:
             raise InputDomainError("DriftContext: L must be > 0")
-        if not self.E >= 0:
+        if not E >= 0:
             raise InputDomainError("DriftContext: E must be >= 0")
+        return tuple.__new__(cls, (S, Lam, U_K, Pi_K, E, theta, tau, M, L, norm_AAT,
+                                   slot))
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
 
 def assemble_precoder(U_K, gains, basis, scale) -> np.ndarray:
@@ -88,8 +109,7 @@ def assemble_precoder(U_K, gains, basis, scale) -> np.ndarray:
     return np.asarray(scale)[..., None, None] * (U_K @ top)
 
 
-@dataclass(frozen=True)
-class PrecoderDecision:
+class PrecoderDecision(NamedTuple):
     """A policy's precoder in Theorem 1's factored form,
     F = scale U_K diag(gains) basis^T: Theorem 1 gives gains sqrt(y_i)/Pi_ii,
     basis S and scale L/M; the baselines and dormant decisions give the
@@ -119,8 +139,8 @@ def _identity(K: int) -> np.ndarray:
 
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
-    return PrecoderDecision(gains=np.zeros(K), basis=_identity(K), scale=1.0,
-                            U_K=ctx.U_K, mode=mode, beta=0.0, allocations=np.zeros(K))
+    return PrecoderDecision(np.zeros(K), _identity(K), 1.0, ctx.U_K, mode, 0.0,
+                            np.zeros(K))
 
 
 # Theorem 1's per-stream terms on stacked (..., K) contexts, with E and L
@@ -192,10 +212,16 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     beta = s* - (theta - E)^+: beta is 0 when the spend at (theta - E)^+
     fits in E and positive when the budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
-    c, E, L, tau = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau
+    c, E, L, tau, theta = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau, ctx.theta
     Lam, Pi_K = ctx.Lam.tolist(), ctx.Pi_K.tolist()
-    t = [c * (q * q) / tau for q in (p * lam / L for p, lam in zip(Pi_K, Lam))]
-    if all(ctx.theta - (t_i + E) > ALLOC_TOL for t_i in t):
+    t = []
+    dormant = True
+    for p, lam in zip(Pi_K, Lam):
+        q = p * lam / L
+        t_i = c * (q * q) / tau
+        t.append(t_i)
+        dormant = dormant and theta - (t_i + E) > ALLOC_TOL
+    if dormant:
         return _dormant_decision(ctx)
     if E <= 0.0 or max(t) <= 0:
         # an empty battery pins F at zero; with Sigma = 0 every breakpoint is
@@ -208,13 +234,13 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
     a, b, t_last = _walk([a_scale / p for p in Pi_K],
                          [b_scale * sb / (p * p) for p, sb in zip(Pi_K, seabed)], t, E)
-    s0 = max(ctx.theta - E, 0.0)
+    s0 = max(theta - E, 0.0)
     s_star = max(min((a / (E + b)) ** 2, t_last), s0)
     level = math.sqrt(c / (s_star * tau))
     y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
     gains = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])
-    return PrecoderDecision(gains=gains, basis=ctx.S, scale=L / ctx.M, U_K=ctx.U_K,
-                            mode="active", beta=s_star - s0, allocations=np.array(y))
+    return PrecoderDecision(gains, ctx.S, L / ctx.M, ctx.U_K, "active", s_star - s0,
+                            np.array(y))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -317,8 +343,7 @@ def _baseline_decision(ctx: DriftContext, p: list) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
     mode = "active" if sum(p) > 0 else "dormant"
     p = np.array(p)
-    return PrecoderDecision(gains=np.sqrt(p), basis=_identity(len(p)), scale=1.0,
-                            U_K=ctx.U_K, mode=mode, beta=0.0, allocations=p)
+    return PrecoderDecision(np.sqrt(p), _identity(len(p)), 1.0, ctx.U_K, mode, 0.0, p)
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

@@ -120,17 +120,20 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     rngs holds one generator per path.  Each draws the whole slot first: one
     row of 2 N_c N_s channel, 2 N_c receiver-noise and K plant-noise normals,
     then its arrival (none when deterministic); a silent path's receiver
-    noise goes unused.  The policy is called once per path with its
-    DriftContext and returns the factors of its F; `assemble_precoder` then
-    builds all P precoders at once on the stacked U_K.  The control
+    noise goes unused.  theta, tau, M, ||A A^T|| and the slot index are read
+    once per slot; each path's DriftContext (a NamedTuple) is built from
+    them positionally.  The policy is called once per path with its context
+    and returns the factors of its F; `assemble_precoder` then builds all P
+    precoders at once on the stacked U_K.  The control
     u(n) = -Psi A x_hat(n) uses the estimate formed from measurements
     through slot n-1; the same u(n) drives the estimator prediction and the
     plant.  Energy spent on air is the realized ||F q||^2 tau; feasibility
     is checked on the budget M^2 Tr(F^H F) tau, which the limiter makes the
     larger.
     """
-    model, lim_params, K = setup.model, setup.limiter, setup.K
-    N_c, N_s, E, P = setup.N_c, setup.N_s, state.E, len(rngs)
+    model, K, N_c, N_s = setup.model, setup.K, setup.N_c, setup.N_s
+    theta, tau, M, c = setup.theta, setup.tau, setup.limiter.M, model.norm_AAT
+    n, E, P = state.n, state.E, len(rngs)
 
     # each generator's draws of the slot: one row of normals (the channel,
     # the receiver noise, the plant noise), then the arrival
@@ -142,30 +145,27 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         alpha[p] = draw_arrival(setup.arrivals, g)
 
     draw = sample_channel(z[:, :n_H].reshape(P, 2, N_c, N_s), K)
-    L = dynamic_range(model, lim_params, state.Sigma)
+    L = dynamic_range(model, setup.limiter, state.Sigma)
     dec = eig_sym(state.Sigma)
-    decisions = [
-        policy(DriftContext(S=S, Lam=Lam, U_K=U_K, Pi_K=Pi_K, E=E_p, theta=setup.theta,
-                            tau=setup.tau, M=lim_params.M, L=L_p,
-                            norm_AAT=model.norm_AAT, slot=state.n))
-        for S, Lam, U_K, Pi_K, E_p, L_p in zip(
-            dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
+    decisions = [policy(DriftContext(S, Lam, U_K, Pi_K, E_p, theta, tau, M, L_p, c, n))
+                 for S, Lam, U_K, Pi_K, E_p, L_p in zip(
+                     dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
     F = assemble_precoder(draw.U_K, np.array([d.gains for d in decisions]),
                           np.array([d.basis for d in decisions]),
                           np.array([d.scale for d in decisions]))
-    feasible = check_feasible(E, F, lim_params.M, setup.tau)
+    feasible = check_feasible(E, F, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
-        budget = energy.precoder_budget(F[p], lim_params.M, setup.tau)
-        raise FeasibilityError(f"slot {state.n}: policy budget {budget:.6g} J "
+        budget = energy.precoder_budget(F[p], M, tau)
+        raise FeasibilityError(f"slot {n}: policy budget {budget:.6g} J "
                                f"exceeds stored energy {E[p]:.6g} J")
 
-    lim = limiter.clip(state.x, L, lim_params.M)
+    lim = limiter.clip(state.x, L, M)
     active = np.array([d.mode == "active" for d in decisions])
     transmitting = active & F.any(axis=(1, 2))
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
     y = receive(draw.H, Fq, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))
-    spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * setup.tau, 0.0)
+    spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * tau, 0.0)
     update = transmitting & ~lim.saturated
     Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)
 
@@ -176,14 +176,14 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
     w = z[:, n_H + n_y:] @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
-    E_next = energy.spend_and_harvest(E, spend, alpha, setup.theta)
+    E_next = energy.spend_and_harvest(E, spend, alpha, theta)
 
     trace = SlotTrace(
         E_before=E, L=L, active=active, gamma=(~lim.saturated).astype(int),
         energy_used=spend, Tr_Sigma=np.trace(state.Sigma, axis1=1, axis2=2),
         sq_error=sq_error, sq_state=sq_state, alpha=alpha,
     )
-    next_state = SimState(n=state.n + 1, x=x_next, x_hat=x_hat_next,
+    next_state = SimState(n=n + 1, x=x_next, x_hat=x_hat_next,
                           Sigma=Sigma_next, E=E_next)
     return next_state, trace
 
@@ -208,8 +208,10 @@ class RunResult:
     the fraction of active-mode slots, energy_used the realized spend, and
     n_run the slots the path ran before leaving the run.  paths.mse is a
     (P,) column, and iterating paths yields rows with one attribute per
-    field.  With keep_traces, traces holds (P, n_slots) columns whose row p
-    is valid for its first paths.n_run[p] slots.
+    field.  Its rows are aligned to 64 bytes with zeroed padding, so the
+    bytes of a run are the same in every process.  With keep_traces, traces
+    holds (P, n_slots) columns whose row p is valid for its first
+    paths.n_run[p] slots.
     """
 
     n_paths: int
@@ -283,11 +285,17 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
             state = _take(state, keep)
             rngs = [g for g, k in zip(rngs, keep) if k]
     sq_err, tr_sigma, spent, harvested, n_sat, n_active = sums
+    values = [sq_err / (n_run * K), tr_sigma / n_run, n_sat / n_run, n_active / n_run,
+              spent, harvested, diverged, n_run]
     # aligned: numpy buffers reductions over packed (unaligned) rows in
-    # chunks, which moves the last bits of the means above 8192 paths
-    paths = np.rec.fromarrays(
-        [sq_err / (n_run * K), tr_sigma / n_run, n_sat / n_run, n_active / n_run,
-         spent, harvested, diverged, n_run], names=PATH_FIELDS, aligned=True)
+    # chunks, which moves the last bits of the means above 8192 paths; from
+    # zeros, so the padding after `diverged` is zero and the bytes of a run
+    # are the same in every process
+    dtype = np.dtype([(name, v.dtype) for name, v in zip(PATH_FIELDS, values)],
+                     align=True)
+    paths = np.zeros(P, dtype).view(np.recarray)
+    for name, v in zip(PATH_FIELDS, values):
+        paths[name] = v
     return RunResult(
         n_paths=n_paths, n_slots=n_slots, seed=seed, mse=_metric(paths.mse),
         tr_sigma=_metric(paths.mean_tr_sigma),

@@ -1,15 +1,18 @@
 import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ehncs.energy import precoder_budget
+from ehncs.cli import policy_factory
+from ehncs.config import POLICY_NAMES
+from ehncs.energy import ArrivalModel, precoder_budget
 from ehncs.numerics import InputDomainError, eig_sym
-from ehncs.precoder import (DriftContext, _descending, _seabed, baseline_capacity_wf,
-                            baseline_constant_power, baseline_mmse_wf,
-                            baseline_periodic_wf, solve_theorem1,
+from ehncs.precoder import (DriftContext, PrecoderDecision, _descending, _seabed,
+                            baseline_capacity_wf, baseline_constant_power,
+                            baseline_mmse_wf, baseline_periodic_wf, solve_theorem1,
                             theorem1_allocations)
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -298,6 +301,70 @@ class TestContextValidation:
             make_ctx(rng, L=np.nan)
         with pytest.raises(InputDomainError):
             make_ctx(rng, E=np.nan)
+
+
+class TestRecords:
+    def test_bad_range_positional(self):
+        # TestContextValidation's four bad inputs, passed by position and
+        # through _replace
+        ctx = make_ctx(np.random.default_rng(3))
+        for name, bad in (("L", 0.0), ("E", -1.0), ("L", np.nan), ("E", np.nan)):
+            fields = list(ctx)
+            fields[DriftContext._fields.index(name)] = bad
+            with pytest.raises(InputDomainError):
+                DriftContext(*fields)
+            with pytest.raises(InputDomainError):
+                ctx._replace(**{name: bad})
+
+    def test_fields_are_read_only(self):
+        ctx = make_ctx(np.random.default_rng(20), E=5.0)
+        d = solve_theorem1(ctx)
+        for record, name in ((ctx, "E"), (ctx, "slot"), (d, "mode"), (d, "beta")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                record.extra = 1.0
+
+    def test_positional_and_keyword_construction_agree(self):
+        rng = np.random.default_rng(21)
+        ctx = make_ctx(rng, slot=4)
+        by_name = DriftContext(**ctx._asdict())
+        by_position = DriftContext(*ctx)
+        for other in (by_name, by_position):
+            assert all(a is b for a, b in zip(ctx, other))
+            assert other.slot == 4
+        keywords = ctx._asdict()
+        del keywords["slot"]
+        assert DriftContext(**keywords).slot == 0
+        assert DriftContext(*list(ctx)[:-1]).slot == 0
+        d = solve_theorem1(ctx)
+        assert all(a is b
+                   for a, b in zip(PrecoderDecision(*d), PrecoderDecision(**d._asdict())))
+        assert PrecoderDecision._fields == ("gains", "basis", "scale", "U_K", "mode", "beta",
+                                            "allocations")
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_precoder_is_its_policys_formula(self, name):
+        # bit for bit: Theorem 1 gives F = (L/M) U_K diag(sqrt(y_i)/Pi_ii) S^T
+        # and a baseline F = U_K diag(sqrt(p_i)), on every solver branch
+        rng = np.random.default_rng(22)
+        setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson", mean=5.0))
+        policy = policy_factory(name)(setup)
+        ctxs = [make_ctx(rng, K=K, E=E, theta=40.0, L=L, slot=slot, M=rng.uniform(0.5, 2.0))
+                for K in (1, 2, 3) for E in (0.0, 2.0, 30.0) for L in (1.0, 30.0)
+                for slot in (0, 1)]
+        modes = set()
+        for ctx in ctxs:
+            d = policy(ctx)
+            modes.add((d.mode, bool(d.allocations.any())))
+            amplitudes = np.sqrt(d.allocations)
+            if name == "proposed" and d.allocations.any():
+                want = (ctx.L / ctx.M) * (ctx.U_K @ ((amplitudes / ctx.Pi_K)[:, None]
+                                                     * ctx.S.T))
+            else:
+                want = 1.0 * (ctx.U_K @ (amplitudes[:, None] * np.eye(len(amplitudes))))
+            assert d.F.tobytes() == want.tobytes()
+        assert ("active", True) in modes
 
 
 class TestBaselines:

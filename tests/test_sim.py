@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_path, reference_region_scan  # noqa: E402
 
+import ehncs
 from ehncs import sim
 from ehncs.channel import receive
 from ehncs.cli import policy_factory
@@ -17,7 +20,8 @@ from ehncs.energy import ArrivalModel, check_feasible
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
-from ehncs.precoder import PrecoderDecision, decision_region_scan, solve_theorem1
+from ehncs.precoder import (DriftContext, PrecoderDecision, decision_region_scan,
+                            solve_theorem1)
 from ehncs.sim import (FeasibilityError, SimSetup, initial_state, run_monte_carlo,
                        run_slot, sweep)
 
@@ -188,6 +192,17 @@ class TestRunSlot:
                 False, False, False, True, True]
 
 
+# md5 of the bytes of one run's per-path records, in a fresh interpreter
+_PATHS_MD5 = """
+import hashlib, sys
+from ehncs.config import build_setup, parse_config
+from ehncs.precoder import solve_theorem1
+from ehncs.sim import run_monte_carlo
+run = run_monte_carlo(build_setup(parse_config(sys.argv[1])), solve_theorem1, 20, 30, 3)
+print(hashlib.md5(run.paths.tobytes()).hexdigest())
+"""
+
+
 class TestMonteCarlo:
     def test_deterministic_replay(self):
         setup = small_setup()
@@ -244,6 +259,49 @@ class TestMonteCarlo:
         for metric in (run.mse, run.tr_sigma, run.saturation_rate, run.duty_cycle):
             assert type(metric.mean) is float and type(metric.ci_half_width) is float
         assert type(run.n_diverged) is int
+
+    @pytest.mark.parametrize("name,guard,n_paths,n_slots,seed", [
+        *((name, sim.DIVERGENCE_GUARD, 3, 12, 1) for name in POLICY_NAMES),
+        # path 2 alone trips this guard, after its slot 44
+        ("proposed", 580.0, 8, 60, 3)])
+    def test_policy_called_as_the_bench_tracer_reads_it(self, name, guard, n_paths,
+                                                         n_slots, seed, monkeypatch):
+        # bench/tracing.py's traced_policy wraps the policy and reads one
+        # scalar mode and beta per call
+        monkeypatch.setattr(sim, "DIVERGENCE_GUARD", guard)
+        setup = small_setup(theta=40.0)
+        policy = policy_factory(name)(setup)
+        calls = []
+
+        def recording(*args, **kwargs):
+            decision = policy(*args, **kwargs)
+            assert type(decision.mode) is str
+            bool(decision.beta > 0)  # raises on a stacked beta
+            calls.append((args, kwargs))
+            return decision
+
+        run = run_monte_carlo(setup, recording, n_paths, n_slots, seed)
+        assert run.n_diverged == int(guard == 580.0)
+        assert all(len(args) == 1 and not kwargs and type(args[0]) is DriftContext
+                   for args, kwargs in calls)
+        # once per live path per slot: a path runs slots 0 .. n_run - 1
+        per_slot = np.bincount([args[0].slot for args, _ in calls], minlength=n_slots)
+        n_run = run.paths.n_run
+        assert per_slot.tolist() == [int((n_run > j).sum()) for j in range(n_slots)]
+
+    def test_paths_bytes_repeat_across_processes(self):
+        # each aligned row has 7 padding bytes after `diverged`; they are
+        # zero, not what the allocator left there, so a hash of the run's
+        # bytes repeats in a fresh interpreter
+        package = Path(ehncs.__file__).parent
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        digests = {
+            subprocess.run([sys.executable, "-c", _PATHS_MD5,
+                            str(package / "configs" / "reference.cfg")],
+                           env=env, capture_output=True, text=True, timeout=120,
+                           check=True).stdout
+            for _ in range(2)}
+        assert len(digests) == 1, digests
 
     def test_columns_equal_their_trace_prefixes(self, monkeypatch):
         # ||x||^2 peaks at 605 on path 2 (slot 44 is its first above 580) and

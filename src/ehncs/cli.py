@@ -2,7 +2,13 @@
 
 Every output file starts with comment lines carrying the config hash, the
 seed and any --paths, --slots or --policy flag that overrides the config, so
-results are traceable; identical (config, seed, flags) give identical bytes.
+results are traceable; identical (config, seed, flags) give identical bytes
+on one software and CPU stack: the same NumPy and OpenBLAS versions and the
+same CPU dispatch.  Within one NumPy and OpenBLAS build, a process's dispatch
+setting alone moves the last bits on an AVX-512 x86-64 host:
+OPENBLAS_CORETYPE=Haswell changes the bytes of run.csv (per-path mse by up
+to 6.7e-15 relative), and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR" changes the last digit of rhs_max in stability_report.txt.
 """
 
 import argparse

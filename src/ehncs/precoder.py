@@ -38,7 +38,15 @@ per-element dispatch cost.  A per-stream square is written x * x, which is
 what NumPy's ** 2 computes on an array.  The squares of the scalars L and
 a/(E+b) are Python's ** 2, which is libm pow and rounds differently from
 x * x about once in a thousand, so the two spellings are not
-interchangeable here.
+interchangeable here.  `solve_theorem1` unpacks its context once, and it
+and `_wf_powers` make one plain pass per stage over the streams (the
+breakpoints, then the walk's terms, then the allocations), not one
+comprehension per term; tests/oracles.py keeps the comprehension form, and
+the tests require the same bits from both.  With its clamps written as
+conditionals, this cut `solve_theorem1` by 28%, from 6.1-6.8 to 4.4-5.0 us
+per context, on a 2-CPU x86-64 host with Python 3.11 (four runs, each the
+median of 12 interleaved rounds over 400 closed-loop contexts of the
+reference).
 
 A slot builds one `DriftContext` and one `PrecoderDecision` per path, so
 both are immutable NamedTuples, built positionally: as frozen dataclasses,
@@ -212,8 +220,8 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     beta = s* - (theta - E)^+: beta is 0 when the spend at (theta - E)^+
     fits in E and positive when the budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
-    c, E, L, tau, theta = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau, ctx.theta
-    Lam, Pi_K = ctx.Lam.tolist(), ctx.Pi_K.tolist()
+    S, Lam, U_K, Pi_K, E, theta, tau, M, L, c, _ = ctx
+    Lam, Pi_K = Lam.tolist(), Pi_K.tolist()
     t = []
     dormant = True
     for p, lam in zip(Pi_K, Lam):
@@ -230,16 +238,29 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
 
     # the walk finds s_E, clamped to the breakpoint of its last stream to
     # absorb round-off
-    seabed = [1.0 / lam if lam > 0 else math.inf for lam in Lam]
     a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
-    a, b, t_last = _walk([a_scale / p for p in Pi_K],
-                         [b_scale * sb / (p * p) for p, sb in zip(Pi_K, seabed)], t, E)
-    s0 = max(theta - E, 0.0)
-    s_star = max(min((a / (E + b)) ** 2, t_last), s0)
+    seabed, a_terms, b_terms = [], [], []
+    for p, lam in zip(Pi_K, Lam):
+        sb = 1.0 / lam if lam > 0 else math.inf
+        seabed.append(sb)
+        a_terms.append(a_scale / p)
+        b_terms.append(b_scale * sb / (p * p))
+    a, b, t_last = _walk(a_terms, b_terms, t, E)
+    # max(x, m) is x unless m > x and min(x, m) is x unless m < x, NaN and
+    # signed zeros included; the conditionals skip a builtin call per use
+    s0 = theta - E
+    s0 = 0.0 if 0.0 > s0 else s0
+    s_star = (a / (E + b)) ** 2
+    s_star = t_last if t_last < s_star else s_star
+    s_star = s0 if s0 > s_star else s_star
     level = math.sqrt(c / (s_star * tau))
-    y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
-    gains = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])
-    return PrecoderDecision(gains, ctx.S, L / ctx.M, ctx.U_K, "active", s_star - s0,
+    y, gains = [], []
+    for p, sb in zip(Pi_K, seabed):
+        y_i = (p / L) * level - sb
+        y_i = 0.5 * (0.0 if 0.0 > y_i else y_i)
+        y.append(y_i)
+        gains.append(math.sqrt(y_i) / p)
+    return PrecoderDecision(np.array(gains), S, L / M, U_K, "active", s_star - s0,
                             np.array(y))
 
 
@@ -327,10 +348,13 @@ def _wf_powers(pi: np.ndarray, budget: float, profile: str) -> list:
     if budget <= 0:
         return [0.0] * len(pi)
     capacity = profile == "capacity"
-    w = [1.0] * len(pi) if capacity else [1.0 / math.sqrt(x) for x in pi]
-    floors = [1.0 / x for x in pi]
     # stream i is active iff gamma w_i > 1/pi_i, and gamma = (budget+b)/a
-    a, b, _ = _walk(w, floors, [x * x for x in pi] if capacity else pi, budget)
+    w, floors, t = [], [], []
+    for x in pi:
+        w.append(1.0 if capacity else 1.0 / math.sqrt(x))
+        floors.append(1.0 / x)
+        t.append(x * x if capacity else x)
+    a, b, _ = _walk(w, floors, t, budget)
     gamma = (budget + b) / a
     p = [max(gamma * w_i - f, 0.0) for w_i, f in zip(w, floors)]
     if capacity:

@@ -6,14 +6,15 @@ spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
 path.  A policy returns per-stream factors (gains, basis, scale), and the
-slot builds every path's precoder F from them in one stacked product.  At
-the top of each slot, one loop over the paths has each generator fill its
-row of normals (channel, receiver noise, plant noise, in that order) and
-then draw its arrival, before any policy decides.  So a path
-does not depend on the others in its run, and at one seed every policy and
-swept value sees the same draws.  `run_monte_carlo` keeps its
-per-path results as columns: one record array with a row per path and,
-with traces kept, one SlotTrace of (P, n_slots) columns.
+slot gathers them, with each path's mode, in one transpose of the
+decisions, zip(*decisions), and builds every path's precoder F from them
+in one stacked product.  At the top of each slot, one loop over the paths
+has each generator fill its row of normals (channel, receiver noise, plant
+noise, in that order) and then draw its arrival, before any policy
+decides.  So a path does not depend on the others in its run, and at one
+seed every policy and swept value sees the same draws.  `run_monte_carlo`
+keeps its per-path results as columns: one record array with a row per
+path and, with traces kept, one SlotTrace of (P, n_slots) columns.
 """
 
 import math
@@ -123,13 +124,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     noise goes unused.  theta, tau, M, ||A A^T|| and the slot index are read
     once per slot; each path's DriftContext (a NamedTuple) is built from
     them positionally.  The policy is called once per path with its context
-    and returns the factors of its F; `assemble_precoder` then builds all P
-    precoders at once on the stacked U_K.  The control
-    u(n) = -Psi A x_hat(n) uses the estimate formed from measurements
-    through slot n-1; the same u(n) drives the estimator prediction and the
-    plant.  Energy spent on air is the realized ||F q||^2 tau; feasibility
-    is checked on the budget M^2 Tr(F^H F) tau, which the limiter makes the
-    larger.
+    and returns the factors of its F; one zip(*decisions) gathers the
+    factors and modes, and `assemble_precoder` builds all P precoders at
+    once on the stacked U_K.  The control u(n) = -Psi A x_hat(n) uses the
+    estimate formed from measurements through slot n-1; the same u(n)
+    drives the estimator prediction and the plant.  Energy spent on air is
+    the realized ||F q||^2 tau; feasibility is checked on the budget
+    M^2 Tr(F^H F) tau, which the limiter makes the larger.
     """
     model, K, N_c, N_s = setup.model, setup.K, setup.N_c, setup.N_s
     theta, tau, M, c = setup.theta, setup.tau, setup.limiter.M, model.norm_AAT
@@ -150,9 +151,8 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     decisions = [policy(DriftContext(S, Lam, U_K, Pi_K, E_p, theta, tau, M, L_p, c, n))
                  for S, Lam, U_K, Pi_K, E_p, L_p in zip(
                      dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
-    F = assemble_precoder(draw.U_K, np.array([d.gains for d in decisions]),
-                          np.array([d.basis for d in decisions]),
-                          np.array([d.scale for d in decisions]))
+    gains, basis, scale, _, modes, _, _ = zip(*decisions)
+    F = assemble_precoder(draw.U_K, np.array(gains), np.array(basis), np.array(scale))
     feasible = check_feasible(E, F, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
@@ -161,7 +161,7 @@ def run_slot(setup: SimSetup, state: SimState, policy,
                                f"exceeds stored energy {E[p]:.6g} J")
 
     lim = limiter.clip(state.x, L, M)
-    active = np.array([d.mode == "active" for d in decisions])
+    active = np.array([mode == "active" for mode in modes])
     transmitting = active & F.any(axis=(1, 2))
     Fq = (F @ lim.q[:, :, None])[:, :, 0]
     y = receive(draw.H, Fq, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))

@@ -15,7 +15,10 @@ The channel statistics and the stability curve have their per-draw-SVD and
 per-xi references, and the MSE bound its term-by-term formula at a given
 xi.  The per-point decision-region scan is the reference the one-call scan
 is checked against: one `DriftContext` and one scalar `solve_theorem1`
-walk per grid point.  Theorem 1's dormancy test has its threshold-matrix
+walk per grid point.  The per-context policies keep their float walks
+frozen here, one comprehension per per-stream term as they were before
+their loops were fused, so the solvers must give the same bits on every
+context.  Theorem 1's dormancy test has its threshold-matrix
 form, the information-form estimator update its augmented-stack solve, and
 the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
@@ -27,6 +30,7 @@ path transmits), K plant-noise normals and the arrival (none when it is
 deterministic).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,6 +316,96 @@ def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_value
                                     h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
             counts[i, j] = int(np.count_nonzero(solve_theorem1(ctx).allocations > 0))
     return counts
+
+
+# -- frozen float walks of the per-context policies ------------------------
+
+def _reference_walk(a_terms, b_terms, t, budget):
+    """The active-set walk of the budget equation a/sqrt(s) - b = budget:
+    streams switch on in descending t, the later stream first on a tie,
+    until the root (a/(budget+b))^2 reaches the next breakpoint."""
+    order = sorted(range(len(t)), key=t.__getitem__)[::-1]
+    a = b = 0.0
+    for m, i in enumerate(order):
+        a += a_terms[i]
+        b += b_terms[i]
+        if (a / (budget + b)) ** 2 >= (t[order[m + 1]] if m + 1 < len(t) else 0.0):
+            break
+    return a, b, t[i]
+
+
+def _reference_silent(K, mode="dormant"):
+    return mode, 0.0, 1.0, np.zeros(K), np.eye(K), np.zeros(K)
+
+
+def reference_theorem1(ctx):
+    """Theorem 1 for one context on Python floats, one list comprehension
+    per per-stream term, as the per-context solver computed it before its
+    loops were fused.  Returns (mode, beta, scale, gains, basis,
+    allocations), the factors of F = scale U_K diag(gains) basis^T; the
+    solver must give the same bits."""
+    c, E, L, tau, theta = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau, ctx.theta
+    Lam, Pi_K = ctx.Lam.tolist(), ctx.Pi_K.tolist()
+    t = []
+    dormant = True
+    for p, lam in zip(Pi_K, Lam):
+        q = p * lam / L
+        t_i = c * (q * q) / tau
+        t.append(t_i)
+        dormant = dormant and theta - (t_i + E) > ALLOC_TOL
+    if dormant:
+        return _reference_silent(len(Pi_K))
+    if E <= 0.0 or max(t) <= 0:
+        return _reference_silent(len(Pi_K), mode="active")
+    seabed = [1.0 / lam if lam > 0 else math.inf for lam in Lam]
+    a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
+    a, b, t_last = _reference_walk(
+        [a_scale / p for p in Pi_K],
+        [b_scale * sb / (p * p) for p, sb in zip(Pi_K, seabed)], t, E)
+    s0 = max(theta - E, 0.0)
+    s_star = max(min((a / (E + b)) ** 2, t_last), s0)
+    level = math.sqrt(c / (s_star * tau))
+    y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
+    gains = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])
+    return "active", s_star - s0, L / ctx.M, gains, ctx.S, np.array(y)
+
+
+def reference_wf_powers(pi, budget, profile):
+    """Water-filling powers p_i = [gamma w_i - 1/pi_i]^+ with sum p_i =
+    budget on Python floats, as the baselines computed them before their
+    loops were fused: w_i = 1 (capacity) or pi_i^{-1/2} (MMSE, rescaled to
+    the exact budget)."""
+    pi = pi.tolist()
+    if budget <= 0:
+        return [0.0] * len(pi)
+    capacity = profile == "capacity"
+    w = [1.0] * len(pi) if capacity else [1.0 / math.sqrt(x) for x in pi]
+    floors = [1.0 / x for x in pi]
+    a, b, _ = _reference_walk(w, floors, [x * x for x in pi] if capacity else pi,
+                              budget)
+    gamma = (budget + b) / a
+    p = [max(gamma * w_i - f, 0.0) for w_i, f in zip(w, floors)]
+    if capacity:
+        return p
+    scale = budget / sum(p)
+    return [x * scale for x in p]
+
+
+def reference_policy(name, ctx, mean_alpha, period):
+    """(mode, beta, scale, gains, basis, allocations) of the named policy of
+    `cli.policy_factory` on one context, from the frozen walks above."""
+    if name == "proposed":
+        return reference_theorem1(ctx)
+    if name == "baseline2" and ctx.slot % period != 0:
+        return _reference_silent(len(ctx.Pi_K))
+    budget = ctx.E
+    if name in ("baseline4", "baseline5"):
+        budget = min(mean_alpha, ctx.E)
+    profile = "mmse" if name in ("baseline3", "baseline5") else "capacity"
+    p = reference_wf_powers(ctx.Pi_K, budget / (ctx.M**2 * ctx.tau), profile)
+    mode = "active" if sum(p) > 0 else "dormant"
+    p = np.array(p)
+    return mode, 0.0, 1.0, np.sqrt(p), np.eye(len(p)), p
 
 
 # -- value-iteration reference of the certainty-equivalent gain -------------

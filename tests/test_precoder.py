@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from ehncs.cli import policy_factory
-from ehncs.config import POLICY_NAMES
+from ehncs.config import POLICY_NAMES, build_setup, parse_config
 from ehncs.energy import ArrivalModel, precoder_budget
 from ehncs.numerics import InputDomainError, eig_sym
 from ehncs.precoder import (DriftContext, PrecoderDecision, _descending, _seabed,
                             baseline_capacity_wf, baseline_constant_power,
                             baseline_mmse_wf, baseline_periodic_wf, solve_theorem1,
                             theorem1_allocations)
+from ehncs.sim import run_monte_carlo
+
+BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (kkt_residual, threshold_dormant,  # noqa: E402
-                     water_filling_bisection)
+from oracles import (kkt_residual, reference_policy,  # noqa: E402
+                     threshold_dormant, water_filling_bisection)
 
 
 def make_ctx_and_channel(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0,
@@ -213,34 +216,43 @@ def log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
+def kernel_groups(rng, K, n_groups=40, n_ctx=60):
+    """Groups of n_ctx K-stream contexts that share (theta, tau, ||AA^T||):
+    yields (theta, tau, norm_AAT, L, Pi_K, Lam, E) with (n_ctx,) L and E and
+    (n_ctx, K) Pi_K and Lam.  Every covariance kind (random, a tie of two
+    breakpoints, a zero eigenvalue, Sigma = 0) meets every battery kind
+    (E = 0, theta, 0.9 theta .. theta, uniform)."""
+    for _ in range(n_groups):
+        theta = log_uniform(rng, 1.0, 100.0)
+        tau = log_uniform(rng, 1e-3, 1.0)
+        norm_AAT = rng.uniform(1.0, 4.0)
+        L = log_uniform(rng, 1.0, 100.0, n_ctx)
+        Pi_K = log_uniform(rng, 0.05, 5.0, (n_ctx, K))
+        Lam = log_uniform(rng, 1e-2, 1e2, (n_ctx, K))
+        E = rng.uniform(0.0, theta, n_ctx)
+        for j in range(n_ctx):
+            if j % 5 == 1:
+                # an exact or a near tie of two activation thresholds
+                Pi_K[j, -1] = Pi_K[j, 0]
+                Lam[j, -1] = Lam[j, 0] * (1.0 + (j % 2) * 1e-13)
+            elif j % 5 == 2:
+                Lam[j, rng.integers(K)] = 0.0
+            elif j % 5 == 3:
+                Lam[j] = 0.0  # Sigma = 0
+            E[j] = (0.0, theta, rng.uniform(0.9, 1.0) * theta, E[j])[j % 4]
+        yield theta, tau, norm_AAT, L, Pi_K, Lam, E
+
+
 class TestStackedKernel:
     def test_matches_scalar_walk(self):
         # Per K, groups of contexts share (theta, tau, ||AA^T||) and go
         # through the kernel in one stacked call; each context also goes
         # through the scalar walk, which is the reference
         rng = np.random.default_rng(11)
-        n_groups, n_ctx = 40, 60
         for K in range(1, 5):
             branches = {"dormant": 0, "slack": 0, "binding": 0}
-            for _ in range(n_groups):
-                theta = log_uniform(rng, 1.0, 100.0)
-                tau = log_uniform(rng, 1e-3, 1.0)
-                norm_AAT = rng.uniform(1.0, 4.0)
-                L = log_uniform(rng, 1.0, 100.0, n_ctx)
-                Pi_K = log_uniform(rng, 0.05, 5.0, (n_ctx, K))
-                Lam = log_uniform(rng, 1e-2, 1e2, (n_ctx, K))
-                E = rng.uniform(0.0, theta, n_ctx)
-                for j in range(n_ctx):
-                    # every covariance kind meets every battery kind
-                    if j % 5 == 1:
-                        # an exact or a near tie of two activation thresholds
-                        Pi_K[j, -1] = Pi_K[j, 0]
-                        Lam[j, -1] = Lam[j, 0] * (1.0 + (j % 2) * 1e-13)
-                    elif j % 5 == 2:
-                        Lam[j, rng.integers(K)] = 0.0
-                    elif j % 5 == 3:
-                        Lam[j] = 0.0  # Sigma = 0
-                    E[j] = (0.0, theta, rng.uniform(0.9, 1.0) * theta, E[j])[j % 4]
+            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K):
+                n_ctx = len(E)
                 y, beta, active = theorem1_allocations(Lam, Pi_K, E, L, theta, tau,
                                                        norm_AAT)
                 assert y.shape == (n_ctx, K) and beta.shape == active.shape == (n_ctx,)
@@ -268,6 +280,88 @@ class TestStackedKernel:
         want = [sorted(range(K), key=row.__getitem__)[::-1] for row in t.tolist()]
         assert _descending(t).tolist() == want
         assert [_descending(row).tolist() for row in t] == want
+
+
+def assert_same_bits(decision, want):
+    """The decision's mode equals want's, and its beta, scale, gains, basis
+    and allocations have want's dtype, shape and bytes."""
+    mode, *values = want
+    assert decision.mode == mode
+    got = (decision.beta, decision.scale, decision.gains, decision.basis,
+           decision.allocations)
+    for name, a, b in zip(("beta", "scale", "gains", "basis", "allocations"),
+                          map(np.asarray, got), map(np.asarray, values)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+            (name, a, b)
+
+
+class TestFrozenFloatWalks:
+    """Every policy gives the bits of the frozen float walks in the oracles:
+    fusing the per-stream passes must not move a result."""
+
+    def test_kernel_contexts(self):
+        # the stacked kernel's contexts, with the baselines' E[alpha] on both
+        # sides of their battery levels
+        rng = np.random.default_rng(11)
+        for K in range(1, 5):
+            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K):
+                mean_alpha = 0.5 * theta
+                setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson",
+                                                              mean=mean_alpha))
+                policies = {name: policy_factory(name)(setup) for name in POLICY_NAMES}
+                for j in range(len(E)):
+                    ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=theta, tau=tau,
+                                       L=L[j], norm_AAT=norm_AAT, slot=j)
+                    for name, policy in policies.items():
+                        assert_same_bits(policy(ctx),
+                                         reference_policy(name, ctx, mean_alpha, 3))
+
+    def test_many_binding_contexts(self):
+        # Python's x ** 2 and x * x differ in about one float in a thousand.
+        # A binding context's water level is the square (a/(E+b)) ** 2, so a
+        # swap of the two spellings moves few results: the sets above miss
+        # it, and these 20000 two-stream contexts, three in four binding,
+        # catch it
+        rng = np.random.default_rng(12)
+        n = 20_000
+        E = rng.uniform(0.9, 1.0, n)
+        L = log_uniform(rng, 1.0, 10.0, n)
+        Pi_K = log_uniform(rng, 0.05, 5.0, (n, 2))
+        Lam = log_uniform(rng, 1e-2, 1e2, (n, 2))
+        setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson", mean=0.5))
+        names = ("proposed", "baseline1", "baseline3")
+        policies = [policy_factory(name)(setup) for name in names]
+        n_binding = 0
+        for j in range(n):
+            ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=1.0, L=L[j])
+            for name, policy in zip(names, policies):
+                decision = policy(ctx)
+                assert_same_bits(decision, reference_policy(name, ctx, 0.5, 3))
+                n_binding += decision.beta > 0
+        assert n_binding > 0.7 * n
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_closed_loop_contexts(self, name):
+        # every context a 20-path x 60-slot run on the reference config
+        # visits, recorded through a wrapper policy
+        cfg = parse_config(BUNDLED)
+        setup = build_setup(cfg)
+        policy = policy_factory(name, cfg.period)(setup)
+        seen = []
+
+        def recording(ctx):
+            decision = policy(ctx)
+            seen.append((ctx, decision))
+            return decision
+
+        run = run_monte_carlo(setup, recording, 20, 60, cfg.seed)
+        assert len(seen) == run.paths.n_run.sum()
+        for ctx, decision in seen:
+            assert_same_bits(decision,
+                             reference_policy(name, ctx, setup.arrivals.mean, cfg.period))
+        if name == "proposed":
+            assert {d.mode for _, d in seen} == {"dormant", "active"}
+            assert any(d.beta > 0 for _, d in seen)
 
 
 class TestDecoupledStructure:

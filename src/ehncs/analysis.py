@@ -101,7 +101,7 @@ def check_stability(model: PlantModel, params: LimiterParams,
     eta = float(num[i] - lhs * den[i])
     bound = None
     if eta > 0:
-        bound = float(((1.0 + lhs * den[i] / model.norm_BPsi**2) * np.trace(model.W)
+        bound = float(((1.0 + lhs * den[i] / model.norm_BPsi**2) * model.tr_W
                        + theta**2) / eta)
 
     eps_cap = float(eps_cap[i])

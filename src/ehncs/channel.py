@@ -13,7 +13,7 @@ by the shape.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .numerics import InputDomainError, herm, singular_values
 DEGENERATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
+class ChannelDraw(NamedTuple):
     """P channel draws H = V Pi U^H stacked along a leading path axis, with
     the K leading right singular vectors and singular values of each."""
 
@@ -36,9 +35,12 @@ class ChannelDraw:
     Pi_K: np.ndarray  # (P, K) leading singular values, descending
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """CN(0, 1) entries from standard normal real and imaginary parts."""
-    return (re + 1j * im) / np.sqrt(2.0)
+    return (re + 1j * im) / _SQRT2
 
 
 def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
@@ -50,7 +52,7 @@ def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
     H = _complex_normal(z[:, 0], z[:, 1])
     # numpy gives H = V diag(s) U^H with U^H as its third factor
     _, s, Uh = np.linalg.svd(H, full_matrices=False)
-    return ChannelDraw(H=H, U_K=herm(Uh[..., :K, :]), Pi_K=s[..., :K])
+    return ChannelDraw(H, herm(Uh[..., :K, :]), s[..., :K])
 
 
 def receive(H: np.ndarray, Fq: np.ndarray, z: np.ndarray) -> np.ndarray:

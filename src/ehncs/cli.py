@@ -1,10 +1,13 @@
 """Command-line orchestration: run, sweep, analyze, regions.
 
 Every output file starts with comment lines carrying the config hash, the
-seed and any --paths, --slots or --policy flag that overrides the config, so
-results are traceable; identical (config, seed, flags) give identical bytes
-on one software and CPU stack: the same NumPy and OpenBLAS versions and the
-same CPU dispatch.  Within one NumPy and OpenBLAS build, a process's dispatch
+seed, the NumPy version and BLAS build that computed it (one
+`# numpy=<version> blas=<name>-<version>` line, from numpy.__config__;
+"unknown" where a NumPy build does not say), and any --paths, --slots or
+--policy flag that overrides the config, so results are traceable.
+Identical (config, seed, flags) give identical bytes on one software and
+CPU stack: the same NumPy and OpenBLAS versions and the same CPU
+dispatch.  Within one NumPy and OpenBLAS build, a process's dispatch
 setting alone moves the last bits on an AVX-512 x86-64 host:
 OPENBLAS_CORETYPE=Haswell changes the bytes of run.csv (per-path mse by up
 to 6.7e-15 relative), and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
@@ -60,9 +63,14 @@ def policy_factory(name: str, period: int = 3):
     raise ConfigError([f"policy: unknown policy {name!r}"])
 
 
+_BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+_STACK_LINE = (f"# numpy={np.__version__} "
+               f"blas={_BLAS.get('name', 'unknown')}-{_BLAS.get('version', 'unknown')}")
+
+
 def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows,
                overrides=()) -> None:
-    header = [f"# config_hash={cfg.config_hash}", f"# seed={cfg.seed}"]
+    header = [f"# config_hash={cfg.config_hash}", f"# seed={cfg.seed}", _STACK_LINE]
     if overrides:
         header.append(f"# overrides={' '.join(overrides)}")
     with open(path, "w", newline="") as fh:
@@ -124,6 +132,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines = [
         f"# config_hash={cfg.config_hash}",
         f"# seed={cfg.seed}",
+        _STACK_LINE,
         f"satisfied: {str(report.satisfied).lower()}",
         f"lhs: {report.lhs!r}",
         f"rhs_max: {report.rhs_max!r}",

@@ -43,7 +43,7 @@ def spend_and_harvest(E, spend, alpha, theta):
     Spend happens before harvest within the slot; `check_feasible` keeps the
     spend within E upstream.  E, spend and alpha hold one entry per path.
     """
-    if not (np.min(spend) >= 0 and np.min(alpha) >= 0):  # also rejects NaN
+    if not np.minimum(spend, alpha).min() >= 0:  # also rejects NaN
         raise InputDomainError("spend_and_harvest: spend and alpha must be >= 0")
     return np.minimum(np.maximum(E - spend, 0.0) + alpha, theta)
 
@@ -52,7 +52,7 @@ def precoder_budget(F: np.ndarray, M: float, tau: float):
     """M^2 Tr(F^H F) tau: the most a precoder F can spend in a slot, since
     the limiter keeps ||q|| <= M.  F may stack precoders on leading axes."""
     F = np.asarray(F)
-    return M**2 * np.sum(F.real**2 + F.imag**2, axis=(-2, -1)) * tau
+    return M**2 * (F.real**2 + F.imag**2).sum(axis=(-2, -1)) * tau
 
 
 def check_feasible(E, F: np.ndarray, M: float, tau: float):

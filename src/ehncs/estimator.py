@@ -10,7 +10,17 @@ state.  `filter_step` advances a stack of paths at once; a path without a
 measurement update (silent or saturated slot) carries Ftilde = 0.
 """
 
+from functools import cache
+
 import numpy as np
+
+
+@cache
+def _identity(K: int) -> np.ndarray:
+    """The K x K identity, built once per K and read-only."""
+    eye = np.eye(K)
+    eye.flags.writeable = False
+    return eye
 
 
 def filter_step(x_hat: np.ndarray, Sigma: np.ndarray, y: np.ndarray,
@@ -30,14 +40,14 @@ def filter_step(x_hat: np.ndarray, Sigma: np.ndarray, y: np.ndarray,
     here; the caller's eigendecomposition of it does that.
     """
     G = np.concatenate([Ftilde.real, Ftilde.imag], axis=-2)
-    Gt2 = 2.0 * np.swapaxes(G, -1, -2)
+    Gt2 = 2.0 * G.swapaxes(-1, -2)
     innovation = np.concatenate([y.real, y.imag], axis=-1) - (G @ x_hat[..., None])[..., 0]
     r = (Gt2 @ innovation[..., None])[..., 0]
-    post = np.linalg.solve(np.eye(len(A)) + Sigma @ (Gt2 @ G), Sigma)
+    post = np.linalg.solve(_identity(len(A)) + Sigma @ (Gt2 @ G), Sigma)
 
     x_next = (x_hat + (post @ r[..., None])[..., 0]) @ A.T + u @ B.T
     Sigma_next = A @ post @ A.T + W
-    return x_next, (Sigma_next + np.swapaxes(Sigma_next, -1, -2)) / 2
+    return x_next, (Sigma_next + Sigma_next.swapaxes(-1, -2)) / 2
 
 
 def mse_sample(x: np.ndarray, x_hat: np.ndarray):

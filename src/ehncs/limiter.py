@@ -8,6 +8,7 @@ covariance so the saturation probability stays below the target eps.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ class LimiterParams:
             raise InputDomainError("LimiterParams: Theta must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class LimiterOutput:
+class LimiterOutput(NamedTuple):
     """Limiter output; g and saturated hold one value per path when stacked."""
 
     q: np.ndarray
@@ -75,12 +75,9 @@ def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
         coeff = model.norm_BPsi
     else:
         raise InputDomainError(f"dynamic_range: unknown gain_norm {gain_norm!r}")
-    tr_sigma = np.trace(Sigma, axis1=-2, axis2=-1)
-    tr_w = float(np.trace(model.W))
-    excess = np.maximum(tr_sigma - tr_w, 0.0)
-    prefactor = (1.0 + model.norm_closed_loop * params.Theta) / np.sqrt(params.eps)
-    L = prefactor * (coeff * np.sqrt(excess) + np.sqrt(tr_w))
-    return L
+    excess = np.maximum(Sigma.trace(axis1=-2, axis2=-1) - model.tr_W, 0.0)
+    prefactor = (1.0 + model.norm_closed_loop * params.Theta) / math.sqrt(params.eps)
+    return prefactor * (coeff * np.sqrt(excess) + model.sqrt_tr_W)
 
 
 def clip(x: np.ndarray, L, M: float) -> LimiterOutput:
@@ -89,10 +86,10 @@ def clip(x: np.ndarray, L, M: float) -> LimiterOutput:
 
     x may stack one state per path, with one range L per path.
     """
-    if not (np.min(L) > 0 and M > 0):  # also rejects NaN
+    if not (np.asarray(L).min() > 0 and M > 0):  # also rejects NaN
         raise InputDomainError("clip: L and M must be > 0")
     x = np.asarray(x, dtype=float)
     norm = np.sqrt((x * x).sum(axis=-1))
     saturated = norm > L
     g = M / np.where(saturated, norm, L)
-    return LimiterOutput(q=g[..., None] * x, g=g, saturated=saturated)
+    return LimiterOutput(g[..., None] * x, g, saturated)

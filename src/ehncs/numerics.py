@@ -9,7 +9,8 @@ Singular values and eigenvalues come out descending, so the per-stream
 pairing done by the precoder is deterministic.  Everything here is NumPy.
 """
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class NotSchurStableError(ValueError):
 # negative than this is treated as a genuinely indefinite input
 PSD_CLAMP_TOL = 1e-12
 
-@dataclass(frozen=True)
-class EigSymResult:
+
+class EigSymResult(NamedTuple):
     """Sigma = S @ diag(Lam) @ S.T with Lam descending, clamped to >= 0.
 
     Stacked decompositions carry the leading axes of the stacked input.
@@ -42,7 +43,7 @@ class EigSymResult:
 
 def herm(X: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
-    return np.swapaxes(X, -1, -2).conj()
+    return X.swapaxes(-1, -2).conj()
 
 
 def singular_values(H: np.ndarray) -> np.ndarray:
@@ -99,27 +100,30 @@ def eig_sym(Sigma: np.ndarray) -> EigSymResult:
     """Eigendecomposition of a real symmetric PSD matrix, descending order.
 
     Sigma may be one (K, K) matrix or a stack (..., K, K), decomposed in one
-    LAPACK call; each matrix is checked against its own scale.
+    LAPACK call; each matrix is checked against its own scale, the largest
+    |entry| or 1.  A NaN or an infinite entry makes that maximum non-finite,
+    so the one reduction serves both the scale and the finiteness check.  An
+    empty matrix (K = 0) is rejected.
     """
     Sigma = np.asarray(Sigma, dtype=float)
-    if not np.isfinite(Sigma).all():
+    if not Sigma.shape[-1]:
+        raise InputDomainError("eig_sym: input is empty (K = 0)")
+    abs_max = np.abs(Sigma).max(axis=(-2, -1))
+    if not abs_max.max() < math.inf:  # also catches NaN
         raise InputDomainError("eig_sym: input has non-finite entries")
-    scale = np.maximum(1.0, np.abs(Sigma).max(axis=(-2, -1)))
-    asymmetry = np.abs(Sigma - np.swapaxes(Sigma, -1, -2)).max(axis=(-2, -1))
-    if (asymmetry > 1e-10 * scale).any():
+    scale = np.maximum(1.0, abs_max)
+    asymmetry = Sigma - Sigma.swapaxes(-1, -2)
+    if (np.abs(asymmetry, out=asymmetry).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise InputDomainError("eig_sym: input is not symmetric")
     lam, S = np.linalg.eigh(Sigma)  # ascending
-    lam = lam[..., ::-1].copy()
-    S = S[..., ::-1].copy()
-    if lam.shape[-1]:
-        lam_min = lam[..., -1]
-        bad = lam_min < -PSD_CLAMP_TOL * scale
-        if bad.any():
-            raise InputDomainError(
-                f"eig_sym: input is not PSD (min eigenvalue {np.min(lam_min[bad]):.3e})"
-            )
-    np.clip(lam, 0.0, None, out=lam)
-    return EigSymResult(S=S, Lam=lam)
+    lam, S = lam[..., ::-1].copy(), S[..., ::-1].copy()
+    lam_min = lam[..., -1]
+    bad = lam_min < -PSD_CLAMP_TOL * scale
+    if bad.any():
+        raise InputDomainError(
+            f"eig_sym: input is not PSD (min eigenvalue {lam_min[bad].min():.3e})")
+    np.maximum(lam, 0.0, out=lam)
+    return EigSymResult(S, lam)
 
 
 def spectral_radius(F: np.ndarray) -> float:

@@ -16,7 +16,11 @@ class PlantModel:
     """x(n+1) = A x(n) + B u(n) + w(n) with control u(n) = -Psi A x_hat(n).
 
     Validates at construction that the noise covariance W is symmetric PSD
-    and that the closed loop A - B Psi A is Schur-stable.
+    and that the closed loop A - B Psi A is Schur-stable.  The constants the
+    per-slot loop reads are derived here, once per model: W_sqrt, Tr W and
+    sqrt(Tr W) (for the dynamic range) and the spectral norms.  A frozen
+    dataclass rebuilds them on `dataclasses.replace`, so they cannot go
+    stale.
     """
 
     A: np.ndarray  # (K, K)
@@ -26,6 +30,8 @@ class PlantModel:
     closed_loop: np.ndarray = field(init=False, repr=False)
     # factor S sqrt(Lam) of W = S Lam S^T, so W = W_sqrt W_sqrt^T
     W_sqrt: np.ndarray = field(init=False, repr=False)
+    tr_W: float = field(init=False, repr=False)
+    sqrt_tr_W: float = field(init=False, repr=False)
     # spectral norms cached at construction (hot in the per-slot loop)
     norm_AAT: float = field(init=False, repr=False)  # ||A A^T||
     norm_closed_loop: float = field(init=False, repr=False)  # ||A - B Psi A||
@@ -33,10 +39,8 @@ class PlantModel:
     norm_BPsiA: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        W = np.asarray(self.W, dtype=float)
-        Psi = np.asarray(self.Psi, dtype=float)
+        A, B, W, Psi = (np.asarray(m, dtype=float)
+                        for m in (self.A, self.B, self.W, self.Psi))
         K = A.shape[0]
         if A.shape != (K, K):
             raise InputDomainError("PlantModel: A must be square")
@@ -54,6 +58,8 @@ class PlantModel:
         object.__setattr__(self, "Psi", Psi)
         object.__setattr__(self, "closed_loop", cl)
         object.__setattr__(self, "W_sqrt", W_dec.S * np.sqrt(W_dec.Lam))
+        object.__setattr__(self, "tr_W", float(W.trace()))
+        object.__setattr__(self, "sqrt_tr_W", float(np.sqrt(self.tr_W)))
         object.__setattr__(self, "norm_AAT", float(np.linalg.norm(A @ A.T, 2)))
         object.__setattr__(self, "norm_closed_loop", float(np.linalg.norm(cl, 2)))
         object.__setattr__(self, "norm_BPsi", float(np.linalg.norm(B @ Psi, 2)))

@@ -166,8 +166,9 @@ class TestCli:
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert lines[1].startswith("# seed=")
-        assert lines[2].split(",")[0] == "path"
-        assert len(lines) == 3 + 2 + 2  # header + paths + mean/ci rows
+        assert lines[2].startswith("# numpy=")
+        assert lines[3].split(",")[0] == "path"
+        assert len(lines) == 4 + 2 + 2  # header + paths + mean/ci rows
 
     def test_run_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -182,7 +183,7 @@ class TestCli:
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 3 + 6 * 2  # headers + column row + policies x values
+        assert len(lines) == 4 + 6 * 2  # headers + column row + policies x values
 
     def test_analyze_channel_fields_do_not_depend_on_the_seed(self, tmp_path):
         # the reference channel is 2 x 3, whose pi_tilde law is exact; only
@@ -246,7 +247,7 @@ class TestCli:
                      "--grid", "5", "--energy", "12"])
         assert code == 0
         lines = (tmp_path / "regions.csv").read_text().splitlines()
-        assert len(lines) == 3 + 25
+        assert len(lines) == 4 + 25
 
     @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-1"),
                                              ("--energy", "-5"), ("--energy", "nan")])
@@ -328,14 +329,30 @@ class TestCli:
               "--policy", "baseline1", "--paths", "2", "--slots", "10"])
         plain = (tmp_path / "plain" / "run.csv").read_text().splitlines()
         flags = (tmp_path / "flags" / "run.csv").read_text().splitlines()
-        assert plain[2].startswith("path,")
-        assert flags[:2] == plain[:2]
-        assert flags[2] == "# overrides=--paths 2 --slots 10 --policy baseline1"
-        assert flags[3] == plain[2]
+        assert plain[3].startswith("path,")
+        assert flags[:3] == plain[:3]
+        assert flags[3] == "# overrides=--paths 2 --slots 10 --policy baseline1"
+        assert flags[4] == plain[3]
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
               "--slots", "5"])
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-        assert lines[2] == "# overrides=--slots 5"
+        assert lines[3] == "# overrides=--slots 5"
+
+    def test_every_output_names_its_numpy_and_blas(self, tmp_path):
+        # the third line of run.csv, sweep.csv, regions.csv and
+        # stability_report.txt names the NumPy version and the BLAS build
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        expected = f"# numpy={np.__version__} blas={blas['name']}-{blas['version']}"
+        cfg = self.write_config(tmp_path, n_paths=2, n_slots=5, sweep_values="[60.0]")
+        for command, name in (("run", "run.csv"), ("sweep", "sweep.csv"),
+                              ("analyze", "stability_report.txt")):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[2] == expected
+            assert sum(line.startswith("# numpy=") for line in lines) == 1
+        assert main(["regions", "--config", str(BUNDLED), "--out", str(tmp_path),
+                     "--grid", "2"]) == 0
+        assert (tmp_path / "regions.csv").read_text().splitlines()[2] == expected
 
     def test_sweep_without_an_axis_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

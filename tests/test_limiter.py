@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,30 @@ class TestDynamicRange:
         p = make_params(m, M=1.0, eps=0.1)
         with pytest.raises(InputDomainError):
             dynamic_range(m, p, np.eye(2), gain_norm="other")
+
+    def test_per_model_constants_do_not_go_stale(self):
+        # Tr W and sqrt(Tr W) are derived once per PlantModel; models that
+        # differ only in W, and params that differ only in eps, must each
+        # give the formula computed from scratch
+        def from_scratch(model, params, Sigma):
+            tr_w = np.trace(model.W)
+            coeff = np.linalg.norm(model.B @ model.Psi @ model.A, 2)
+            prefactor = (1.0 + np.linalg.norm(model.A - model.B @ model.Psi @ model.A, 2)
+                         * params.Theta) / np.sqrt(params.eps)
+            excess = np.maximum(np.trace(Sigma, axis1=-2, axis2=-1) - tr_w, 0.0)
+            return prefactor * (coeff * np.sqrt(excess) + np.sqrt(tr_w))
+
+        m1 = reference_model()
+        m2 = replace(m1, W=np.diag([4.0, 0.5]))
+        p1 = make_params(m1, M=1.0, eps=0.1)
+        p2 = replace(p1, eps=0.02)
+        Sigma = np.stack([np.zeros((2, 2)), np.diag([2.0, 3.0]), np.diag([9.0, 7.0])])
+        ranges = set()
+        for m, p in ((m1, p1), (m2, p1), (m1, p2), (m2, p2)):
+            L = dynamic_range(m, p, Sigma)
+            assert np.allclose(L, from_scratch(m, p, Sigma), rtol=1e-14, atol=0.0)
+            ranges.add(L.tobytes())
+        assert len(ranges) == 4
 
 
 class TestClip:

@@ -178,12 +178,39 @@ class TestEigSym:
         r = eig_sym(np.zeros((3, 3)))
         assert np.allclose(r.Lam, 0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
-        Sigma = np.eye(2)[None].repeat(3, axis=0)
-        Sigma[1, 0, 0] = bad
-        with pytest.raises(InputDomainError, match="non-finite"):
-            eig_sym(Sigma)
+        # the check reads the per-matrix max |entry| that also sets the
+        # scale, so the bad entry must win that reduction wherever it sits:
+        # on or off the diagonal, beside 1e308, or after a matrix of 1e308
+        def stack_with(*entries):
+            Sigma = np.eye(2)[None].repeat(3, axis=0)
+            for index, value in entries:
+                Sigma[index] = value
+            return Sigma
+
+        stacks = [
+            stack_with(((1, 0, 0), bad)),
+            stack_with(((1, 0, 1), bad)),
+            stack_with(((1, 0, 1), bad), ((1, 1, 0), bad)),
+            stack_with(((1, 0, 0), 1e308), ((1, 1, 1), 1e308), ((1, 0, 1), bad),
+                       ((1, 1, 0), bad)),
+            stack_with(((0, 0, 0), 1e308), ((0, 1, 1), 1e308), ((2, 1, 0), bad)),
+        ]
+        for Sigma in stacks:
+            with pytest.raises(InputDomainError, match="non-finite"):
+                eig_sym(Sigma)
+            for one in Sigma[~np.isfinite(Sigma).all(axis=(1, 2))]:
+                with pytest.raises(InputDomainError, match="non-finite"):
+                    eig_sym(one)
+        # the largest finite entries pass
+        big = stack_with(((0, 0, 0), 1e308), ((0, 1, 1), 1.7e308), ((2, 0, 0), 1e308))
+        assert np.array_equal(eig_sym(big).Lam, [[1.7e308, 1e308], [1.0, 1.0], [1e308, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(InputDomainError, match="empty"):
+            eig_sym(np.zeros(shape))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InputDomainError):

@@ -53,9 +53,10 @@ def delta_constant(model: PlantModel, params: LimiterParams) -> float:
     return float(np.sqrt(2.0 / params.eps) * (1.0 + n_cl * params.Theta) * n_bpsi * n_a)
 
 
-def _plug_in_terms(model: PlantModel, params: LimiterParams,
-                   stats: PiTildeStats | PiTildeLaw, tau: float, xi: np.ndarray):
-    """num(xi), den(xi), the limiter cap 1/M(AA^T) - K Pr(pt < xi) and delta.
+def _plug_in_terms(model: PlantModel, params: LimiterParams, tau: float,
+                   prob_below: np.ndarray, inv_mean: np.ndarray):
+    """num(xi), den(xi), the limiter cap 1/M(AA^T) - K Pr(pt < xi) and delta,
+    from prob_below = Pr(pt < xi) and inv_mean = E[pt^{-1} | pt >= xi].
 
     num = 1 - (eps + K Pr(pt < xi)) M(AA^T) and
     den = delta^2 K tau E[pt^{-1} | pt >= xi] M(A) M(AA^T), with den = inf
@@ -65,8 +66,7 @@ def _plug_in_terms(model: PlantModel, params: LimiterParams,
     m_a = instability_measure(model.A)
     m_aat = instability_measure(model.A @ model.A.T)
     delta = delta_constant(model, params)
-    k_below = K * stats.prob_below(xi)
-    inv_mean = stats.inv_mean_above(xi)
+    k_below = K * prob_below
     defined = np.isfinite(inv_mean) & (inv_mean > 0)
     num = 1.0 - (params.eps + k_below) * m_aat
     den = np.where(defined, delta**2 * K * tau * inv_mean * m_a * m_aat, np.inf)
@@ -85,15 +85,17 @@ def check_stability(model: PlantModel, params: LimiterParams,
     with pt the normalized unordered channel singular value.  The maximizer
     xi* is found by grid search over the quantiles of pt at the levels
     j / _N_XI_QUANTILES, and the three derived design requirements are
-    evaluated at it.  At xi*, eta = num - lhs den = den (rhs_max - lhs), and
+    evaluated at it.  The quantile search returns Pr and the conditional
+    mean at the grid with it (`quantile_terms`); the law is not evaluated
+    at the grid again.  At xi*, eta = num - lhs den = den (rhs_max - lhs), and
     the bound on the steady-state MSE is
     ((1 + lhs den / ||B Psi||^2) Tr(W) + theta^2) / eta; it is None unless
     eta > 0.
     """
     if not (theta > 0 and tau > 0 and E_inv_alpha >= 0):  # also rejects NaN
         raise InputDomainError("check_stability: theta, tau > 0 and E_inv_alpha >= 0")
-    xi_grid = stats.quantiles(_N_XI_QUANTILES)
-    num, den, eps_cap, delta = _plug_in_terms(model, params, stats, tau, xi_grid)
+    xi_grid, prob_below, inv_mean = stats.quantile_terms(_N_XI_QUANTILES)
+    num, den, eps_cap, delta = _plug_in_terms(model, params, tau, prob_below, inv_mean)
     rhs = np.where(den < np.inf, num / den, -np.inf)
     i = int(np.argmax(rhs))
     rhs_max = float(rhs[i])

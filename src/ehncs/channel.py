@@ -95,6 +95,12 @@ class PiTildeStats:
     def quantiles(self, n: int) -> np.ndarray:
         return np.quantile(self.samples, np.linspace(0.0, 1.0, n, endpoint=False))
 
+    def quantile_terms(self, n: int):
+        """The quantiles xi at the levels j/n, Pr(pi_tilde < xi) and
+        E[1/pi_tilde | pi_tilde >= xi] at them."""
+        xi = self.quantiles(n)
+        return xi, self.prob_below(xi), self.inv_mean_above(xi)
+
 
 def estimate_pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,
                            n_samples: int) -> PiTildeStats:
@@ -149,7 +155,9 @@ class PiTildeLaw:
         E[1/pt; pt >= xi]  = int a(phi) Q(2n-1, x) / ((2n-1) h(phi)) dphi,
 
     a = (2n-1)! w / ((n-1)! (n-2)!), and the integral over phi is a tanh-sinh
-    rule.  It has the interface of `PiTildeStats`.
+    rule.  It has the interface of `PiTildeStats`.  Its quantile search
+    returns its own terms: `quantile_terms` takes Pr and the conditional
+    mean from the search's last evaluation, which is at the returned xi.
     """
 
     def __init__(self, n: int):
@@ -186,6 +194,12 @@ class PiTildeLaw:
             q += term
         return q, prev, term
 
+    def _inv_mean(self, xi, q, last):
+        """E[1/pi_tilde | pi_tilde >= xi] from the rule's terms at xi."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = ((q - last) @ self._a_over_h) / ((2 * self.n - 1) * (q @ self._a))
+        return np.where(xi <= 0.0, np.inf, m) if self.n == 2 else m
+
     def prob_below(self, xi):
         """Pr(pi_tilde < xi), for a scalar or an array of xi."""
         q, _, _ = self._poisson(np.asarray(xi, dtype=float))
@@ -198,14 +212,24 @@ class PiTildeLaw:
         where Pr(pi_tilde >= xi) underflows to 0."""
         xi = np.asarray(xi, dtype=float)
         q, _, last = self._poisson(xi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = ((q - last) @ self._a_over_h) / ((2 * self.n - 1) * (q @ self._a))
-        if self.n == 2:
-            m = np.where(xi <= 0.0, np.inf, m)
+        m = self._inv_mean(xi, q, last)
         return m if np.ndim(m) else float(m)
 
     def quantiles(self, n: int) -> np.ndarray:
         """xi at the levels j/n, j = 0, ..., n-1; level 0 is xi = 0."""
+        return self.quantile_terms(n)[0]
+
+    def quantile_terms(self, n: int):
+        """The quantiles xi at the levels j/n, j = 0, ..., n-1 (level 0 is
+        xi = 0), with Pr(pi_tilde < xi) and E[1/pi_tilde | pi_tilde >= xi]
+        at them, the bits of `prob_below` and `inv_mean_above` at xi.
+
+        The Halley search ends on an evaluation of the rule at the returned
+        xi, so the two terms come from that table, with the xi = 0 row
+        stacked on top, and the rule is not evaluated at xi again.  It
+        raises RuntimeError if _MAX_HALLEY_STEPS pass without every level
+        met to _LEVEL_TOL.
+        """
         levels = np.arange(1, n) / n
         lo, hi, size = _TABLE_XI
         grid = self.n * np.geomspace(lo, hi, size)
@@ -220,7 +244,14 @@ class PiTildeLaw:
             d1 = last @ self._a_over_h
             d2 = (prev - last) @ (self._a_over_h * self._inv_h)
             xi = xi - g / d1 / (1.0 - g * d2 / (2.0 * d1 * d1))
-        return np.concatenate([[0.0], xi])
+        else:
+            raise RuntimeError(f"PiTildeLaw: quantile search at n = {self.n} hit its step "
+                               f"cap; worst |Pr - level| = {np.abs(g).max():.3g}")
+        # the products run on the n-row table, as `prob_below` and
+        # `inv_mean_above` would on xi, so the terms are their bits
+        q0, _, last0 = self._poisson(np.zeros(1))
+        xi, q, last = (np.concatenate(p) for p in (([0.0], xi), (q0, q), (last0, last)))
+        return xi, (1.0 - q) @ self._a, self._inv_mean(xi, q, last)
 
 
 def pitilde_stats(rng: np.random.Generator, N_c: int, N_s: int, K: int,

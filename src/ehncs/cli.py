@@ -1,10 +1,12 @@
 """Command-line orchestration: run, sweep, analyze, regions.
 
 Every output file starts with comment lines carrying the config hash, the
-seed, the NumPy version and BLAS build that computed it (one
-`# numpy=<version> blas=<name>-<version>` line, from numpy.__config__;
-"unknown" where a NumPy build does not say), and any --paths, --slots or
---policy flag that overrides the config, so results are traceable.
+seed, the NumPy version, BLAS build and SIMD target that computed it (one
+`# numpy=<version> blas=<name>-<version> simd=<target>` line: the BLAS
+from numpy.__config__, the target NumPy's float64 exp dispatches to in
+this process, from numpy.lib.introspect.opt_func_info; "unknown" where a
+NumPy build does not say), and any --paths, --slots or --policy flag that
+overrides the config, so results are traceable.
 Identical (config, seed, flags) give identical bytes on one software and
 CPU stack: the same NumPy and OpenBLAS versions and the same CPU
 dispatch.  Within one NumPy and OpenBLAS build, a process's dispatch
@@ -64,8 +66,12 @@ def policy_factory(name: str, period: int = 3):
 
 
 _BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-_STACK_LINE = (f"# numpy={np.__version__} "
-               f"blas={_BLAS.get('name', 'unknown')}-{_BLAS.get('version', 'unknown')}")
+# the SIMD target float64 exp dispatches to in this process (NumPy >= 2.0)
+_EXP = (np.lib.introspect.opt_func_info("^exp$", "float64")
+        if hasattr(np.lib, "introspect") else {})
+_SIMD = _EXP.get("exp", {}).get("dd", {}).get("current", "unknown")
+_STACK_LINE = (f"# numpy={np.__version__} blas={_BLAS.get('name', 'unknown')}-"
+               f"{_BLAS.get('version', 'unknown')} simd={_SIMD}")
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows,

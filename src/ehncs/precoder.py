@@ -21,17 +21,21 @@ Capacity and MMSE water-filling (the baselines) have the same structure
 with other weights, so the scalar active-set walk `_walk` inverts the
 budget equation for one Theorem-1 context (`solve_theorem1`) and for both
 baseline power profiles; `theorem1_allocations` takes the same walk over
-stacked contexts as one cumulative sum.  A policy does not form its
-precoder: it returns the per-stream factors of F = scale U_K diag(gains)
-basis^T, on the channel's K leading right singular vectors U_K, and
-`assemble_precoder` builds F from them over any leading axes, for one
-decision (`PrecoderDecision.F`) or for every path of a slot at once.
+stacked contexts as running sums over the sorted streams.  A policy does
+not form its precoder: it returns the per-stream factors of F = scale U_K
+diag(gains) basis^T, on the channel's K leading right singular vectors
+U_K, and `assemble_precoder` builds F from them over any leading axes, for
+one decision (`PrecoderDecision.F`) or for every path of a slot at once.
 
-The per-stream terms (`_breakpoints`, `_walk_weights`, `_water_fill`,
-`_seabed`) are NumPy expressions that serve `theorem1_allocations` only.
-One context has only K values, so the per-context solvers (`solve_theorem1`
-and the baselines' `_wf_powers`) restate those terms on Python floats after
-one `.tolist()` and share the float walk `_walk`.  Python float arithmetic
+The per-stream terms (the breakpoints, the walk weights, the water fill
+and `_seabed`) are NumPy expressions in `theorem1_allocations`, which runs
+stream-major, on (K, ...) arrays, so that each operation spans every
+context: a 50 x 50 region scan takes 0.18-0.19 ms, against 0.53-0.55 ms
+in the (..., K) layout with `take_along_axis` (timeit minima, 2-CPU
+x86-64 host, NumPy 2.4.6).  One context has only K values, so the
+per-context solvers (`solve_theorem1` and the baselines' `_wf_powers`)
+restate those terms on Python floats after one `.tolist()` and share the
+float walk `_walk`.  Python float arithmetic
 is IEEE double, as NumPy's float64 is, and the floats keep NumPy's
 evaluation order, so the results are the same bits at a fraction of the
 per-element dispatch cost.  A per-stream square is written x * x, which is
@@ -151,41 +155,25 @@ def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecis
                             np.zeros(K))
 
 
-# Theorem 1's per-stream terms on stacked (..., K) contexts, with E and L
-# broadcasting against the leading axes; `solve_theorem1` restates them on
-# floats.
-
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
     allocation on that stream is forced to 0)."""
     return np.divide(1.0, Lam, out=np.full(np.shape(Lam), np.inf), where=Lam > 0)
 
 
-def _breakpoints(Lam, Pi_K, L, tau: float, c: float) -> np.ndarray:
-    """t_i = c (Pi_ii Lam_ii / L)^2 / tau: stream i is active iff the water
-    level s is below t_i."""
-    return c * (Pi_K * Lam / L) ** 2 / tau
-
-
-def _walk_weights(Pi_K, L, tau: float, c: float,
-                  seabed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a_i and b_i: on a fixed active set the budget L^2 tau sum_i y_i(s) /
-    Pi_ii^2 equals a/sqrt(s) - b, with a and b the sums over the set."""
-    return 0.5 * L * np.sqrt(c * tau) / Pi_K, 0.5 * L**2 * tau * seabed / Pi_K**2
-
-
-def _water_fill(s, Pi_K, L, tau: float, c: float, seabed: np.ndarray) -> np.ndarray:
-    """Per-stream allocations y_i(s) = (1/2)[(Pi_ii/L) sqrt(c/(s tau)) - 1/Lam_ii]^+
-    at water level s."""
-    return 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s * tau)) - seabed, 0.0)
-
-
 def _descending(t: np.ndarray) -> np.ndarray:
-    """Indices that sort t in descending order along its last axis, the later
-    stream first on a tie, as `_walk` orders them.  The sort must be stable:
-    NumPy's default sort does not keep ties in index order for 4 or more
-    elements on every host."""
-    return np.argsort(t, axis=-1, kind="stable")[..., ::-1]
+    """Indices that sort the streams of t in descending order along its
+    first axis, the later stream first on a tie, as `_walk` orders them.
+    The sort must be stable: NumPy's default sort does not keep ties in
+    index order for 4 or more elements on every host."""
+    return np.argsort(t, axis=0, kind="stable")[::-1]
+
+
+def _streams_first(x, ndim: int) -> np.ndarray:
+    """The float (..., K) array x as a contiguous stream-major (K, ...) copy
+    with ndim axes, the missing leading context axes inserted as length 1."""
+    x = np.asarray(x, dtype=float)[(None,) * (ndim - np.ndim(x))]
+    return np.ascontiguousarray(x.transpose((-1, *range(ndim - 1))))
 
 
 def _walk(a_terms: list, b_terms: list, t: list,
@@ -266,46 +254,64 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
                          norm_AAT: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theorem 1 over any leading axes, with no Python loop.
+    """Theorem 1 over any leading axes, with no Python loop over contexts.
 
     Lam and Pi_K are (..., K); E and L broadcast against their leading axes;
     theta, tau and norm_AAT are scalars.  Each context takes the walk of
-    `solve_theorem1` as one cumulative sum, with its branches as masks.
-    Returns the per-stream allocations (..., K), beta (...) and the active
-    flag (...) (mode == "active"); dormant, empty-battery and Sigma = 0
-    contexts allocate 0.
+    `solve_theorem1` as running sums over its sorted streams, with its
+    branches as masks.  Returns the per-stream allocations (..., K), beta
+    (...) and the active flag (...) (mode == "active"); dormant,
+    empty-battery and Sigma = 0 contexts allocate 0.
+
+    The work runs stream-major, on (K, ...) copies of Lam and Pi_K, so E, L
+    and the water level broadcast along contiguous context rows and each
+    per-stream term keeps its own broadcast shape.  The sorted breakpoints
+    and walk weights are gathered by one flat index, and the walk loops
+    over the K sorted positions, each step one operation over every
+    context.  The operations on each value are those of the float walk, in
+    its order, so the results are the same bits at any layout.
     """
-    E = np.asarray(E, dtype=float)[..., None]
-    L = np.asarray(L, dtype=float)[..., None]
-    shape = np.broadcast_shapes(np.shape(Lam), np.shape(Pi_K), E.shape, L.shape)
-    Lam = np.broadcast_to(np.asarray(Lam, dtype=float), shape)
-    Pi_K = np.broadcast_to(np.asarray(Pi_K, dtype=float), shape)
-    c = norm_AAT
-    t = _breakpoints(Lam, Pi_K, L, tau, c)
-    active = ~np.all(theta - (t + E) > ALLOC_TOL, axis=-1)
+    E, L = np.asarray(E, dtype=float), np.asarray(L, dtype=float)
+    ndim = max(np.ndim(Lam), np.ndim(Pi_K), E.ndim + 1, L.ndim + 1)
+    Lam, Pi_K = _streams_first(Lam, ndim), _streams_first(Pi_K, ndim)
     seabed = _seabed(Lam)
+    # the breakpoints t_i: stream i is active iff the water level s is below t_i
+    t = norm_AAT * (Pi_K * Lam / L) ** 2 / tau
+    active = ~(theta - (t + E) > ALLOC_TOL).all(axis=0)
     s0 = np.maximum(theta - E, 0.0)
     # entries outside their own branch see 1/0, inf - inf and the like; the
     # masks below drop them
     with np.errstate(divide="ignore", invalid="ignore"):
-        # walk the active sets in descending-breakpoint order
-        order = _descending(t)
-        t_sorted = np.take_along_axis(t, order, axis=-1)
-        a, b = (np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
-                for w in _walk_weights(Pi_K, L, tau, c, seabed))
+        # t and the walk weights a_i, b_i on the full shape: on a fixed active
+        # set the budget L^2 tau sum_i y_i(s) / Pi_ii^2 is a/sqrt(s) - b, with
+        # a and b the sums over the set (math.sqrt and np.sqrt both round
+        # correctly)
+        terms = np.empty((3, *np.broadcast(t, E).shape))
+        terms[0] = t
+        terms[1] = 0.5 * L * math.sqrt(norm_AAT * tau) / Pi_K
+        terms[2] = 0.5 * L**2 * tau * seabed / Pi_K**2
+        # walk the active sets in descending-breakpoint order: stream order[m]
+        # of context j of n sits at flat index order[m] * n + j
+        contexts = np.arange(terms[0, 0].size).reshape(terms.shape[2:])
+        order = _descending(terms[0]) * contexts.size + contexts
+        t_sorted, a, b = walk = terms.reshape(3, -1).take(order, axis=1)
+        for m in range(1, len(a)):  # a and b become their running sums
+            walk[1:, m] += walk[1:, m - 1]
         s = (a / (E + b)) ** 2
-        # the first size whose candidate reaches the next breakpoint; the
-        # last size always ends the walk (its breakpoint is 0)
-        crossing = np.ones(shape, dtype=bool)
-        crossing[..., :-1] = s[..., :-1] >= t_sorted[..., 1:]
-        m = np.argmax(crossing, axis=-1)[..., None]
-        s_star = np.maximum(np.minimum(np.take_along_axis(s, m, axis=-1),
-                                       np.take_along_axis(t_sorted, m, axis=-1)), s0)
-        y = _water_fill(s_star, Pi_K, L, tau, c, seabed)
-    spends = active[..., None] & (E > 0.0) & (t_sorted[..., :1] > 0.0)
-    y = np.where(spends, y, 0.0)
-    beta = np.where(spends, s_star - s0, 0.0)
-    return y, beta[..., 0], active
+        # the first size whose candidate reaches the next breakpoint, found
+        # from the last size down (the last always ends the walk: its
+        # breakpoint is 0); one np.where per size costs less than an argmax
+        # across the stream axis
+        capped = np.minimum(s, t_sorted)
+        s_star = capped[-1]
+        for m in range(len(s) - 2, -1, -1):
+            s_star = np.where(s[m] >= t_sorted[m + 1], capped[m], s_star)
+        s_star = np.maximum(s_star, s0)
+        # y_i(s*) = (1/2)[(Pi_ii/L) sqrt(c/(s* tau)) - 1/Lam_ii]^+, c = ||AA^T||
+        y = 0.5 * np.maximum((Pi_K / L) * np.sqrt(norm_AAT / (s_star * tau)) - seabed, 0.0)
+    spends = active & (E > 0.0) & (t_sorted[0] > 0.0)
+    return (np.where(spends, y, 0.0).transpose((*range(1, y.ndim), 0)),
+            np.where(spends, s_star - s0, 0.0), active)
 
 
 def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,

@@ -408,6 +408,41 @@ def reference_policy(name, ctx, mean_alpha, period):
     return mode, 0.0, 1.0, np.sqrt(p), np.eye(len(p)), p
 
 
+# -- frozen stacked walk of Theorem 1 ---------------------------------------
+
+def reference_theorem1_allocations(Lam, Pi_K, E, L, theta, tau, norm_AAT):
+    """`theorem1_allocations` as it was before its terms kept their own
+    broadcast shapes and its sorted terms were gathered by one flat index:
+    every term on the full broadcast shape, four `take_along_axis` calls.
+    Returns the allocations (..., K), beta (...) and the active flag (...)."""
+    E = np.asarray(E, dtype=float)[..., None]
+    L = np.asarray(L, dtype=float)[..., None]
+    shape = np.broadcast_shapes(np.shape(Lam), np.shape(Pi_K), E.shape, L.shape)
+    Lam = np.broadcast_to(np.asarray(Lam, dtype=float), shape)
+    Pi_K = np.broadcast_to(np.asarray(Pi_K, dtype=float), shape)
+    c = norm_AAT
+    t = c * (Pi_K * Lam / L) ** 2 / tau
+    active = ~np.all(theta - (t + E) > ALLOC_TOL, axis=-1)
+    seabed = np.divide(1.0, Lam, out=np.full(np.shape(Lam), np.inf), where=Lam > 0)
+    s0 = np.maximum(theta - E, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort(t, axis=-1, kind="stable")[..., ::-1]
+        t_sorted = np.take_along_axis(t, order, axis=-1)
+        weights = (0.5 * L * np.sqrt(c * tau) / Pi_K, 0.5 * L**2 * tau * seabed / Pi_K**2)
+        a, b = (np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1) for w in weights)
+        s = (a / (E + b)) ** 2
+        crossing = np.ones(shape, dtype=bool)
+        crossing[..., :-1] = s[..., :-1] >= t_sorted[..., 1:]
+        m = np.argmax(crossing, axis=-1)[..., None]
+        s_star = np.maximum(np.minimum(np.take_along_axis(s, m, axis=-1),
+                                       np.take_along_axis(t_sorted, m, axis=-1)), s0)
+        y = 0.5 * np.maximum((Pi_K / L) * np.sqrt(c / (s_star * tau)) - seabed, 0.0)
+    spends = active[..., None] & (E > 0.0) & (t_sorted[..., :1] > 0.0)
+    y = np.where(spends, y, 0.0)
+    beta = np.where(spends, s_star - s0, 0.0)
+    return y, beta[..., 0], active
+
+
 # -- value-iteration reference of the certainty-equivalent gain -------------
 
 def value_iteration_gain(A, B, P, R, n_iter=10_000, rtol=1e-15):

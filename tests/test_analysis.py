@@ -95,7 +95,8 @@ class TestCheckStability:
 
 def rhs_curve(m, p, stats, tau, xi):
     """num/den from the plug-in terms, -inf where den is inf."""
-    num, den, _, delta = _plug_in_terms(m, p, stats, tau, xi)
+    num, den, _, delta = _plug_in_terms(m, p, tau, stats.prob_below(xi),
+                                        stats.inv_mean_above(xi))
     return np.where(den < np.inf, num / den, -np.inf), delta
 
 

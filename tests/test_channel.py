@@ -16,6 +16,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pitilde_stats  # noqa: E402
 
 
+def assert_same_bits(got, want):
+    """Each array of got has the dtype, shape and bytes of want's."""
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def normals(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
@@ -87,6 +93,13 @@ class TestReceive:
 
 
 class TestPiTildeStats:
+    def test_quantile_terms_are_the_lookups_bits(self):
+        stats = estimate_pitilde_stats(np.random.default_rng(42), 3, 3, 2, 5000)
+        xi, below, inv_mean = stats.quantile_terms(200)
+        assert_same_bits((xi, below, inv_mean), (stats.quantiles(200),
+                                                 stats.prob_below(xi),
+                                                 stats.inv_mean_above(xi)))
+
     def test_hand_case_equal_singular_values(self):
         # Pi = diag(2, 2): t = 1/2 + 1/2 = 1, both samples equal 2
         s = np.array([2.0, 2.0])
@@ -219,7 +232,8 @@ class TestPiTildeLaw:
         params = make_params(model, M=1.0, eps=0.01)
         law = PiTildeLaw(2)
         xi = law.quantiles(200)
-        _, den, _, _ = _plug_in_terms(model, params, law, 1e-4, xi)
+        _, den, _, _ = _plug_in_terms(model, params, 1e-4, law.prob_below(xi),
+                                      law.inv_mean_above(xi))
         assert den[0] == np.inf and np.all(np.isfinite(den[1:]))
         rep = check_stability(model, params, law, 1e-3, 1e3, 1e-4)
         assert np.isfinite(rep.rhs_max) and rep.xi_star > 0.0
@@ -233,6 +247,41 @@ class TestPiTildeLaw:
         for lookup in (law.prob_below, law.inv_mean_above):
             np.testing.assert_allclose(lookup(xi), [lookup(x) for x in xi],
                                        rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, EXACT_MAX_N])
+    def test_quantile_terms_are_the_lookups_bits(self, n):
+        law = PiTildeLaw(n)
+        xi, below, inv_mean = law.quantile_terms(200)
+        assert_same_bits((xi, below, inv_mean),
+                         (law.quantiles(200), law.prob_below(xi), law.inv_mean_above(xi)))
+
+    def test_check_stability_evaluates_the_law_once_per_quantile(self, monkeypatch):
+        # the 64-point table, three Halley evaluations at n = 3 and the
+        # xi = 0 row; the last evaluation is at the returned quantiles, and
+        # none follows at them
+        model = PlantModel(A=np.diag([1.6, 1.1]), B=np.eye(2), W=np.eye(2),
+                           Psi=0.5 * np.eye(2))
+        params = make_params(model, M=1.0, eps=0.01)
+        law = PiTildeLaw(3)
+        seen = []
+        poisson = PiTildeLaw._poisson
+
+        def spy(self, xi):
+            seen.append(np.array(xi))
+            return poisson(self, xi)
+
+        monkeypatch.setattr(PiTildeLaw, "_poisson", spy)
+        rep = check_stability(model, params, law, 1e-3, 1e3, 1e-4)
+        assert [x.shape for x in seen] == [(64,), (199,), (199,), (199,), (1,)]
+        monkeypatch.undo()
+        xi = law.quantiles(200)
+        assert np.array_equal(seen[3], xi[1:]) and seen[4].tolist() == [0.0]
+        assert rep.xi_star in xi
+
+    def test_quantile_search_fails_loudly_at_its_step_cap(self, monkeypatch):
+        monkeypatch.setattr(channel, "_MAX_HALLEY_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"n = 3 .* worst \|Pr - level\| = "):
+            PiTildeLaw(3).quantiles(200)
 
     @pytest.mark.parametrize("n", [1, EXACT_MAX_N + 1])
     def test_antenna_count_outside_the_checked_range_rejected(self, n):

@@ -1,15 +1,24 @@
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
+from ehncs import cli
 from ehncs.cli import main
 from ehncs.config import ConfigError, build_setup, parse_config, parse_config_text
 from ehncs.numerics import spectral_radius
 from ehncs.plant import design_gain_ce
 
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
+# the float and integer literals of an output line
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+_INTEGER = re.compile(r"[-+]?\d+")
 
 
 def small_config_text(**overrides):
@@ -340,9 +349,12 @@ class TestCli:
 
     def test_every_output_names_its_numpy_and_blas(self, tmp_path):
         # the third line of run.csv, sweep.csv, regions.csv and
-        # stability_report.txt names the NumPy version and the BLAS build
+        # stability_report.txt names the NumPy version, the BLAS build and
+        # the SIMD target of float64 exp
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        expected = f"# numpy={np.__version__} blas={blas['name']}-{blas['version']}"
+        simd = opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
+        expected = (f"# numpy={np.__version__} blas={blas['name']}-{blas['version']} "
+                    f"simd={simd}")
         cfg = self.write_config(tmp_path, n_paths=2, n_slots=5, sweep_values="[60.0]")
         for command, name in (("run", "run.csv"), ("sweep", "sweep.csv"),
                               ("analyze", "stability_report.txt")):
@@ -353,6 +365,44 @@ class TestCli:
         assert main(["regions", "--config", str(BUNDLED), "--out", str(tmp_path),
                      "--grid", "2"]) == 0
         assert (tmp_path / "regions.csv").read_text().splitlines()[2] == expected
+
+    def test_outputs_agree_across_simd_targets(self, tmp_path):
+        # `analyze` and `regions` in child processes, one with the host's
+        # above-baseline dispatch targets disabled in its own environment:
+        # the same exit codes and discrete fields, every float within 1e-12
+        # relative, and a header naming each process's target
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        if not targets:
+            pytest.skip("NumPy dispatches to no target above its baseline on this host")
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        outputs = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+            out = tmp_path / str(len(outputs))
+            codes = [subprocess.run([sys.executable, "-m", "ehncs.cli", *command,
+                                     "--config", str(BUNDLED), "--out", str(out)],
+                                    env={**env, **extra}, timeout=300).returncode
+                     for command in (["analyze"], ["regions", "--grid", "10"])]
+            outputs.append((codes, *((out / name).read_text().splitlines()
+                                     for name in ("stability_report.txt", "regions.csv"))))
+        (codes, *native), (codes_off, *off) = outputs
+        assert codes == codes_off == [0, 0]
+        for lines, lines_off in zip(native, off):
+            assert len(lines) == len(lines_off) and lines[:2] == lines_off[:2]
+            simd = [line.split("simd=")[1] for line in (lines[2], lines_off[2])]
+            assert simd[0] != simd[1], simd
+            for line, line_off in zip(lines[3:], lines_off[3:]):
+                # text and integers equal, floats within 1e-12 relative
+                parts, parts_off = _NUMBER.split(line), _NUMBER.split(line_off)
+                assert parts[::2] == parts_off[::2], (line, line_off)
+                for a, b in zip(parts[1::2], parts_off[1::2]):
+                    if _INTEGER.fullmatch(a):
+                        assert a == b, (line, line_off)
+                    else:
+                        assert abs(float(a) - float(b)) <= 1e-12 * abs(float(a)), \
+                            (line, line_off)
 
     def test_sweep_without_an_axis_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

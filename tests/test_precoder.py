@@ -20,7 +20,8 @@ BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "referenc
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (kkt_residual, reference_policy,  # noqa: E402
-                     threshold_dormant, water_filling_bisection)
+                     reference_theorem1_allocations, threshold_dormant,
+                     water_filling_bisection)
 
 
 def make_ctx_and_channel(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0,
@@ -275,11 +276,56 @@ class TestStackedKernel:
     def test_ties_walk_in_the_float_walks_order(self, K):
         # every tie pattern of K breakpoints: descending, the later stream
         # first on a tie, as the float walk `_walk` orders them, both for a
-        # stack of contexts and for one alone
+        # stream-major stack of contexts and for one alone
         t = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=K)))
         want = [sorted(range(K), key=row.__getitem__)[::-1] for row in t.tolist()]
-        assert _descending(t).tolist() == want
+        assert _descending(t.T).T.tolist() == want
         assert [_descending(row).tolist() for row in t] == want
+
+
+class TestFrozenStackedWalk:
+    """`theorem1_allocations` gives the bits of the stacked walk frozen in
+    the oracles, which keeps every term on the full broadcast shape."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_kernel_stacks(self):
+        # random (P, K) stacks with zero eigenvalues, E = 0, Sigma = 0, tied
+        # breakpoints and dormant rows; then one context alone, and an E
+        # with a leading axis of its own
+        rng = np.random.default_rng(11)
+        for K in range(1, 5):
+            n_dormant = 0
+            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K):
+                args = (Lam, Pi_K, E, L, theta, tau, norm_AAT)
+                got = theorem1_allocations(*args)
+                self.assert_same_bits(got, reference_theorem1_allocations(*args))
+                n_dormant += int((~got[2]).sum())
+                args = (Lam[0], Pi_K[0], E[0], L[0], theta, tau, norm_AAT)
+                self.assert_same_bits(theorem1_allocations(*args),
+                                      reference_theorem1_allocations(*args))
+                args = (Lam, Pi_K, np.stack([E, E[::-1]]), L, theta, tau, norm_AAT)
+                self.assert_same_bits(theorem1_allocations(*args),
+                                      reference_theorem1_allocations(*args))
+            assert n_dormant >= 10, K
+
+    def test_scan_shapes(self):
+        # (S, 1, K) covariances against (1, H, K) channels, (S, 1) ranges and
+        # a scalar battery, as `decision_region_scan` calls it
+        rng = np.random.default_rng(13)
+        for K in range(1, 5):
+            for E in (0.0, 5.0, 12.0, 20.0, 40.0):
+                Lam = log_uniform(rng, 1e-1, 1e2, (7, 1, K))
+                Lam[2, 0, rng.integers(K)] = 0.0
+                Pi_K = log_uniform(rng, 0.05, 8.0, (1, 9, K))
+                Pi_K[0, 4, -1] = Pi_K[0, 4, 0]
+                L = log_uniform(rng, 1.0, 30.0, (7, 1))
+                args = (Lam, Pi_K, E, L, 36.0, 1.0, 2.56)
+                self.assert_same_bits(theorem1_allocations(*args),
+                                      reference_theorem1_allocations(*args))
 
 
 def assert_same_bits(decision, want):

@@ -4,8 +4,9 @@ Library layout:
   numerics   -- decomposition/equation kernels (singular values, eig, Stein)
   plant      -- linear stochastic plant, controller gain, instability measures
   channel    -- block-fading MIMO channel draws with their leading right
-                singular vectors and gains, and singular-value statistics
-                (exact for two streams, else sampled)
+                and left singular vectors and gains, the matched-filter
+                receiver, and singular-value statistics (exact for two
+                streams, else sampled)
   energy     -- arrival models and the battery update
   limiter    -- saturation limiter and its adaptive dynamic range
   estimator  -- virtual covariance recursion and state estimator

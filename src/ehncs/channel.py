@@ -2,14 +2,18 @@
 
 The channel is i.i.d. across slots.  Every precoder reads only the K leading
 right singular vectors U_K and the gains Pi_K of a draw, so `sample_channel`
-returns those with H, from one reduced SVD of the stacked draws.  It and
-`receive` take the standard normals their caller drew.  The
-normalized singular value pi_tilde = sigma / Tr(Pi_K^{-1}) drives the
-stability condition.  For K = min(N_c, N_s) = 2 its law is
-evaluated exactly, by one-dimensional quadrature of the complex Wishart
-eigenvalue density (`PiTildeLaw`); other shapes estimate its statistics from
-sampled channel draws (`estimate_pitilde_stats`).  `pitilde_stats` picks one
-by the shape.
+returns those with H and the K leading left singular vectors V_K, from one
+reduced SVD of the stacked draws.  A precoder F = U_K F_s, with F_s a real
+K x K matrix, gives H F = V_K diag(Pi_K) F_s, so the received
+y = H F q + n enters the receiver only through its matched filter
+Re(V_K^H y) = Pi_K (F_s q) + Re(V_K^H n), which `receive` returns: the
+rest of y, and Im(V_K^H y), carry independent noise alone.  Both functions
+take the standard normals their caller drew.  The normalized singular value
+pi_tilde = sigma / Tr(Pi_K^{-1}) drives the stability condition.  For
+K = min(N_c, N_s) = 2 its law is evaluated exactly, by one-dimensional
+quadrature of the complex Wishart eigenvalue density (`PiTildeLaw`); other
+shapes estimate its statistics from sampled channel draws
+(`estimate_pitilde_stats`).  `pitilde_stats` picks one by the shape.
 """
 
 import math
@@ -28,19 +32,24 @@ DEGENERATE_TOL = 1e-12
 
 class ChannelDraw(NamedTuple):
     """P channel draws H = V Pi U^H stacked along a leading path axis, with
-    the K leading right singular vectors and singular values of each."""
+    the K leading right and left singular vectors and the K leading singular
+    values of each."""
 
     H: np.ndarray  # (P, N_c, N_s) complex
     U_K: np.ndarray  # (P, N_s, K) orthonormal columns
     Pi_K: np.ndarray  # (P, K) leading singular values, descending
+    V_K: np.ndarray  # (P, N_c, K) orthonormal columns, H U_K = V_K diag(Pi_K)
 
 
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """CN(0, 1) entries from standard normal real and imaginary parts."""
-    return (re + 1j * im) / _SQRT2
+    """CN(0, 1) entries from standard normal real and imaginary parts, both
+    scaled by 1/sqrt(2) in place."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return np.multiply(out, _INV_SQRT2, out=out)
 
 
 def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
@@ -51,15 +60,18 @@ def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
     H = _complex_normal(z[:, 0], z[:, 1])
     # numpy gives H = V diag(s) U^H with U^H as its third factor
-    _, s, Uh = np.linalg.svd(H, full_matrices=False)
-    return ChannelDraw(H, herm(Uh[..., :K, :]), s[..., :K])
+    V, s, Uh = np.linalg.svd(H, full_matrices=False)
+    return ChannelDraw(H, herm(Uh[..., :K, :]), s[..., :K], V[..., :K])
 
 
-def receive(H: np.ndarray, Fq: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Received signal y = H (F q) + n, n ~ CN(0, I_{N_c}), on each path: H
-    (P, N_c, N_s), the precoded symbols Fq (P, N_s) and the standard normals
+def receive(V_K: np.ndarray, Pi_K: np.ndarray, s: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """Matched-filter output Re(V_K^H y) of y = H U_K s + n, n ~ CN(0, I_{N_c}),
+    on each path: Pi_K s + Re(V_K^H n), with V_K (P, N_c, K) and Pi_K (P, K)
+    of the draw, the stream symbols s = F_s q (P, K) and the standard normals
     z (P, 2, N_c) of the noise, real parts then imaginary parts."""
-    return (H @ Fq[..., None])[..., 0] + _complex_normal(z[:, 0], z[:, 1])
+    noise = z[:, None, 0] @ V_K.real + z[:, None, 1] @ V_K.imag
+    return Pi_K * s + noise[:, 0] * _INV_SQRT2
 
 
 class PiTildeStats:

@@ -52,7 +52,7 @@ def precoder_budget(F: np.ndarray, M: float, tau: float):
     """M^2 Tr(F^H F) tau: the most a precoder F can spend in a slot, since
     the limiter keeps ||q|| <= M.  F may stack precoders on leading axes."""
     F = np.asarray(F)
-    return M**2 * (F.real**2 + F.imag**2).sum(axis=(-2, -1)) * tau
+    return M**2 * (F.conj() * F).real.sum(axis=(-2, -1)) * tau
 
 
 def check_feasible(E, F: np.ndarray, M: float, tau: float):

@@ -24,8 +24,10 @@ baseline power profiles; `theorem1_allocations` takes the same walk over
 stacked contexts as running sums over the sorted streams.  A policy does
 not form its precoder: it returns the per-stream factors of F = scale U_K
 diag(gains) basis^T, on the channel's K leading right singular vectors
-U_K, and `assemble_precoder` builds F from them over any leading axes, for
-one decision (`PrecoderDecision.F`) or for every path of a slot at once.
+U_K, and `assemble_precoder` builds F from them for one decision
+(`PrecoderDecision.F`).  The slot never forms F: it gathers every path's
+real K x K stream factors F_s = scale diag(gains) basis^T, with F = U_K F_s,
+and works in the K-stream space (see `sim`).
 
 The per-stream terms (the breakpoints, the walk weights, the water fill
 and `_seabed`) are NumPy expressions in `theorem1_allocations`, which runs

@@ -7,14 +7,23 @@ the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
 path.  A policy returns per-stream factors (gains, basis, scale), and the
 slot gathers them, with each path's mode, in one transpose of the
-decisions, zip(*decisions), and builds every path's precoder F from them
-in one stacked product.  At the top of each slot, one loop over the paths
-has each generator fill its row of normals (channel, receiver noise, plant
-noise, in that order) and then draw its arrival, before any policy
+decisions, zip(*decisions).  At the top of each slot, one loop over the
+paths has each generator fill its row of normals (channel, receiver noise,
+plant noise, in that order) and then draw its arrival, before any policy
 decides.  So a path does not depend on the others in its run, and at one
 seed every policy and swept value sees the same draws.  `run_monte_carlo`
 keeps its per-path results as columns: one record array with a row per
 path and, with traces kept, one SlotTrace of (P, n_slots) columns.
+
+The slot runs in the K-stream space and never forms the complex precoder.
+F = U_K F_s lies on the channel's K leading right singular vectors, with
+the real K x K stream factors F_s = scale diag(gains) basis^T, so
+H F = V_K diag(Pi_K) F_s.  Every quantity the slot takes from F has a real
+K-dimensional form: the budget M^2 ||F_s||^2 tau, the spend
+||F_s q||^2 tau, the matched-filter output Re(V_K^H y) =
+Pi_K (F_s q) + Re(V_K^H n) of `channel.receive`, and the estimator's
+measurement matrix G = g diag(Pi_K) F_s, whose information 2 G^T G is
+2 Re{Ftilde^H Ftilde} of the effective channel Ftilde = g H F.
 
 At a few paths most of a slot is a fixed cost per stage call that does not
 grow with P, so each stage keeps its arithmetic and trims its calls: the
@@ -27,11 +36,12 @@ object.__setattr__, which cost 0.5 us (3 fields) to 1.4 us (9 fields) more
 per record, about 3 us a slot.  A fit of the slot time at P = 1, 4 and 8
 (the six policies at theta 40 and 120, 100 slots; one process alternating
 the versions, minima; 2-CPU x86-64 host, NumPy 2.4.6) gives a fixed cost
-of about 190 us per slot, against about 237 us before these trims, and
-about 18 us per path in both; a 4-path slot takes 269 us, against 320 us.
-The three LAPACK calls (one svd, eigh and solve over the stack: 19.5, 6.4
-and 5.3 us at P = 4, timeit minima) take 31 us of the fixed cost, about
-16%; most of the rest is small NumPy calls of 0.5-2 us each.
+of about 156 us per slot, against about 181 us with the complex F, H F
+and receiver noise formed in the slot, and 16-18 us per path in both; a
+4-path slot takes 239 us, against 267 us.  The three LAPACK calls (one
+svd, eigh and solve over the stack: 19.5, 6.4 and 5.3 us at P = 4,
+timeit minima) take 31 us of the fixed cost, about 20%; most of the rest
+is small NumPy calls of 0.5-2 us each.
 """
 
 import math
@@ -52,7 +62,7 @@ from .estimator import filter_step, mse_sample
 from .limiter import LimiterParams, dynamic_range
 from .numerics import InputDomainError, eig_sym
 from .plant import PlantModel, control, step
-from .precoder import DriftContext, assemble_precoder
+from .precoder import DriftContext
 
 
 # a path whose ||x||^2 exceeds this on a slot has diverged and leaves the run
@@ -139,12 +149,14 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     once per slot; each path's DriftContext (a NamedTuple) is built from
     them positionally.  The policy is called once per path with its context
     and returns the factors of its F; one zip(*decisions) gathers the
-    factors and modes, and `assemble_precoder` builds all P precoders at
-    once on the stacked U_K.  The control u(n) = -Psi A x_hat(n) uses the
-    estimate formed from measurements through slot n-1; the same u(n)
-    drives the estimator prediction and the plant.  Energy spent on air is
-    the realized ||F q||^2 tau; feasibility is checked on the budget
-    M^2 Tr(F^H F) tau, which the limiter makes the larger.
+    factors and modes into the stacked stream factors F_s, with F = U_K F_s.
+    The control u(n) = -Psi A x_hat(n) uses the estimate formed from
+    measurements through slot n-1; the same u(n) drives the estimator
+    prediction and the plant.  Energy spent on air is the realized
+    ||F q||^2 tau = ||F_s q||^2 tau; feasibility is checked on the budget
+    M^2 Tr(F^H F) tau = M^2 ||F_s||^2 tau, which the limiter makes the
+    larger.  The estimator reads the matched-filter output of the received
+    signal as the real measurement G x + e, e ~ N(0, I/2).
     """
     model, K, N_c, N_s = setup.model, setup.K, setup.N_c, setup.N_s
     theta, tau, M, c = setup.theta, setup.tau, setup.limiter.M, model.norm_AAT
@@ -166,28 +178,33 @@ def run_slot(setup: SimSetup, state: SimState, policy,
                  for S, Lam, U_K, Pi_K, E_p, L_p in zip(
                      dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
     gains, basis, scale, _, modes, _, _ = zip(*decisions)
-    F = assemble_precoder(draw.U_K, np.array(gains), np.array(basis), np.array(scale))
-    feasible = check_feasible(E, F, M, tau)
+    # F = U_K F_s with F_s = scale diag(gains) basis^T; U_K has orthonormal
+    # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
+    F_s = ((np.array(scale)[:, None] * np.array(gains))[:, :, None]
+           * np.array(basis).swapaxes(1, 2))
+    feasible = check_feasible(E, F_s, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
-        budget = energy.precoder_budget(F[p], M, tau)
+        budget = energy.precoder_budget(F_s[p], M, tau)
         raise FeasibilityError(f"slot {n}: policy budget {budget:.6g} J "
                                f"exceeds stored energy {E[p]:.6g} J")
 
     lim = limiter.clip(state.x, L, M)
     active = np.array([mode == "active" for mode in modes])
-    transmitting = active & F.any(axis=(1, 2))
-    Fq = (F @ lim.q[:, :, None])[:, :, 0]
-    y = receive(draw.H, Fq, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))
-    spend = np.where(transmitting, (Fq.real**2 + Fq.imag**2).sum(axis=1) * tau, 0.0)
-    update = transmitting & ~lim.saturated
-    Ftilde = np.where(update[:, None, None], draw.H @ F * lim.g[:, None, None], 0.0)
+    s = (F_s @ lim.q[:, :, None])[:, :, 0]
+    obs = receive(draw.V_K, draw.Pi_K, s, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))
+    # an active path with F_s = 0 spends 0 and measures with G = 0, exactly
+    # as a silent one, so the mode alone gates the spend and the update
+    spend = np.where(active, (s * s).sum(axis=1) * tau, 0.0)
+    # obs = G x + e with G = g diag(Pi_K) F_s, zero where nothing updates
+    gain = np.where(active & ~lim.saturated, lim.g, 0.0)
+    G = (gain[:, None] * draw.Pi_K)[:, :, None] * F_s
 
     sq_error = mse_sample(state.x, state.x_hat)
     sq_state = (state.x * state.x).sum(axis=1)
     u = control(model, state.x_hat)
     x_hat_next, Sigma_next = filter_step(
-        state.x_hat, state.Sigma, y, Ftilde, model.A, model.B, u, model.W)
+        state.x_hat, state.Sigma, obs, G, model.A, model.B, u, model.W)
     w = z[:, n_H + n_y:] @ model.W_sqrt.T
     x_next = step(model, state.x, u, w)
     E_next = energy.spend_and_harvest(E, spend, alpha, theta)

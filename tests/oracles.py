@@ -23,11 +23,12 @@ form, the information-form estimator update its augmented-stack solve, and
 the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
 engine is checked against: one path at a time, one kernel call per stage,
-with its own textbook estimator update.  It consumes its generator as the
-engine does, each draw by the generator's own method: every slot
-2 N_c N_s channel normals, 2 N_c receiver-noise normals (used only when the
-path transmits), K plant-noise normals and the arrival (none when it is
-deterministic).
+with its own textbook estimator update on the complex received signal
+y = H F q + n, which it forms itself with the complex F.  It consumes its
+generator as the engine does, each draw by the generator's own method:
+every slot 2 N_c N_s channel normals, 2 N_c receiver-noise normals (used
+only when the path transmits), K plant-noise normals and the arrival (none
+when it is deterministic).
 """
 
 import math
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ehncs.analysis import delta_constant
-from ehncs.channel import DEGENERATE_TOL, PiTildeStats, receive, sample_channel
+from ehncs.channel import DEGENERATE_TOL, PiTildeStats, sample_channel
 from ehncs.energy import check_feasible, precoder_budget, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
@@ -467,6 +468,15 @@ def augment(Ftilde):
     return np.concatenate([Ftilde, Ftilde.conj()], axis=-2)
 
 
+def real_stack(a, axis=-2):
+    """Real parts stacked over imaginary parts along axis: the real form
+    [Re Ftilde; Im Ftilde] of a complex measurement matrix (axis -2), or
+    [Re y; Im y] of a complex measurement (axis -1), as `filter_step` takes
+    them.  The augmented stack is augment(Ftilde) = [[I, iI], [I, -iI]]
+    real_stack(Ftilde)."""
+    return np.concatenate([a.real, a.imag], axis=axis)
+
+
 def _real_part(z, core_ndim):
     """Real part of z, after asserting per path (the leading axes) that its
     imaginary part is round-off."""
@@ -564,7 +574,8 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     active = decision.mode == "active"
     # the receiver noise is drawn every slot and used only when the path sends
     Fq = F @ lim.q
-    y = receive(draw.H, Fq[None], rng.standard_normal((1, 2, setup.N_c)))[0]
+    z = rng.standard_normal((2, setup.N_c))
+    y = draw.H[0] @ Fq + (z[0] + 1j * z[1]) / np.sqrt(2.0)
     if active and np.any(F):
         Ftilde = draw.H[0] @ F * lim.g
         spend = float(np.linalg.norm(Fq) ** 2) * setup.tau

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (kkt_residual, p2_objective, problem1_objective,
+from oracles import (kkt_residual, p2_objective, problem1_objective, real_stack,
                      solve_p2_projected_gradient)  # noqa: E402
 
 from ehncs import sim
@@ -212,8 +212,8 @@ def test_criterion_04_covariance_identity():
         # Gram form (2 Re{Ftilde^H Ftilde} + Sigma^{-1})^{-1} of the update
         gram = 2.0 * np.real(Ftilde.conj().T @ Ftilde)
         g = A @ np.linalg.inv(gram + np.linalg.inv(Sigma)) @ A.T + W
-        _, a = filter_step(np.zeros(K), Sigma, np.zeros(N_c), Ftilde, A, np.eye(K),
-                           np.zeros(K), W)
+        _, a = filter_step(np.zeros(K), Sigma, np.zeros(2 * N_c), real_stack(Ftilde), A,
+                           np.eye(K), np.zeros(K), W)
         worst = max(worst, float(np.abs(g - a).max() / max(1.0, np.abs(g).max())))
     _report("criterion 4", worst < 1e-8,
             f"worst relative Gram-form vs filter_step disagreement {worst:.2e} (<1e-8)")

@@ -32,6 +32,7 @@ class TestSampleChannel:
         assert draw.H.shape == (1, 2, 3)
         assert draw.U_K.shape == (1, 3, 2)
         assert draw.Pi_K.shape == (1, 2)
+        assert draw.V_K.shape == (1, 2, 2)
         assert np.all(np.diff(draw.Pi_K[0]) <= 0)
         # K = N_c: U_K spans the row space of H, so H U_K U_K^H = H
         U_K = draw.U_K[0]
@@ -46,11 +47,14 @@ class TestSampleChannel:
         assert draw.U_K.shape == (3, N_s, K)
         assert draw.Pi_K.shape == (3, K)
         for p in range(3):
-            U_K, Pi_K = draw.U_K[p], draw.Pi_K[p]
+            U_K, Pi_K, V_K = draw.U_K[p], draw.Pi_K[p], draw.V_K[p]
             assert np.abs(U_K.conj().T @ U_K - np.eye(K)).max() < 1e-12
-            # |H u_i| = pi_i for each leading right singular vector u_i
+            assert np.abs(V_K.conj().T @ V_K - np.eye(K)).max() < 1e-12
+            # |H u_i| = pi_i for each leading right singular vector u_i, and
+            # H u_i = pi_i v_i with v_i the matching left singular vector
             gains = np.linalg.norm(draw.H[p] @ U_K, axis=0)
             assert np.all(np.abs(gains - Pi_K) <= 1e-12 * Pi_K)
+            assert np.abs(draw.H[p] @ U_K - V_K * Pi_K).max() <= 1e-12 * Pi_K[0]
             assert np.all(np.diff(Pi_K) <= 0)
             # each path's draw is built from its own row of normals
             one = sample_channel(z[p:p + 1], K)
@@ -69,27 +73,24 @@ class TestSampleChannel:
 
 
 class TestReceive:
-    def setup_draw(self, n_paths, seed):
-        rng = np.random.default_rng(seed)
-        draw = sample_channel(rng.standard_normal((n_paths, 2, 2, 3)), 2)
-        F = rng.standard_normal((n_paths, 3, 2)) + 1j * rng.standard_normal((n_paths, 3, 2))
-        q = rng.standard_normal((n_paths, 2))
-        return draw, F, q
-
+    # the matched filter Re(V_K^H y) of y = H U_K s + n
     def test_noise_is_each_generators_own_draw(self):
-        draw, F, q = self.setup_draw(2, 2)
+        rng = np.random.default_rng(2)
+        draw = sample_channel(rng.standard_normal((2, 2, 2, 3)), 2)
+        s = rng.standard_normal((2, 2))
         twins = [np.random.default_rng(5), np.random.default_rng(6)]
         z = np.array([twin.standard_normal((2, 2)) for twin in twins])
-        Fq = (F @ q[:, :, None])[:, :, 0]
-        y = receive(draw.H, Fq, z)
+        obs = receive(draw.V_K, draw.Pi_K, s, z)
         for p in range(2):
             noise = (z[p, 0] + 1j * z[p, 1]) / np.sqrt(2.0)
-            assert np.allclose(y[p] - draw.H[p] @ Fq[p], noise)
+            assert np.allclose(obs[p] - draw.Pi_K[p] * s[p],
+                               (draw.V_K[p].conj().T @ noise).real)
 
     def test_noise_is_unit_variance(self):
+        # n ~ CN(0, I) has unit variance, so Re(V_K^H n) ~ N(0, I/2)
         draw = sample_channel(normals(3, 4000, 2, 2, 3), 2)
-        ys = receive(draw.H, np.zeros((4000, 3)), normals(4, 4000, 2, 2))
-        assert abs(np.mean(np.abs(ys) ** 2) - 1.0) < 0.05
+        obs = receive(draw.V_K, draw.Pi_K, np.zeros((4000, 2)), normals(4, 4000, 2, 2))
+        assert np.all(np.abs(np.mean(obs**2, axis=0) - 0.5) < 0.025)
 
 
 class TestPiTildeStats:

@@ -21,6 +21,21 @@ _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 _INTEGER = re.compile(r"[-+]?\d+")
 
 
+def assert_outputs_agree(lines, lines_other):
+    """Two runs' output lines agree: the same first two lines and, after the
+    `# numpy=` line, the same text and integers and every float within
+    1e-12 relative."""
+    assert len(lines) == len(lines_other) and lines[:2] == lines_other[:2]
+    for line, line_other in zip(lines[3:], lines_other[3:]):
+        parts, parts_other = _NUMBER.split(line), _NUMBER.split(line_other)
+        assert parts[::2] == parts_other[::2], (line, line_other)
+        for a, b in zip(parts[1::2], parts_other[1::2]):
+            if _INTEGER.fullmatch(a):
+                assert a == b, (line, line_other)
+            else:
+                assert abs(float(a) - float(b)) <= 1e-12 * abs(float(a)), (line, line_other)
+
+
 def small_config_text(**overrides):
     base = BUNDLED.read_text()
     values = dict(n_paths=2, n_slots=25, seed=11)
@@ -390,19 +405,43 @@ class TestCli:
         (codes, *native), (codes_off, *off) = outputs
         assert codes == codes_off == [0, 0]
         for lines, lines_off in zip(native, off):
-            assert len(lines) == len(lines_off) and lines[:2] == lines_off[:2]
             simd = [line.split("simd=")[1] for line in (lines[2], lines_off[2])]
             assert simd[0] != simd[1], simd
-            for line, line_off in zip(lines[3:], lines_off[3:]):
-                # text and integers equal, floats within 1e-12 relative
-                parts, parts_off = _NUMBER.split(line), _NUMBER.split(line_off)
-                assert parts[::2] == parts_off[::2], (line, line_off)
-                for a, b in zip(parts[1::2], parts_off[1::2]):
-                    if _INTEGER.fullmatch(a):
-                        assert a == b, (line, line_off)
-                    else:
-                        assert abs(float(a) - float(b)) <= 1e-12 * abs(float(a)), \
-                            (line, line_off)
+            assert_outputs_agree(lines, lines_off)
+
+    def test_simulation_outputs_agree_across_dispatch_targets(self, tmp_path):
+        # `run` and `sweep` in child processes: natively, with the host's
+        # above-baseline NumPy dispatch targets disabled, and with OpenBLAS's
+        # kernels forced to Haswell (on a host with AVX2 and FMA3), each set
+        # only in the child's environment: the same exit codes and discrete
+        # fields, and every float within 1e-12 relative
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        features = umath.__cpu_features__
+        targets = [t for t in umath.__cpu_dispatch__ if features.get(t)]
+        settings = [{"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}] if targets else []
+        if features.get("AVX2") and features.get("FMA3"):
+            settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+        if not settings:
+            pytest.skip("no other NumPy or OpenBLAS dispatch target on this host")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        outputs = []
+        for extra in ({}, *settings):
+            out = tmp_path / str(len(outputs))
+            codes = [subprocess.run([sys.executable, "-m", "ehncs.cli", *command,
+                                     "--config", str(BUNDLED), "--out", str(out)],
+                                    env={**env, **extra}, timeout=300).returncode
+                     for command in (["run", "--paths", "4", "--slots", "20"],
+                                     ["sweep", "--paths", "2", "--slots", "10"])]
+            outputs.append((codes, *((out / name).read_text().splitlines()
+                                     for name in ("run.csv", "sweep.csv"))))
+        (codes, *native), *others = outputs
+        for codes_other, *other in others:
+            assert codes_other == codes
+            for lines, lines_other in zip(native, other):
+                assert_outputs_agree(lines, lines_other)
 
     def test_sweep_without_an_axis_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -1,7 +1,10 @@
 """`filter_step`, one path at a time and as a stack of paths.
 
 The classes group the checks by the output they read: the covariance
-recursion (sigma step), the estimate, and the Kalman gain behind both.
+recursion (sigma step), the estimate, and the Kalman gain behind both.  A
+complex measurement y = Ftilde x + n enters `filter_step` in its real form,
+[Re y; Im y] = [Re Ftilde; Im Ftilde] x + e (`real_stack`), and the complex
+references read Ftilde and y themselves.
 """
 
 import sys
@@ -13,7 +16,7 @@ import pytest
 from ehncs.estimator import filter_step, mse_sample
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import augment, augmented_filter_step  # noqa: E402
+from oracles import augment, augmented_filter_step, real_stack  # noqa: E402
 
 
 def random_instance(rng, K=None, N_c=None):
@@ -28,8 +31,8 @@ def random_instance(rng, K=None, N_c=None):
 def covariance(Sigma, Ftilde, A, W):
     """filter_step's next covariance of one path (the estimate inputs are 0)."""
     N_c, K = Ftilde.shape
-    return filter_step(np.zeros(K), Sigma, np.zeros(N_c), Ftilde, A, np.eye(K),
-                       np.zeros(K), W)[1]
+    return filter_step(np.zeros(K), Sigma, np.zeros(2 * N_c), real_stack(Ftilde), A,
+                       np.eye(K), np.zeros(K), W)[1]
 
 
 def gram_form(Sigma, Ftilde, A, W):
@@ -74,8 +77,8 @@ class TestSigmaStep:
         u = rng.standard_normal((2, 2))
         y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x_next, Sigma_next = filter_step(
-            x_hat, np.stack([Sigma, Sigma]), y, np.stack([Ftilde, np.zeros_like(Ftilde)]),
-            A, B, u, W)
+            x_hat, np.stack([Sigma, Sigma]), real_stack(y, -1),
+            real_stack(np.stack([Ftilde, np.zeros_like(Ftilde)])), A, B, u, W)
         pred = A @ Sigma @ A.T + W
         assert np.array_equal(Sigma_next[1], (pred + pred.T) / 2)
         assert np.array_equal(x_next[1], x_hat[1] @ A.T + u[1] @ B.T)
@@ -128,8 +131,8 @@ class TestEstimateStep:
         A = rng.standard_normal((2, 2))
         x_hat = rng.standard_normal(2)
         y = Ftilde @ x_hat
-        out, _ = filter_step(x_hat, Sigma, y, Ftilde, A, np.eye(2), np.zeros(2),
-                             np.eye(2))
+        out, _ = filter_step(x_hat, Sigma, real_stack(y, -1), real_stack(Ftilde), A,
+                             np.eye(2), np.zeros(2), np.eye(2))
         assert np.allclose(out, A @ x_hat)
 
     def test_output_is_real(self):
@@ -139,7 +142,8 @@ class TestEstimateStep:
             A = rng.standard_normal((2, 2))
             y = Ftilde @ rng.standard_normal(2) + (
                 rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            x_next, Sigma_next = filter_step(rng.standard_normal(2), Sigma, y, Ftilde,
+            x_next, Sigma_next = filter_step(rng.standard_normal(2), Sigma,
+                                             real_stack(y, -1), real_stack(Ftilde),
                                              A, np.eye(2), np.zeros(2), np.eye(2))
             assert x_next.dtype.kind == "f" and Sigma_next.dtype.kind == "f"
 
@@ -148,14 +152,15 @@ class TestKalmanGain:
     def test_matches_direct_formula(self):
         # with A = I and x_hat = u = 0 the estimate is K y^a = 2 Re{K_1 y}
         # (K = [K_1, conj(K_1)]), so the probes y = e_j and y = i e_j, one
-        # path each, read off column j of K_1
+        # path each and in their real form, read off column j of K_1
         rng = np.random.default_rng(7)
         Ftilde, Sigma = random_instance(rng, K=3, N_c=2)
         probes = np.concatenate([np.eye(2), 1j * np.eye(2)])
         P = len(probes)
-        out, _ = filter_step(np.zeros((P, 3)), np.broadcast_to(Sigma, (P, 3, 3)), probes,
-                             np.broadcast_to(Ftilde, (P, 2, 3)), np.eye(3), np.eye(3),
-                             np.zeros((P, 3)), np.zeros((3, 3)))
+        out, _ = filter_step(np.zeros((P, 3)), np.broadcast_to(Sigma, (P, 3, 3)),
+                             real_stack(probes, -1),
+                             np.broadcast_to(real_stack(Ftilde), (P, 4, 3)), np.eye(3),
+                             np.eye(3), np.zeros((P, 3)), np.zeros((3, 3)))
         K_1 = (out[:2] - 1j * out[2:]).T / 2
         Fa = augment(Ftilde)
         direct = Sigma @ Fa.conj().T @ np.linalg.inv(Fa @ Sigma @ Fa.conj().T
@@ -183,10 +188,11 @@ def test_stack_matches_one_path_calls():
         u = rng.standard_normal((P, K))
         A, B = rng.standard_normal((K, K)), rng.standard_normal((K, K))
         W = np.eye(K)
-        x_next, Sigma_next = filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
+        obs, G = real_stack(y, -1), real_stack(Ftilde)
+        x_next, Sigma_next = filter_step(x_hat, Sigma, obs, G, A, B, u, W)
         x_ref, Sigma_ref = augmented_filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)
         for p in range(P):
-            x_p, Sigma_p = filter_step(x_hat[p], Sigma[p], y[p], Ftilde[p], A, B, u[p], W)
+            x_p, Sigma_p = filter_step(x_hat[p], Sigma[p], obs[p], G[p], A, B, u[p], W)
             assert np.abs(x_next[p] - x_p).max() <= 1e-12 * max(1.0, np.abs(x_p).max())
             assert np.abs(Sigma_next[p] - Sigma_p).max() <= 1e-12 * max(1.0, np.abs(Sigma_p).max())
             for got, want in ((x_next[p], x_ref[p]), (Sigma_next[p], Sigma_ref[p])):

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import reference_path, reference_region_scan  # noqa: E402
+from oracles import (augmented_filter_step, reference_path,  # noqa: E402
+                     reference_region_scan)
 
 import ehncs
 from ehncs import sim
-from ehncs.channel import receive
+from ehncs.channel import receive, sample_channel
 from ehncs.cli import policy_factory
 from ehncs.config import POLICY_NAMES
-from ehncs.energy import ArrivalModel, check_feasible
+from ehncs.energy import ArrivalModel, check_feasible, precoder_budget
+from ehncs.estimator import filter_step
 from ehncs.limiter import make_params
 from ehncs.numerics import InputDomainError
 from ehncs.plant import PlantModel
@@ -102,7 +104,7 @@ class TestRunSlot:
         setup = replace(small_setup(), arrivals=ArrivalModel(kind=arrival, mean=40.0))
         N_c, N_s, K, P = setup.N_c, setup.N_s, setup.K, 3
         seen = {}
-        for name in ("receive", "step"):
+        for name in ("sample_channel", "receive", "step"):
             def spy(*args, fn=getattr(sim, name), name=name):
                 seen[name] = args, fn(*args)
                 return seen[name][1]
@@ -117,9 +119,12 @@ class TestRunSlot:
             z_y = np.array([g.standard_normal((2, N_c)) for g in clones])
             z_w = np.array([g.standard_normal(K) for g in clones])
             alpha = [g.poisson(40.0) if arrival == "poisson" else 40.0 for g in clones]
-            (H, Fq, _), y = seen["receive"]
-            assert np.array_equal(H, (z_H[:, 0] + 1j * z_H[:, 1]) / np.sqrt(2.0))
-            assert np.array_equal(y, receive(H, Fq, z_y))
+            draw = seen["sample_channel"][1]
+            assert np.array_equal(draw.H, (z_H[:, 0] + 1j * z_H[:, 1]) / np.sqrt(2.0))
+            (V_K, Pi_K, s, z), obs = seen["receive"]
+            assert V_K is draw.V_K and Pi_K is draw.Pi_K
+            assert np.array_equal(z, z_y)
+            assert np.array_equal(obs, receive(V_K, Pi_K, s, z_y))
             assert np.array_equal(seen["step"][0][3], z_w @ setup.model.W_sqrt.T)
             assert np.array_equal(trace.alpha, alpha)
             sent |= bool(trace.energy_used.any())
@@ -131,34 +136,38 @@ class TestRunSlot:
         # and a path run alone draws what it draws in the stack
         setup = small_setup()
         seen = []
-        monkeypatch.setattr(sim, "receive",
-                            lambda H, Fq, z: (seen.append(H), receive(H, Fq, z))[1])
+        monkeypatch.setattr(sim, "sample_channel",
+                            lambda z, K: (seen.append(sample_channel(z, K)), seen[-1])[1])
+        monkeypatch.setattr(
+            sim, "receive",
+            lambda V_K, Pi_K, s, z: (seen.append(z), receive(V_K, Pi_K, s, z))[1])
         seeds = (3, 4, 5)
 
         def one_slot(order):
             rngs = [np.random.default_rng(seeds[p]) for p in order]
             _, trace = run_slot(setup, initial_state(setup, len(rngs)), zero_policy, rngs)
-            return seen[-1], trace.alpha
+            return seen[-2].H, seen[-1], trace.alpha
 
-        H, alpha = one_slot([0, 1, 2])
-        H_rev, alpha_rev = one_slot([2, 1, 0])
-        assert np.array_equal(H_rev, H[::-1]) and np.array_equal(alpha_rev, alpha[::-1])
+        H, z, alpha = one_slot([0, 1, 2])
+        for got, want in zip(one_slot([2, 1, 0]), (H, z, alpha)):
+            assert np.array_equal(got, want[::-1])
         for p in range(len(seeds)):
-            H_p, alpha_p = one_slot([p])
-            assert np.array_equal(H_p, H[p:p + 1]) and np.array_equal(alpha_p, alpha[p:p + 1])
+            for got, want in zip(one_slot([p]), (H, z, alpha)):
+                assert np.array_equal(got, want[p:p + 1])
 
     @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_stacked_assembly_is_each_decisions_own_precoder(self, name, N_c, N_s,
                                                             monkeypatch):
-        # the F that run_slot assembles over the stack equals, bit for bit,
-        # what each path's decision assembles alone, on every solver branch
+        # the stream factors F_s that run_slot gathers over the stack equal,
+        # bit for bit, each path's decision's own scale diag(gains) basis^T,
+        # and U_K F_s is the decision's precoder F, on every solver branch
         setup = replace(small_setup(), N_c=N_c, N_s=N_s)
         theta, K = setup.theta, setup.K
         seen = []
         monkeypatch.setattr(
             sim, "check_feasible",
-            lambda E, F, M, tau: (seen.append(F), check_feasible(E, F, M, tau))[1])
+            lambda E, F_s, M, tau: (seen.append(F_s), check_feasible(E, F_s, M, tau))[1])
         policy = policy_factory(name)(setup)
         decisions = []
         sends = set()
@@ -178,11 +187,14 @@ class TestRunSlot:
             decisions.clear()
             run_slot(setup, state, recorded,
                      [np.random.default_rng([9, p]) for p in range(P)])
-            F = seen[-1]
-            assert F.shape == (P, N_s, K)
+            F_s = seen[-1]
+            assert F_s.shape == (P, K, K)
             for p, d in enumerate(decisions):
-                assert np.array_equal(F[p], d.F), (n, p)
-            sends.update(F.any(axis=(1, 2)).tolist())
+                own = (d.scale * d.gains)[:, None] * d.basis.T
+                assert np.array_equal(F_s[p], own), (n, p)
+                F = d.F
+                assert np.abs(d.U_K @ F_s[p] - F).max() <= 1e-15 * np.linalg.norm(F), (n, p)
+            sends.update(F_s.any(axis=(1, 2)).tolist())
         assert sends == {False, True}
         if name == "proposed":
             # Sigma = 0, dormant, empty battery, then two that transmit
@@ -190,6 +202,39 @@ class TestRunSlot:
                                                    "active", "active"]
             assert [bool(d.allocations.any()) for d in decisions] == [
                 False, False, False, True, True]
+
+
+@pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
+def test_stream_space_chain_is_the_complex_one(N_c, N_s):
+    # F = U_K F_s gives H F = V_K diag(Pi_K) F_s, so what the slot computes
+    # in the K-stream space equals its complex form on random draws at
+    # K = 2: the matched filter, the information, the budget and the update
+    rng = np.random.default_rng([10, N_c, N_s])
+    P, K = 50, 2
+    draw = sample_channel(rng.standard_normal((P, 2, N_c, N_s)), K)
+    F_s = rng.standard_normal((P, K, K))
+    F = draw.U_K @ F_s
+    q, g = rng.standard_normal((P, K)), rng.uniform(0.1, 2.0, P)
+    z = rng.standard_normal((P, 2, N_c))
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    s = (F_s @ q[:, :, None])[:, :, 0]
+    y = (draw.H @ F @ q[:, :, None])[:, :, 0] + (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    obs = receive(draw.V_K, draw.Pi_K, s, z)
+    close(obs, (draw.V_K.conj().swapaxes(1, 2) @ y[:, :, None])[:, :, 0].real)
+    G = (g[:, None] * draw.Pi_K)[:, :, None] * F_s
+    Ftilde = draw.H @ F * g[:, None, None]
+    close(2.0 * G.swapaxes(1, 2) @ G, 2.0 * (Ftilde.conj().swapaxes(1, 2) @ Ftilde).real)
+    close(precoder_budget(F_s, 1.5, 0.01), precoder_budget(F, 1.5, 0.01))
+    X = rng.standard_normal((P, K, K))
+    Sigma = X @ X.swapaxes(1, 2) + 0.1 * np.eye(K)
+    x_hat, u = rng.standard_normal((P, K)), rng.standard_normal((P, K))
+    A, B, W = rng.standard_normal((K, K)), rng.standard_normal((K, K)), np.eye(K)
+    for got, want in zip(filter_step(x_hat, Sigma, obs, G, A, B, u, W),
+                         augmented_filter_step(x_hat, Sigma, y, Ftilde, A, B, u, W)):
+        close(got, want)
 
 
 # md5 of the bytes of one run's per-path records, in a fresh interpreter

@@ -15,7 +15,7 @@ from ehncs.precoder import DriftContext, solve_theorem1
 
 def make_ctx(E, h=(4.0, 3.0), sigma=(70.0, 50.0), theta=36.0, L=20.0):
     K = len(h)
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), U_K=np.eye(K),
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float),
                         Pi_K=np.asarray(h, float), E=E, theta=theta, tau=1.0,
                         M=1.0, L=L, norm_AAT=2.56)
 
@@ -27,8 +27,11 @@ def main():
         ctx = make_ctx(E)
         d = solve_theorem1(ctx)
         y = d.allocations
+        # the stream factors F_s = scale diag(gains) basis^T: on this
+        # decoupled link U_K = I, so they are the precoder itself
+        F_s = d.scale * (d.gains[:, None] * d.basis.T)
         print(f"{E:6.1f} {d.mode:>8} {d.beta:10.4f} {y[0]:10.4f} {y[1]:10.4f} "
-              f"{precoder_budget(d.F, ctx.M, ctx.tau):10.4f}")
+              f"{precoder_budget(F_s, ctx.M, ctx.tau):10.4f}")
 
     print()
     print("Weak second stream: it only switches on once the water level")

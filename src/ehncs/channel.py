@@ -1,44 +1,35 @@
 """Block-fading MIMO channel sampling and normalized-singular-value statistics.
 
-The channel is i.i.d. across slots.  Every precoder reads only the K leading
-right singular vectors U_K and the gains Pi_K of a draw, so `sample_channel`
-returns those with H and the K leading left singular vectors V_K, from one
-reduced SVD of the stacked draws.  A precoder F = U_K F_s, with F_s a real
-K x K matrix, gives H F = V_K diag(Pi_K) F_s, so the received
-y = H F q + n enters the receiver only through its matched filter
-Re(V_K^H y) = Pi_K (F_s q) + Re(V_K^H n), which `receive` returns: the
-rest of y, and Im(V_K^H y), carry independent noise alone.  Both functions
-take the standard normals their caller drew.  The normalized singular value
-pi_tilde = sigma / Tr(Pi_K^{-1}) drives the stability condition.  For
-K = min(N_c, N_s) = 2 its law is evaluated exactly, by one-dimensional
-quadrature of the complex Wishart eigenvalue density (`PiTildeLaw`); other
-shapes estimate its statistics from sampled channel draws
-(`estimate_pitilde_stats`).  `pitilde_stats` picks one by the shape.
+The channel is i.i.d. across slots.  A slot reads a draw only through its
+K leading singular values Pi_K, which `sample_channel` takes from one
+values-only SVD of the stacked draws.  The precoders lie on the draw's
+leading right singular vectors U_K: F = U_K F_s with F_s a real K x K
+matrix gives H F = V_K diag(Pi_K) F_s, V_K the leading left singular
+vectors, so the received y = H F q + n enters the receiver only through
+its matched filter Re(V_K^H y) = Pi_K (F_s q) + Re(V_K^H n); the rest of
+y, and Im(V_K^H y), carry independent noise alone.  Given H, V_K^H n is
+CN(0, I_K), since CN(0, I) is unitarily invariant, so Re(V_K^H n) is
+N(0, I_K / 2) and independent of H: `receive` forms it from K standard
+normals scaled by 1/sqrt(2), and no singular vector is computed.  Both
+functions take the standard normals their caller drew.  The normalized
+singular value pi_tilde = sigma / Tr(Pi_K^{-1}) drives the stability
+condition.  For K = min(N_c, N_s) = 2 its law is evaluated exactly, by
+one-dimensional quadrature of the complex Wishart eigenvalue density
+(`PiTildeLaw`); other shapes estimate its statistics from sampled channel
+draws (`estimate_pitilde_stats`).  `pitilde_stats` picks one by the shape.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import InputDomainError, herm, singular_values
+from .numerics import InputDomainError, singular_values
 
 # a draw is degenerate when lambda_K <= DEGENERATE_TOL * lambda_1 for the Gram
 # eigenvalues lambda = sigma^2 (sigma_K / sigma_1 <= 1e-6); a rank-deficient
 # draw leaves lambda_K at the Gram's rounding floor, about 1e-16 * lambda_1,
 # on both singular_values paths (closed form for a 2 x 2 Gram, eigvalsh else)
 DEGENERATE_TOL = 1e-12
-
-
-class ChannelDraw(NamedTuple):
-    """P channel draws H = V Pi U^H stacked along a leading path axis, with
-    the K leading right and left singular vectors and the K leading singular
-    values of each."""
-
-    H: np.ndarray  # (P, N_c, N_s) complex
-    U_K: np.ndarray  # (P, N_s, K) orthonormal columns
-    Pi_K: np.ndarray  # (P, K) leading singular values, descending
-    V_K: np.ndarray  # (P, N_c, K) orthonormal columns, H U_K = V_K diag(Pi_K)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -52,26 +43,23 @@ def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.multiply(out, _INV_SQRT2, out=out)
 
 
-def sample_channel(z: np.ndarray, K: int) -> ChannelDraw:
-    """One i.i.d. CN(0,1)-entry channel draw per path from the standard
-    normals z (P, 2, N_c, N_s), real parts then imaginary parts, with the
-    stacked draw decomposed in one reduced SVD."""
+def sample_channel(z: np.ndarray, K: int) -> np.ndarray:
+    """The K leading singular values Pi_K (P, K), descending, of one i.i.d.
+    CN(0,1)-entry channel draw per path, built from the standard normals z
+    (P, 2, N_c, N_s), real parts then imaginary parts, in one values-only
+    SVD of the stack."""
     if K > min(z.shape[-2:]):
         raise InputDomainError("sample_channel: K must be <= min(N_s, N_c)")
     H = _complex_normal(z[:, 0], z[:, 1])
-    # numpy gives H = V diag(s) U^H with U^H as its third factor
-    V, s, Uh = np.linalg.svd(H, full_matrices=False)
-    return ChannelDraw(H, herm(Uh[..., :K, :]), s[..., :K], V[..., :K])
+    return np.linalg.svd(H, compute_uv=False)[:, :K]
 
 
-def receive(V_K: np.ndarray, Pi_K: np.ndarray, s: np.ndarray,
-            z: np.ndarray) -> np.ndarray:
+def receive(Pi_K: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Matched-filter output Re(V_K^H y) of y = H U_K s + n, n ~ CN(0, I_{N_c}),
-    on each path: Pi_K s + Re(V_K^H n), with V_K (P, N_c, K) and Pi_K (P, K)
-    of the draw, the stream symbols s = F_s q (P, K) and the standard normals
-    z (P, 2, N_c) of the noise, real parts then imaginary parts."""
-    noise = z[:, None, 0] @ V_K.real + z[:, None, 1] @ V_K.imag
-    return Pi_K * s + noise[:, 0] * _INV_SQRT2
+    on each path: Pi_K s + z / sqrt(2), with Pi_K (P, K) of the draw, the
+    stream symbols s = F_s q (P, K) and K standard normals z (P, K), which
+    stand for Re(V_K^H n) ~ N(0, I_K / 2) in law."""
+    return Pi_K * s + z * _INV_SQRT2
 
 
 class PiTildeStats:

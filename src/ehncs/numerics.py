@@ -3,7 +3,7 @@
 The singular-value, symmetric-eigen and Stein kernels that the channel
 statistics, the per-slot loop and the limiter use live here, so each can
 be validated in isolation.  Algebra with one caller stays in its module:
-the channel draw's reduced SVD, the estimator's solve, the spectral norms
+the channel draw's values-only SVD, the estimator's solve, the spectral norms
 in `plant`, `limiter` and `analysis`, and the gain design's Riccati solve.
 Singular values and eigenvalues come out descending, so the per-stream
 pairing done by the precoder is deterministic.  Everything here is NumPy.
@@ -103,7 +103,9 @@ def eig_sym(Sigma: np.ndarray) -> EigSymResult:
     LAPACK call; each matrix is checked against its own scale, the largest
     |entry| or 1.  A NaN or an infinite entry makes that maximum non-finite,
     so the one reduction serves both the scale and the finiteness check.  An
-    empty matrix (K = 0) is rejected.
+    exactly symmetric stack, such as every Sigma of a closed-loop run, skips
+    the asymmetry tolerance, which could not reject it.  An empty matrix
+    (K = 0) is rejected.
     """
     Sigma = np.asarray(Sigma, dtype=float)
     if not Sigma.shape[-1]:
@@ -112,9 +114,10 @@ def eig_sym(Sigma: np.ndarray) -> EigSymResult:
     if not abs_max.max() < math.inf:  # also catches NaN
         raise InputDomainError("eig_sym: input has non-finite entries")
     scale = np.maximum(1.0, abs_max)
-    asymmetry = Sigma - Sigma.swapaxes(-1, -2)
-    if (np.abs(asymmetry, out=asymmetry).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise InputDomainError("eig_sym: input is not symmetric")
+    if not (Sigma == Sigma.swapaxes(-1, -2)).all():
+        asymmetry = Sigma - Sigma.swapaxes(-1, -2)
+        if (np.abs(asymmetry, out=asymmetry).max(axis=(-2, -1)) > 1e-10 * scale).any():
+            raise InputDomainError("eig_sym: input is not symmetric")
     lam, S = np.linalg.eigh(Sigma)  # ascending
     lam, S = lam[..., ::-1].copy(), S[..., ::-1].copy()
     lam_min = lam[..., -1]

@@ -24,10 +24,9 @@ baseline power profiles; `theorem1_allocations` takes the same walk over
 stacked contexts as running sums over the sorted streams.  A policy does
 not form its precoder: it returns the per-stream factors of F = scale U_K
 diag(gains) basis^T, on the channel's K leading right singular vectors
-U_K, and `assemble_precoder` builds F from them for one decision
-(`PrecoderDecision.F`).  The slot never forms F: it gathers every path's
-real K x K stream factors F_s = scale diag(gains) basis^T, with F = U_K F_s,
-and works in the K-stream space (see `sim`).
+U_K, which no context carries.  The slot never forms F: it gathers every
+path's real K x K stream factors F_s = scale diag(gains) basis^T, with
+F = U_K F_s, and works in the K-stream space (see `sim`).
 
 The per-stream terms (the breakpoints, the walk weights, the water fill
 and `_seabed`) are NumPy expressions in `theorem1_allocations`, which runs
@@ -81,7 +80,6 @@ ALLOC_TOL = 1e-12
 class _DriftFields(NamedTuple):
     S: np.ndarray  # (K, K) covariance eigenbasis
     Lam: np.ndarray  # (K,) covariance eigenvalues, descending
-    U_K: np.ndarray  # (N_s, K) leading right singular vectors of H = V Pi U^H
     Pi_K: np.ndarray  # (K,) leading channel singular values, descending
     E: float
     theta: float
@@ -98,29 +96,18 @@ class DriftContext(_DriftFields):
 
     __slots__ = ()
 
-    def __new__(cls, S, Lam, U_K, Pi_K, E, theta, tau, M, L, norm_AAT, slot=0):
+    def __new__(cls, S, Lam, Pi_K, E, theta, tau, M, L, norm_AAT, slot=0):
         # negated comparisons also reject NaN
         if not L > 0:
             raise InputDomainError("DriftContext: L must be > 0")
         if not E >= 0:
             raise InputDomainError("DriftContext: E must be >= 0")
-        return tuple.__new__(cls, (S, Lam, U_K, Pi_K, E, theta, tau, M, L, norm_AAT,
-                                   slot))
+        return tuple.__new__(cls, (S, Lam, Pi_K, E, theta, tau, M, L, norm_AAT, slot))
 
     @classmethod
     def _make(cls, iterable):
         # NamedTuple's _make, which _replace calls, would skip the checks
         return cls(*iterable)
-
-
-def assemble_precoder(U_K, gains, basis, scale) -> np.ndarray:
-    """F = scale U_K diag(gains) basis^T over any leading axes.
-
-    U_K is (..., N_s, K), gains (..., K), basis (..., K, K) and scale (...);
-    returns the complex (..., N_s, K) precoders.
-    """
-    top = gains[..., :, None] * np.swapaxes(basis, -1, -2)
-    return np.asarray(scale)[..., None, None] * (U_K @ top)
 
 
 class PrecoderDecision(NamedTuple):
@@ -133,15 +120,9 @@ class PrecoderDecision(NamedTuple):
     gains: np.ndarray  # (K,) per-stream amplitudes
     basis: np.ndarray  # (K, K)
     scale: float
-    U_K: np.ndarray  # (N_s, K) the context's leading right singular vectors
     mode: str  # "dormant" | "active"
     beta: float
     allocations: np.ndarray  # (K,) per-stream allocations (diag of Y*)
-
-    @property
-    def F(self) -> np.ndarray:
-        """The (N_s, K) complex precoder, assembled as `run_slot` assembles it."""
-        return assemble_precoder(self.U_K, self.gains, self.basis, self.scale)
 
 
 @cache
@@ -153,8 +134,7 @@ def _identity(K: int) -> np.ndarray:
 
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
-    return PrecoderDecision(np.zeros(K), _identity(K), 1.0, ctx.U_K, mode, 0.0,
-                            np.zeros(K))
+    return PrecoderDecision(np.zeros(K), _identity(K), 1.0, mode, 0.0, np.zeros(K))
 
 
 def _seabed(Lam: np.ndarray) -> np.ndarray:
@@ -210,7 +190,7 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     beta = s* - (theta - E)^+: beta is 0 when the spend at (theta - E)^+
     fits in E and positive when the budget binds.  F* = (L/M) U_K Pi_K^{-1} Y^{1/2} S^T.
     """
-    S, Lam, U_K, Pi_K, E, theta, tau, M, L, c, _ = ctx
+    S, Lam, Pi_K, E, theta, tau, M, L, c, _ = ctx
     Lam, Pi_K = Lam.tolist(), Pi_K.tolist()
     t = []
     dormant = True
@@ -250,8 +230,7 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
         y_i = 0.5 * (0.0 if 0.0 > y_i else y_i)
         y.append(y_i)
         gains.append(math.sqrt(y_i) / p)
-    return PrecoderDecision(np.array(gains), S, L / M, U_K, "active", s_star - s0,
-                            np.array(y))
+    return PrecoderDecision(np.array(gains), S, L / M, "active", s_star - s0, np.array(y))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -375,7 +354,7 @@ def _baseline_decision(ctx: DriftContext, p: list) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
     mode = "active" if sum(p) > 0 else "dormant"
     p = np.array(p)
-    return PrecoderDecision(np.sqrt(p), _identity(len(p)), 1.0, ctx.U_K, mode, 0.0, p)
+    return PrecoderDecision(np.sqrt(p), _identity(len(p)), 1.0, mode, 0.0, p)
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

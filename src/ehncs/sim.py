@@ -23,15 +23,18 @@ K-dimensional form: the budget M^2 ||F_s||^2 tau, the spend
 ||F_s q||^2 tau, the matched-filter output Re(V_K^H y) =
 Pi_K (F_s q) + Re(V_K^H n) of `channel.receive`, and the estimator's
 measurement matrix G = g diag(Pi_K) F_s, whose information 2 G^T G is
-2 Re{Ftilde^H Ftilde} of the effective channel Ftilde = g H F.
+2 Re{Ftilde^H Ftilde} of the effective channel Ftilde = g H F.  So a draw
+enters the slot through its singular values Pi_K alone: Re(V_K^H n) is
+N(0, I_K / 2) whatever H is, and `receive` forms it from K of the path's
+receiver normals, so no singular vector is computed.
 
 At a few paths most of a slot is a fixed cost per stage call that does not
 grow with P, so each stage keeps its arithmetic and trims its calls: the
 per-model constants of the dynamic range are derived once in PlantModel,
 reductions are ndarray methods, eig_sym's finiteness check reads the
 max-|entry| it takes for its scale, filter_step adds a cached identity,
-and the per-slot records (ChannelDraw, EigSymResult, LimiterOutput,
-SlotTrace) are NamedTuples.  A frozen dataclass sets each field through
+and the per-slot records (EigSymResult, LimiterOutput, SlotTrace) are
+NamedTuples.  A frozen dataclass sets each field through
 object.__setattr__, which cost 0.5 us (3 fields) to 1.4 us (9 fields) more
 per record, about 3 us a slot.  A fit of the slot time at P = 1, 4 and 8
 (the six policies at theta 40 and 120, 100 slots; one process alternating
@@ -40,8 +43,11 @@ of about 156 us per slot, against about 181 us with the complex F, H F
 and receiver noise formed in the slot, and 16-18 us per path in both; a
 4-path slot takes 239 us, against 267 us.  The three LAPACK calls (one
 svd, eigh and solve over the stack: 19.5, 6.4 and 5.3 us at P = 4,
-timeit minima) take 31 us of the fixed cost, about 20%; most of the rest
-is small NumPy calls of 0.5-2 us each.
+timeit minima) took 31 us of that fixed cost, about 20%; most of the rest
+is small NumPy calls of 0.5-2 us each.  The svd computes singular values
+only: on the (P, 2, 3) stack it takes 11.3 us at P = 4 and 356 us at
+P = 200, against 18.7 and 599 us for the reduced SVD with vectors (timeit
+minima, same host).
 """
 
 import math
@@ -144,10 +150,11 @@ def run_slot(setup: SimSetup, state: SimState, policy,
 
     rngs holds one generator per path.  Each draws the whole slot first: one
     row of 2 N_c N_s channel, 2 N_c receiver-noise and K plant-noise normals,
-    then its arrival (none when deterministic); a silent path's receiver
-    noise goes unused.  theta, tau, M, ||A A^T|| and the slot index are read
-    once per slot; each path's DriftContext (a NamedTuple) is built from
-    them positionally.  The policy is called once per path with its context
+    then its arrival (none when deterministic).  The matched filter reads
+    the first K receiver-noise normals, and a silent path's go unused.
+    theta, tau, M, ||A A^T|| and the slot index are read once per slot;
+    each path's DriftContext (a NamedTuple) is built from them
+    positionally.  The policy is called once per path with its context
     and returns the factors of its F; one zip(*decisions) gathers the
     factors and modes into the stacked stream factors F_s, with F = U_K F_s.
     The control u(n) = -Psi A x_hat(n) uses the estimate formed from
@@ -171,13 +178,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         g.standard_normal(out=z[p])
         alpha[p] = draw_arrival(arrivals, g)
 
-    draw = sample_channel(z[:, :n_H].reshape(P, 2, N_c, N_s), K)
+    Pi_K = sample_channel(z[:, :n_H].reshape(P, 2, N_c, N_s), K)
     L = dynamic_range(model, setup.limiter, state.Sigma)
     dec = eig_sym(state.Sigma)
-    decisions = [policy(DriftContext(S, Lam, U_K, Pi_K, E_p, theta, tau, M, L_p, c, n))
-                 for S, Lam, U_K, Pi_K, E_p, L_p in zip(
-                     dec.S, dec.Lam, draw.U_K, draw.Pi_K, E.tolist(), L.tolist())]
-    gains, basis, scale, _, modes, _, _ = zip(*decisions)
+    decisions = [policy(DriftContext(S, Lam, Pi_p, E_p, theta, tau, M, L_p, c, n))
+                 for S, Lam, Pi_p, E_p, L_p in zip(
+                     dec.S, dec.Lam, Pi_K, E.tolist(), L.tolist())]
+    gains, basis, scale, modes, _, _ = zip(*decisions)
     # F = U_K F_s with F_s = scale diag(gains) basis^T; U_K has orthonormal
     # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
     F_s = ((np.array(scale)[:, None] * np.array(gains))[:, :, None]
@@ -192,13 +199,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     lim = limiter.clip(state.x, L, M)
     active = np.array([mode == "active" for mode in modes])
     s = (F_s @ lim.q[:, :, None])[:, :, 0]
-    obs = receive(draw.V_K, draw.Pi_K, s, z[:, n_H:n_H + n_y].reshape(P, 2, N_c))
+    obs = receive(Pi_K, s, z[:, n_H:n_H + K])
     # an active path with F_s = 0 spends 0 and measures with G = 0, exactly
     # as a silent one, so the mode alone gates the spend and the update
     spend = np.where(active, (s * s).sum(axis=1) * tau, 0.0)
     # obs = G x + e with G = g diag(Pi_K) F_s, zero where nothing updates
     gain = np.where(active & ~lim.saturated, lim.g, 0.0)
-    G = (gain[:, None] * draw.Pi_K)[:, :, None] * F_s
+    G = (gain[:, None] * Pi_K)[:, :, None] * F_s
 
     sq_error = mse_sample(state.x, state.x_hat)
     sq_state = (state.x * state.x).sum(axis=1)

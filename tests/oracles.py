@@ -5,8 +5,10 @@ nothing in the package calls them.  `kkt_residual` measures a decision's
 violation of the diagonalized KKT system of the drift program, and
 `drift_bound` evaluates the per-realization drift integrand at any
 candidate precoder.  Both it and `problem1_objective` take the channel H
-itself: a context carries only U_K and Pi_K, which fix H^H H only when
-K = min(N_c, N_s), and a random candidate F need not lie in span(U_K).
+itself: a context carries only Pi_K, and a random candidate F need not
+lie in span(U_K).  A policy returns the factors of F = scale U_K
+diag(gains) basis^T and no context carries U_K, so `assemble_precoder`
+forms the complex F from a channel's U_K (`right_singular_vectors`).
 The projected gradient solver works directly on the diagonalized convex
 program, without the closed-form precoder path, so the closed-form
 solution can be checked against it; the baselines'
@@ -24,11 +26,15 @@ the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
 engine is checked against: one path at a time, one kernel call per stage,
 with its own textbook estimator update on the complex received signal
-y = H F q + n, which it forms itself with the complex F.  It consumes its
-generator as the engine does, each draw by the generator's own method:
-every slot 2 N_c N_s channel normals, 2 N_c receiver-noise normals (used
-only when the path transmits), K plant-noise normals and the arrival (none
-when it is deterministic).
+y = H F q + n, which it forms itself from its own full SVD of H and the
+complex F.  It consumes its generator as the engine does, each draw by the
+generator's own method: every slot 2 N_c N_s channel normals, 2 N_c
+receiver-noise normals (used only when the path transmits), K plant-noise
+normals and the arrival (none when it is deterministic).  The receiver
+normals r give c = (r_re + i r_im)/sqrt(2) ~ CN(0, I) and the noise
+n = V c, V the full left singular basis of H: n is CN(0, I) given H, since
+V is unitary, and Re(V_K^H n) = Re(c_K) is the first K normals over
+sqrt(2), which is what the engine's matched filter adds.
 """
 
 import math
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ehncs.analysis import delta_constant
-from ehncs.channel import DEGENERATE_TOL, PiTildeStats, sample_channel
+from ehncs.channel import DEGENERATE_TOL, PiTildeStats
 from ehncs.energy import check_feasible, precoder_budget, spend_and_harvest
 from ehncs.estimator import mse_sample
 from ehncs.limiter import clip, dynamic_range
@@ -58,7 +64,8 @@ def kkt_residual(ctx, decision):
     if decision.mode == "dormant":
         return 0.0
     y = decision.allocations
-    energy = precoder_budget(decision.F, ctx.M, ctx.tau)
+    # ||U_K F_s|| = ||F_s||, so the budget of the stream factors is F's
+    energy = precoder_budget(stream_factors(decision), ctx.M, ctx.tau)
     s = max(ctx.theta - ctx.E, 0.0) + decision.beta
     nu = s - (ctx.theta - ctx.E)  # multiplier of the budget constraint
 
@@ -221,10 +228,10 @@ def solve_p2_projected_gradient(ctx, n_iter=20000):
     return best
 
 
-def random_feasible_precoder(ctx, rng):
-    """Random complex F scaled to satisfy the energy budget; F is not
-    confined to span(U_K)."""
-    n_s = ctx.U_K.shape[0]
+def random_feasible_precoder(ctx, H, rng):
+    """Random complex F for the channel H (N_c, N_s), scaled to satisfy the
+    energy budget; F is not confined to span(U_K)."""
+    n_s = H.shape[1]
     K = len(ctx.Pi_K)
     F = rng.standard_normal((n_s, K)) + 1j * rng.standard_normal((n_s, K))
     budget = ctx.M**2 * float(np.real(np.vdot(F, F))) * ctx.tau
@@ -232,6 +239,28 @@ def random_feasible_precoder(ctx, rng):
         scale = np.sqrt(rng.uniform(0.0, 1.0) * ctx.E / budget)
         F = F * scale
     return F
+
+
+def right_singular_vectors(H, K):
+    """The K leading right singular vectors U_K (N_s, K) of H = V Pi U^H."""
+    return np.linalg.svd(H, full_matrices=False)[2][:K].conj().T
+
+
+def assemble_precoder(U_K, gains, basis, scale):
+    """F = scale U_K diag(gains) basis^T over any leading axes.
+
+    U_K is (..., N_s, K), gains (..., K), basis (..., K, K) and scale (...);
+    returns the complex (..., N_s, K) precoders.
+    """
+    top = gains[..., :, None] * np.swapaxes(basis, -1, -2)
+    return np.asarray(scale)[..., None, None] * (U_K @ top)
+
+
+def stream_factors(decision):
+    """A decision's real K x K stream factors F_s = scale diag(gains)
+    basis^T, with F = U_K F_s: its precoder on U_K = I."""
+    return assemble_precoder(np.eye(len(decision.gains)), decision.gains,
+                             decision.basis, decision.scale)
 
 
 # -- references of the channel statistics and the stability curve -----------
@@ -300,7 +329,7 @@ def _diagonal_context(E, theta, tau, M, L, norm_AAT, h, sigma):
     """Decoupled per-stream context: H = diag(h), Sigma = diag(sigma), no
     reordering so stream i keeps the pair (h_i, sigma_i)."""
     K = len(h)
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float), U_K=np.eye(K),
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, dtype=float),
                         Pi_K=np.asarray(h, dtype=float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT)
 
@@ -555,17 +584,20 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     """One slot of one path; returns the next state and the slot's
     (E_before, L, active, gamma, spend, Tr Sigma, sq_error, sq_state, alpha).
     The kernels are called on stacks of one path."""
-    model, arrivals = setup.model, setup.arrivals
-    draw = sample_channel(rng.standard_normal((1, 2, setup.N_c, setup.N_s)), setup.K)
+    model, arrivals, K = setup.model, setup.arrivals, setup.K
+    z = rng.standard_normal((2, setup.N_c, setup.N_s))
+    H = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    V, Pi, Uh = np.linalg.svd(H)
+    U_K = Uh[:K].conj().T
     L = float(dynamic_range(model, setup.limiter, state.Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
-        S=dec.S, Lam=dec.Lam, U_K=draw.U_K[0], Pi_K=draw.Pi_K[0], E=state.E,
+        S=dec.S, Lam=dec.Lam, Pi_K=Pi[:K], E=state.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, slot=state.n)
     decision = policy(ctx)
     # F = scale U_K diag(gains) basis^T, here as a column scaling and a product
-    F = decision.scale * ((ctx.U_K * decision.gains) @ decision.basis.T)
+    F = decision.scale * ((U_K * decision.gains) @ decision.basis.T)
     if not check_feasible(state.E, F, setup.limiter.M, setup.tau):
         raise FeasibilityError(f"slot {state.n}: policy budget exceeds stored energy")
 
@@ -574,10 +606,10 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     active = decision.mode == "active"
     # the receiver noise is drawn every slot and used only when the path sends
     Fq = F @ lim.q
-    z = rng.standard_normal((2, setup.N_c))
-    y = draw.H[0] @ Fq + (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    r = rng.standard_normal((2, setup.N_c))
+    y = H @ Fq + V @ ((r[0] + 1j * r[1]) / np.sqrt(2.0))
     if active and np.any(F):
-        Ftilde = draw.H[0] @ F * lim.g
+        Ftilde = H @ F * lim.g
         spend = float(np.linalg.norm(Fq) ** 2) * setup.tau
     else:
         y, Ftilde, spend = None, None, 0.0

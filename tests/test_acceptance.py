@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (kkt_residual, p2_objective, problem1_objective, real_stack,
-                     solve_p2_projected_gradient)  # noqa: E402
+from oracles import (assemble_precoder, kkt_residual, p2_objective,  # noqa: E402
+                     problem1_objective, real_stack, solve_p2_projected_gradient,
+                     stream_factors)
 
 from ehncs import sim
 from ehncs.cli import main, policy_factory
@@ -127,13 +128,14 @@ def test_criterion_02_precoder_oracle_equivalence():
         X = rng.standard_normal((K, K))
         e = eig_sym(X @ X.T + 0.1 * np.eye(K))
         theta = rng.uniform(1.0, 100.0)
-        ctx = DriftContext(S=e.S, Lam=e.Lam, U_K=Uh[:K].conj().T, Pi_K=s[:K],
+        ctx = DriftContext(S=e.S, Lam=e.Lam, Pi_K=s[:K],
                            E=rng.uniform(0.01, theta), theta=theta,
                            tau=rng.uniform(0.01, 1.0),
                            M=rng.uniform(0.5, 2.0), L=rng.uniform(1.0, 30.0),
                            norm_AAT=rng.uniform(0.5, 5.0))
         d = solve_theorem1(ctx)
-        obj = problem1_objective(ctx, H, d.F)
+        F = assemble_precoder(Uh[:K].conj().T, d.gains, d.basis, d.scale)
+        obj = problem1_objective(ctx, H, F)
         obj_oracle = p2_objective(ctx, solve_p2_projected_gradient(ctx, n_iter=5000))
         worst_obj = max(worst_obj, abs(obj - obj_oracle) / max(abs(obj_oracle), 1e-9))
         worst_kkt = max(worst_kkt, kkt_residual(ctx, d))
@@ -188,12 +190,12 @@ def test_criterion_03_decoupled_closed_form():
         L = dynamic_range(model, params, np.diag(sigma), gain_norm="BPsi")
         ctx = DriftContext(S=eig_sym(np.diag(sigma)).S,
                            Lam=eig_sym(np.diag(sigma)).Lam,
-                           U_K=np.eye(2), Pi_K=h.copy(),
+                           Pi_K=h.copy(),
                            E=E, theta=36.0, tau=1.0, M=1.0, L=L,
                            norm_AAT=model.norm_AAT)
         d = solve_theorem1(ctx)
         F_ref = _example1_formula(h, sigma, E, L)
-        worst = max(worst, float(np.abs(np.abs(d.F) - F_ref).max()))
+        worst = max(worst, float(np.abs(np.abs(stream_factors(d)) - F_ref).max()))
     _report("criterion 3", worst < 1e-9,
             f"max |F - closed form| = {worst:.2e} over 100 points (<1e-9)")
 

@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (drift_bound, problem1_objective,  # noqa: E402
+from oracles import (assemble_precoder, drift_bound, problem1_objective,  # noqa: E402
                      random_feasible_precoder, reference_mse_bound,
-                     reference_rhs_curve)
+                     reference_rhs_curve, right_singular_vectors)
 from test_precoder import diagonal_ctx, make_ctx_and_channel  # noqa: E402
 
 
@@ -202,9 +202,10 @@ class TestDriftBound:
         for _ in range(10):
             ctx, H = make_ctx_and_channel(rng)
             d = solve_theorem1(ctx)
-            best = drift_bound(ctx, H, d.F)
+            U_K = right_singular_vectors(H, len(ctx.Pi_K))
+            best = drift_bound(ctx, H, assemble_precoder(U_K, d.gains, d.basis, d.scale))
             for _ in range(100):
-                F = random_feasible_precoder(ctx, rng)
+                F = random_feasible_precoder(ctx, H, rng)
                 assert best <= drift_bound(ctx, H, F) + 1e-9 * max(1.0, abs(best))
 
     def test_consistent_with_problem_objective(self):
@@ -212,8 +213,8 @@ class TestDriftBound:
         # F-independent terms
         rng = np.random.default_rng(12)
         ctx, H = make_ctx_and_channel(rng)
-        F1 = random_feasible_precoder(ctx, rng)
-        F2 = random_feasible_precoder(ctx, rng)
+        F1 = random_feasible_precoder(ctx, H, rng)
+        F2 = random_feasible_precoder(ctx, H, rng)
         diff_drift = drift_bound(ctx, H, F1) - drift_bound(ctx, H, F2)
         diff_obj = problem1_objective(ctx, H, F1) - problem1_objective(ctx, H, F2)
         assert diff_drift == pytest.approx(diff_obj, rel=1e-9, abs=1e-9)

@@ -26,71 +26,87 @@ def normals(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def complex_channel(z):
+    """H = (re + i im) / sqrt(2) from normals (P, 2, N_c, N_s), as the draw
+    is built."""
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
 class TestSampleChannel:
     def test_shapes_and_cached_svd(self):
-        draw = sample_channel(normals(0, 1, 2, 2, 3), K=2)
-        assert draw.H.shape == (1, 2, 3)
-        assert draw.U_K.shape == (1, 3, 2)
-        assert draw.Pi_K.shape == (1, 2)
-        assert draw.V_K.shape == (1, 2, 2)
-        assert np.all(np.diff(draw.Pi_K[0]) <= 0)
-        # K = N_c: U_K spans the row space of H, so H U_K U_K^H = H
-        U_K = draw.U_K[0]
-        assert np.abs(draw.H[0] @ U_K @ U_K.conj().T - draw.H[0]).max() < 1e-10
+        Pi_K = sample_channel(normals(0, 1, 2, 2, 3), K=2)
+        assert Pi_K.shape == (1, 2)
+        assert np.all(np.diff(Pi_K[0]) <= 0)
 
     @pytest.mark.parametrize("N_c, N_s, K", [(2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 4, 1),
                                              (4, 6, 3), (5, 3, 2)])
     def test_leading_right_singular_vectors(self, N_c, N_s, K):
+        # Pi_K are the gains |H u_i| of the leading right singular vectors
+        # u_i of the same H, which a precoder F = U_K F_s relies on
         z = normals(0, 3, 2, N_c, N_s)
-        draw = sample_channel(z, K)
-        assert draw.H.shape == (3, N_c, N_s)
-        assert draw.U_K.shape == (3, N_s, K)
-        assert draw.Pi_K.shape == (3, K)
+        Pi_K = sample_channel(z, K)
+        assert Pi_K.shape == (3, K)
+        H = complex_channel(z)
         for p in range(3):
-            U_K, Pi_K, V_K = draw.U_K[p], draw.Pi_K[p], draw.V_K[p]
-            assert np.abs(U_K.conj().T @ U_K - np.eye(K)).max() < 1e-12
-            assert np.abs(V_K.conj().T @ V_K - np.eye(K)).max() < 1e-12
-            # |H u_i| = pi_i for each leading right singular vector u_i, and
-            # H u_i = pi_i v_i with v_i the matching left singular vector
-            gains = np.linalg.norm(draw.H[p] @ U_K, axis=0)
-            assert np.all(np.abs(gains - Pi_K) <= 1e-12 * Pi_K)
-            assert np.abs(draw.H[p] @ U_K - V_K * Pi_K).max() <= 1e-12 * Pi_K[0]
-            assert np.all(np.diff(Pi_K) <= 0)
+            U_K = np.linalg.svd(H[p])[2][:K].conj().T
+            gains = np.linalg.norm(H[p] @ U_K, axis=0)
+            assert np.all(np.abs(gains - Pi_K[p]) <= 1e-12 * Pi_K[p])
+            assert np.all(np.diff(Pi_K[p]) <= 0)
             # each path's draw is built from its own row of normals
             one = sample_channel(z[p:p + 1], K)
-            assert np.array_equal(one.H[0], draw.H[p])
-            assert np.array_equal(draw.H[p], (z[p, 0] + 1j * z[p, 1]) / np.sqrt(2.0))
-            assert np.allclose(one.U_K[0], U_K, rtol=0, atol=1e-12)
-            assert np.allclose(one.Pi_K[0], Pi_K, rtol=1e-12, atol=0)
+            assert np.allclose(one[0], Pi_K[p], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 2), (3, 3), (4, 6)])
+    def test_matches_full_svd(self, N_c, N_s):
+        # the values-only SVD gives the leading K values of the full SVD of
+        # the same H, descending, at every K
+        z = normals([11, N_c, N_s], 2000, 2, N_c, N_s)
+        full = np.linalg.svd(complex_channel(z))[1]
+        for K in range(1, min(N_c, N_s) + 1):
+            Pi_K = sample_channel(z, K)
+            assert Pi_K.shape == (2000, K)
+            assert np.all(np.abs(Pi_K - full[:, :K]) <= 1e-13 * full[:, :K])
+            assert np.all(np.diff(Pi_K, axis=1) <= 0)
 
     def test_k_too_large(self):
         with pytest.raises(InputDomainError):
             sample_channel(normals(0, 1, 2, 2, 3), K=3)
 
     def test_unit_variance_entries(self):
-        H = sample_channel(normals(1, 500, 2, 4, 4), 4).H
-        assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.05
+        # sum_i sigma_i^2 = ||H||_F^2, so E[sum sigma^2] / (N_c N_s) = E|h|^2 = 1
+        Pi_K = sample_channel(normals(1, 500, 2, 4, 4), 4)
+        assert abs(np.mean((Pi_K**2).sum(axis=1)) / 16 - 1.0) < 0.05
 
 
 class TestReceive:
-    # the matched filter Re(V_K^H y) of y = H U_K s + n
+    # the matched filter Re(V_K^H y) of y = H U_K s + n is Pi_K s + z / sqrt(2)
     def test_noise_is_each_generators_own_draw(self):
+        # the noise of each row is its own K normals over sqrt(2): rows do
+        # not mix, and a row alone gives the bits it gives in the stack
         rng = np.random.default_rng(2)
-        draw = sample_channel(rng.standard_normal((2, 2, 2, 3)), 2)
-        s = rng.standard_normal((2, 2))
-        twins = [np.random.default_rng(5), np.random.default_rng(6)]
-        z = np.array([twin.standard_normal((2, 2)) for twin in twins])
-        obs = receive(draw.V_K, draw.Pi_K, s, z)
-        for p in range(2):
-            noise = (z[p, 0] + 1j * z[p, 1]) / np.sqrt(2.0)
-            assert np.allclose(obs[p] - draw.Pi_K[p] * s[p],
-                               (draw.V_K[p].conj().T @ noise).real)
+        Pi_K = sample_channel(rng.standard_normal((3, 2, 2, 3)), 2)
+        s = rng.standard_normal((3, 2))
+        twins = [np.random.default_rng(seed) for seed in (5, 6, 7)]
+        z = np.array([twin.standard_normal(2) for twin in twins])
+        obs = receive(Pi_K, s, z)
+        for p, seed in enumerate((5, 6, 7)):
+            own = np.random.default_rng(seed).standard_normal(2)
+            assert np.allclose(obs[p] - Pi_K[p] * s[p], own / np.sqrt(2.0), rtol=0,
+                               atol=1e-14)
+            assert np.array_equal(receive(Pi_K[p:p + 1], s[p:p + 1], own[None])[0], obs[p])
 
     def test_noise_is_unit_variance(self):
-        # n ~ CN(0, I) has unit variance, so Re(V_K^H n) ~ N(0, I/2)
-        draw = sample_channel(normals(3, 4000, 2, 2, 3), 2)
-        obs = receive(draw.V_K, draw.Pi_K, np.zeros((4000, 2)), normals(4, 4000, 2, 2))
-        assert np.all(np.abs(np.mean(obs**2, axis=0) - 0.5) < 0.025)
+        # n ~ CN(0, I) has unit variance, so Re(V_K^H n) ~ N(0, I/2): the
+        # filter's noise has mean 0 and covariance I/2.  Over n = 10^5 draws
+        # of variance 1/2 the sample mean has sd sqrt(1/(2n)) = 0.0022, and a
+        # sample covariance entry sd sqrt(1/(4n)) off the diagonal and
+        # sqrt(2/(4n)) = 0.0022 on it; the bounds are 5 sd
+        n, K = 10**5, 3
+        Pi_K = sample_channel(normals(3, n, 2, 3, 4), K)
+        noise = receive(Pi_K, np.zeros((n, K)), normals(4, n, K))
+        sd = np.sqrt(2.0 / (4 * n))
+        assert np.abs(noise.mean(axis=0)).max() < 5 * np.sqrt(1.0 / (2 * n))
+        assert np.abs(np.cov(noise, rowvar=False) - 0.5 * np.eye(K)).max() < 5 * sd
 
 
 class TestPiTildeStats:

@@ -382,32 +382,51 @@ class TestCli:
         assert (tmp_path / "regions.csv").read_text().splitlines()[2] == expected
 
     def test_outputs_agree_across_simd_targets(self, tmp_path):
-        # `analyze` and `regions` in child processes, one with the host's
-        # above-baseline dispatch targets disabled in its own environment:
-        # the same exit codes and discrete fields, every float within 1e-12
-        # relative, and a header naming each process's target
+        # `analyze` and `regions` on the reference, and `analyze` on a copy
+        # with N_c = 3 (CI's three_rx.cfg, the sampled pi_tilde route), in
+        # child processes: natively, with the host's above-baseline NumPy
+        # dispatch targets disabled, and with OpenBLAS's kernels forced to
+        # Haswell (on a host with AVX2 and FMA3), each set only in the
+        # child's environment: the same exit codes and discrete fields,
+        # every float within 1e-12 relative, and with NumPy's targets
+        # disabled a header naming each process's own target
         umath = pytest.importorskip("numpy._core._multiarray_umath")
-        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-        if not targets:
-            pytest.skip("NumPy dispatches to no target above its baseline on this host")
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        features = umath.__cpu_features__
+        targets = [t for t in umath.__cpu_dispatch__ if features.get(t)]
+        settings = [{"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}] if targets else []
+        if features.get("AVX2") and features.get("FMA3"):
+            settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+        if not settings:
+            pytest.skip("no other NumPy or OpenBLAS dispatch target on this host")
+        three_rx = tmp_path / "three_rx.cfg"
+        three_rx.write_text(re.sub(r"(?m)^N_c = .*$", "N_c = 3", BUNDLED.read_text()))
+        assert "\nN_c = 3\n" in three_rx.read_text()
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        runs = ((["analyze"], BUNDLED, "stability_report.txt"),
+                (["regions", "--grid", "10"], BUNDLED, "regions.csv"),
+                (["analyze"], three_rx, "stability_report.txt"))
         outputs = []
-        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
-            out = tmp_path / str(len(outputs))
-            codes = [subprocess.run([sys.executable, "-m", "ehncs.cli", *command,
-                                     "--config", str(BUNDLED), "--out", str(out)],
-                                    env={**env, **extra}, timeout=300).returncode
-                     for command in (["analyze"], ["regions", "--grid", "10"])]
-            outputs.append((codes, *((out / name).read_text().splitlines()
-                                     for name in ("stability_report.txt", "regions.csv"))))
-        (codes, *native), (codes_off, *off) = outputs
-        assert codes == codes_off == [0, 0]
-        for lines, lines_off in zip(native, off):
-            simd = [line.split("simd=")[1] for line in (lines[2], lines_off[2])]
-            assert simd[0] != simd[1], simd
-            assert_outputs_agree(lines, lines_off)
+        for extra in ({}, *settings):
+            codes, files = [], []
+            for j, (command, config, name) in enumerate(runs):
+                out = tmp_path / f"{len(outputs)}-{j}"
+                codes.append(subprocess.run(
+                    [sys.executable, "-m", "ehncs.cli", *command, "--config", str(config),
+                     "--out", str(out)], env={**env, **extra}, timeout=300).returncode)
+                files.append((out / name).read_text().splitlines())
+            outputs.append((codes, files))
+        (codes, native), *others = outputs
+        assert codes == [0, 0, 0]
+        for extra, (codes_other, other) in zip(settings, others):
+            assert codes_other == codes, extra
+            for lines, lines_other in zip(native, other):
+                if "NPY_DISABLE_CPU_FEATURES" in extra:
+                    simd = [line.split("simd=")[1] for line in (lines[2], lines_other[2])]
+                    assert simd[0] != simd[1], simd
+                assert_outputs_agree(lines, lines_other)
 
     def test_simulation_outputs_agree_across_dispatch_targets(self, tmp_path):
         # `run` and `sweep` in child processes: natively, with the host's

@@ -25,8 +25,9 @@ class _FixedDraws:
 
 
 class TestSvd:
-    """The one reduced SVD of a channel draw, H = V Pi U^H, as its leading
-    right singular vectors U_K and gains Pi_K."""
+    """The values-only SVD of a channel draw, H = V Pi U^H, as its K leading
+    singular values Pi_K: the gains of its leading right singular vectors
+    U_K."""
 
     @staticmethod
     def draw_of(H, K):
@@ -36,21 +37,21 @@ class TestSvd:
         return sample_channel(z[None], K)
 
     def test_diagonal_descending(self):
-        draw = self.draw_of(np.diag([1.0, 3.0]), K=2)
-        assert np.allclose(draw.Pi_K[0], [3.0, 1.0])
-        # u_1 and u_2 are e_2 and e_1, each up to a phase
-        assert np.allclose(np.abs(draw.U_K[0]), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(self.draw_of(np.diag([1.0, 3.0]), K=2)[0], [3.0, 1.0])
 
     def test_reconstruction_and_unitarity_random(self):
+        # U_K from a full SVD of the same H spans its row space at
+        # K = min(N_c, N_s), and its gains |H u_i| are the draw's Pi_K
         rng = np.random.default_rng(1)
         for _ in range(1000):
             n_c = rng.integers(1, 9)
             n_s = rng.integers(1, 9)
             k = min(n_c, n_s)
-            draw = sample_channel(rng.standard_normal((1, 2, n_c, n_s)), k)
-            H, U_K, Pi_K = draw.H[0], draw.U_K[0], draw.Pi_K[0]
+            z = rng.standard_normal((1, 2, n_c, n_s))
+            Pi_K = sample_channel(z, k)[0]
+            H = (z[0, 0] + 1j * z[0, 1]) / np.sqrt(2.0)
+            U_K = np.linalg.svd(H)[2][:k].conj().T
             scale = max(1.0, np.abs(H).max())
-            # at K = min(N_c, N_s), U_K spans the row space of H
             assert np.abs(H @ U_K @ U_K.conj().T - H).max() < 1e-10 * scale
             assert np.abs(U_K.conj().T @ U_K - np.eye(k)).max() < 1e-10
             assert np.abs(np.linalg.norm(H @ U_K, axis=0) - Pi_K).max() < 1e-10 * scale
@@ -59,12 +60,9 @@ class TestSvd:
 
     def test_stack_matches_one_by_one(self):
         z = np.random.default_rng(2).standard_normal((4, 2, 2, 3))
-        draw = sample_channel(z, 2)
-        H, U_K = draw.H, draw.U_K
-        assert np.abs(H @ U_K @ np.swapaxes(U_K, -1, -2).conj() - H).max() < 1e-10
+        Pi_K = sample_channel(z, 2)
         for p in range(len(z)):
-            one = sample_channel(z[p:p + 1], 2)
-            assert np.allclose(draw.Pi_K[p], one.Pi_K[0])
+            assert np.allclose(Pi_K[p], sample_channel(z[p:p + 1], 2)[0])
 
 
 class TestSingularValues:
@@ -215,6 +213,24 @@ class TestEigSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputDomainError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_asymmetry_tolerance_on_inexact_symmetry(self, scale):
+        # a stack that is not symmetric bit for bit takes the tolerance test:
+        # an off-diagonal pair apart by 1e-12 of the matrix's scale, the
+        # largest |entry| or 1, passes; one apart by 1e-6 is rejected
+        X = np.random.default_rng(4).standard_normal((3, 3, 3))
+        stack = scale * (X @ X.swapaxes(1, 2) + np.eye(3))
+        for rel, ok in ((1e-12, True), (1e-6, False)):
+            Sigma = stack.copy()
+            Sigma[1, 0, 2] += rel * max(1.0, np.abs(Sigma[1]).max())
+            assert not np.array_equal(Sigma, Sigma.swapaxes(1, 2))
+            if ok:
+                r = eig_sym(Sigma)
+                assert np.abs(r.reconstruct() - stack).max() < 1e-10 * max(1.0, scale)
+            else:
+                with pytest.raises(InputDomainError, match="not symmetric"):
+                    eig_sym(Sigma)
 
     def test_psd_clamp(self):
         # round-off negative eigenvalue is clamped, a real one raises

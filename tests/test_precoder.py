@@ -19,9 +19,9 @@ from ehncs.sim import run_monte_carlo
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (kkt_residual, reference_policy,  # noqa: E402
-                     reference_theorem1_allocations, threshold_dormant,
-                     water_filling_bisection)
+from oracles import (assemble_precoder, kkt_residual, reference_policy,  # noqa: E402
+                     reference_theorem1_allocations, right_singular_vectors,
+                     stream_factors, threshold_dormant, water_filling_bisection)
 
 
 def make_ctx_and_channel(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0,
@@ -30,15 +30,14 @@ def make_ctx_and_channel(rng, K=2, E=None, theta=None, L=None, tau=None, M=1.0,
     N_s = K + 1
     N_c = K
     H = (rng.standard_normal((N_c, N_s)) + 1j * rng.standard_normal((N_c, N_s))) / np.sqrt(2)
-    _, s, Uh = np.linalg.svd(H, full_matrices=False)
+    s = np.linalg.svd(H, compute_uv=False)
     X = rng.standard_normal((K, K))
     e = eig_sym(X @ X.T + 0.1 * np.eye(K))
     theta = theta if theta is not None else rng.uniform(1.0, 100.0)
     E = E if E is not None else rng.uniform(0.01, theta)
     L = L if L is not None else rng.uniform(1.0, 30.0)
     tau = tau if tau is not None else rng.uniform(0.01, 1.0)
-    ctx = DriftContext(S=e.S, Lam=e.Lam, U_K=Uh[:K].conj().T, Pi_K=s[:K],
-                       E=E, theta=theta, tau=tau, M=M, L=L,
+    ctx = DriftContext(S=e.S, Lam=e.Lam, Pi_K=s[:K], E=E, theta=theta, tau=tau, M=M, L=L,
                        norm_AAT=rng.uniform(1.0, 4.0), slot=slot)
     return ctx, H
 
@@ -48,12 +47,13 @@ def make_ctx(rng, **kwargs):
 
 
 def budget_of(ctx, d):
-    return precoder_budget(d.F, ctx.M, ctx.tau)
+    # ||U_K F_s|| = ||F_s||, so the stream factors' budget is the precoder's
+    return precoder_budget(stream_factors(d), ctx.M, ctx.tau)
 
 
 def diagonal_ctx(h, sigma, E, theta, tau=1.0, M=1.0, L=20.0, norm_AAT=2.56, slot=0):
     K = len(h)
-    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float), U_K=np.eye(K),
+    return DriftContext(S=np.eye(K), Lam=np.asarray(sigma, float),
                         Pi_K=np.asarray(h, float), E=E, theta=theta, tau=tau,
                         M=M, L=L, norm_AAT=norm_AAT, slot=slot)
 
@@ -64,7 +64,7 @@ class TestDormantActive:
         ctx = diagonal_ctx([1.0, 1.0], [1.0, 1.0], E=1.0, theta=1e6)
         d = solve_theorem1(ctx)
         assert d.mode == "dormant"
-        assert not np.any(d.F)
+        assert not np.any(stream_factors(d))
         assert budget_of(ctx, d) == 0.0
         assert kkt_residual(ctx, d) == 0.0
 
@@ -113,14 +113,14 @@ class TestDormantActive:
             ctx = diagonal_ctx([4.0, 3.0], [0.0, 0.0], E=E, theta=36.0)
             d = solve_theorem1(ctx)
             assert d.mode == "active"
-            assert not np.any(d.F)
+            assert not np.any(stream_factors(d))
             assert d.beta == 0.0 and budget_of(ctx, d) == 0.0
             assert kkt_residual(ctx, d) == 0.0
 
     def test_empty_battery_transmits_nothing(self):
         ctx = diagonal_ctx([4.0, 3.0], [70.0, 50.0], E=0.0, theta=36.0)
         d = solve_theorem1(ctx)
-        assert not np.any(d.F)
+        assert not np.any(stream_factors(d))
 
     def test_activation_monotone_in_energy(self):
         # once active at some E, still active at larger E (threshold falls)
@@ -422,7 +422,7 @@ class TestDecoupledStructure:
                                  - 1.0 / ctx.Lam[i], 0.0)
             assert d.allocations[i] == pytest.approx(y_expect, abs=1e-12)
             f_expect = (ctx.L / ctx.M) * np.sqrt(d.allocations[i]) / ctx.Pi_K[i]
-            assert abs(d.F[i, i] - f_expect) < 1e-12
+            assert abs(stream_factors(d)[i, i] - f_expect) < 1e-12
 
     def test_zero_covariance_stream_stays_off(self):
         ctx = diagonal_ctx([4.0, 3.0], [70.0, 0.0], E=12.0, theta=36.0)
@@ -480,30 +480,34 @@ class TestRecords:
         d = solve_theorem1(ctx)
         assert all(a is b
                    for a, b in zip(PrecoderDecision(*d), PrecoderDecision(**d._asdict())))
-        assert PrecoderDecision._fields == ("gains", "basis", "scale", "U_K", "mode", "beta",
+        assert PrecoderDecision._fields == ("gains", "basis", "scale", "mode", "beta",
                                             "allocations")
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_precoder_is_its_policys_formula(self, name):
         # bit for bit: Theorem 1 gives F = (L/M) U_K diag(sqrt(y_i)/Pi_ii) S^T
-        # and a baseline F = U_K diag(sqrt(p_i)), on every solver branch
+        # and a baseline F = U_K diag(sqrt(p_i)), on every solver branch, with
+        # U_K the leading right singular vectors of the context's channel
         rng = np.random.default_rng(22)
         setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson", mean=5.0))
         policy = policy_factory(name)(setup)
-        ctxs = [make_ctx(rng, K=K, E=E, theta=40.0, L=L, slot=slot, M=rng.uniform(0.5, 2.0))
-                for K in (1, 2, 3) for E in (0.0, 2.0, 30.0) for L in (1.0, 30.0)
-                for slot in (0, 1)]
+        cases = [make_ctx_and_channel(rng, K=K, E=E, theta=40.0, L=L, slot=slot,
+                                      M=rng.uniform(0.5, 2.0))
+                 for K in (1, 2, 3) for E in (0.0, 2.0, 30.0) for L in (1.0, 30.0)
+                 for slot in (0, 1)]
         modes = set()
-        for ctx in ctxs:
+        for ctx, H in cases:
             d = policy(ctx)
+            U_K = right_singular_vectors(H, len(ctx.Pi_K))
             modes.add((d.mode, bool(d.allocations.any())))
             amplitudes = np.sqrt(d.allocations)
             if name == "proposed" and d.allocations.any():
-                want = (ctx.L / ctx.M) * (ctx.U_K @ ((amplitudes / ctx.Pi_K)[:, None]
-                                                     * ctx.S.T))
+                want = (ctx.L / ctx.M) * (U_K @ ((amplitudes / ctx.Pi_K)[:, None]
+                                                 * ctx.S.T))
             else:
-                want = 1.0 * (ctx.U_K @ (amplitudes[:, None] * np.eye(len(amplitudes))))
-            assert d.F.tobytes() == want.tobytes()
+                want = 1.0 * (U_K @ (amplitudes[:, None] * np.eye(len(amplitudes))))
+            F = assemble_precoder(U_K, d.gains, d.basis, d.scale)
+            assert F.tobytes() == want.tobytes()
         assert ("active", True) in modes
 
 
@@ -589,10 +593,12 @@ class TestBaselines:
 
     def test_baseline_precoder_shape_uses_left_basis(self):
         rng = np.random.default_rng(10)
-        ctx = make_ctx(rng, E=2.0)
+        ctx, H = make_ctx_and_channel(rng, E=2.0)
         d = baseline_capacity_wf(ctx)
+        U_K = right_singular_vectors(H, len(ctx.Pi_K))
+        F = assemble_precoder(U_K, d.gains, d.basis, d.scale)
         # F = U_K diag(sqrt(p)): back-rotating recovers the diagonal, and F
         # lies in span(U_K)
-        block = ctx.U_K.conj().T @ d.F
+        block = U_K.conj().T @ F
         assert np.abs(block - np.diag(np.sqrt(d.allocations))).max() < 1e-10
-        assert np.abs(ctx.U_K @ block - d.F).max() < 1e-10
+        assert np.abs(U_K @ block - F).max() < 1e-10

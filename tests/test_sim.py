@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (augmented_filter_step, reference_path,  # noqa: E402
-                     reference_region_scan)
+from oracles import (assemble_precoder, augmented_filter_step,  # noqa: E402
+                     reference_path, reference_region_scan)
 
 import ehncs
 from ehncs import sim
@@ -20,7 +20,7 @@ from ehncs.config import POLICY_NAMES
 from ehncs.energy import ArrivalModel, check_feasible, precoder_budget
 from ehncs.estimator import filter_step
 from ehncs.limiter import make_params
-from ehncs.numerics import InputDomainError
+from ehncs.numerics import InputDomainError, eig_sym
 from ehncs.plant import PlantModel
 from ehncs.precoder import (DriftContext, PrecoderDecision, decision_region_scan,
                             solve_theorem1)
@@ -42,8 +42,8 @@ def small_setup(theta=80.0, mean_alpha=40.0, eps=0.05):
 
 def zero_policy(ctx):
     K = len(ctx.Pi_K)
-    return PrecoderDecision(gains=np.zeros(K), basis=np.eye(K), scale=1.0, U_K=ctx.U_K,
-                            mode="dormant", beta=0.0, allocations=np.zeros(K))
+    return PrecoderDecision(gains=np.zeros(K), basis=np.eye(K), scale=1.0, mode="dormant",
+                            beta=0.0, allocations=np.zeros(K))
 
 
 class TestRunSlot:
@@ -78,8 +78,8 @@ class TestRunSlot:
         def greedy(ctx):
             K = len(ctx.Pi_K)
             return PrecoderDecision(gains=np.full(K, math.sqrt(3.0) * 1e6),
-                                    basis=np.eye(K), scale=1.0, U_K=ctx.U_K,
-                                    mode="active", beta=0.0, allocations=np.zeros(K))
+                                    basis=np.eye(K), scale=1.0, mode="active",
+                                    beta=0.0, allocations=np.zeros(K))
 
         # budget M^2 Tr(F^H F) tau = 1 * (2 * 3e12) * 0.01
         with pytest.raises(FeasibilityError, match=r"policy budget 6e\+10 J"):
@@ -100,7 +100,8 @@ class TestRunSlot:
     def test_draws_follow_the_stream_order(self, arrival, policy, monkeypatch):
         # each slot consumes a path's generator as per-purpose draws from a
         # clone do: the channel, the receiver noise, the plant noise, then
-        # the arrival (none when deterministic), whatever the path sends
+        # the arrival (none when deterministic), whatever the path sends; the
+        # matched filter reads the first K of the 2 N_c receiver normals
         setup = replace(small_setup(), arrivals=ArrivalModel(kind=arrival, mean=40.0))
         N_c, N_s, K, P = setup.N_c, setup.N_s, setup.K, 3
         seen = {}
@@ -119,12 +120,12 @@ class TestRunSlot:
             z_y = np.array([g.standard_normal((2, N_c)) for g in clones])
             z_w = np.array([g.standard_normal(K) for g in clones])
             alpha = [g.poisson(40.0) if arrival == "poisson" else 40.0 for g in clones]
-            draw = seen["sample_channel"][1]
-            assert np.array_equal(draw.H, (z_H[:, 0] + 1j * z_H[:, 1]) / np.sqrt(2.0))
-            (V_K, Pi_K, s, z), obs = seen["receive"]
-            assert V_K is draw.V_K and Pi_K is draw.Pi_K
-            assert np.array_equal(z, z_y)
-            assert np.array_equal(obs, receive(V_K, Pi_K, s, z_y))
+            (z, k), draw = seen["sample_channel"]
+            assert np.array_equal(z, z_H) and k == K
+            (Pi_K, s, z), obs = seen["receive"]
+            assert Pi_K is draw
+            assert np.array_equal(z, z_y.reshape(P, -1)[:, :K])
+            assert np.array_equal(obs, receive(Pi_K, s, z))
             assert np.array_equal(seen["step"][0][3], z_w @ setup.model.W_sqrt.T)
             assert np.array_equal(trace.alpha, alpha)
             sent |= bool(trace.energy_used.any())
@@ -137,22 +138,22 @@ class TestRunSlot:
         setup = small_setup()
         seen = []
         monkeypatch.setattr(sim, "sample_channel",
-                            lambda z, K: (seen.append(sample_channel(z, K)), seen[-1])[1])
+                            lambda z, K: (seen.append(z.copy()), sample_channel(z, K))[1])
         monkeypatch.setattr(
             sim, "receive",
-            lambda V_K, Pi_K, s, z: (seen.append(z), receive(V_K, Pi_K, s, z))[1])
+            lambda Pi_K, s, z: (seen.append(z.copy()), receive(Pi_K, s, z))[1])
         seeds = (3, 4, 5)
 
         def one_slot(order):
             rngs = [np.random.default_rng(seeds[p]) for p in order]
             _, trace = run_slot(setup, initial_state(setup, len(rngs)), zero_policy, rngs)
-            return seen[-2].H, seen[-1], trace.alpha
+            return seen[-2], seen[-1], trace.alpha
 
-        H, z, alpha = one_slot([0, 1, 2])
-        for got, want in zip(one_slot([2, 1, 0]), (H, z, alpha)):
+        z_H, z_y, alpha = one_slot([0, 1, 2])
+        for got, want in zip(one_slot([2, 1, 0]), (z_H, z_y, alpha)):
             assert np.array_equal(got, want[::-1])
         for p in range(len(seeds)):
-            for got, want in zip(one_slot([p]), (H, z, alpha)):
+            for got, want in zip(one_slot([p]), (z_H, z_y, alpha)):
                 assert np.array_equal(got, want[p:p + 1])
 
     @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
@@ -161,7 +162,8 @@ class TestRunSlot:
                                                             monkeypatch):
         # the stream factors F_s that run_slot gathers over the stack equal,
         # bit for bit, each path's decision's own scale diag(gains) basis^T,
-        # and U_K F_s is the decision's precoder F, on every solver branch
+        # and U F_s is the decision's precoder F on any orthonormal U, on
+        # every solver branch
         setup = replace(small_setup(), N_c=N_c, N_s=N_s)
         theta, K = setup.theta, setup.K
         seen = []
@@ -176,7 +178,10 @@ class TestRunSlot:
             decisions.append(policy(ctx))
             return decisions[-1]
 
-        X = np.random.default_rng(8).standard_normal((K, K))
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((K, K))
+        Z = rng.standard_normal((2, N_s, K))
+        U = np.linalg.qr(Z[0] + 1j * Z[1])[0]  # orthonormal columns
         urgent = 1e4 * np.eye(K) + 1e3 * X @ X.T
         Sigmas = np.array([np.zeros((K, K)), np.zeros((K, K)), urgent, urgent, urgent])
         E = np.array([theta, theta / 2, 0.0, theta / 2, theta])
@@ -192,8 +197,8 @@ class TestRunSlot:
             for p, d in enumerate(decisions):
                 own = (d.scale * d.gains)[:, None] * d.basis.T
                 assert np.array_equal(F_s[p], own), (n, p)
-                F = d.F
-                assert np.abs(d.U_K @ F_s[p] - F).max() <= 1e-15 * np.linalg.norm(F), (n, p)
+                F = assemble_precoder(U, d.gains, d.basis, d.scale)
+                assert np.abs(U @ F_s[p] - F).max() <= 1e-15 * np.linalg.norm(F), (n, p)
             sends.update(F_s.any(axis=(1, 2)).tolist())
         assert sends == {False, True}
         if name == "proposed":
@@ -208,24 +213,32 @@ class TestRunSlot:
 def test_stream_space_chain_is_the_complex_one(N_c, N_s):
     # F = U_K F_s gives H F = V_K diag(Pi_K) F_s, so what the slot computes
     # in the K-stream space equals its complex form on random draws at
-    # K = 2: the matched filter, the information, the budget and the update
+    # K = 2: the matched filter Pi_K (F_s q) + Re(V_K^H n), the information,
+    # the budget and the update
     rng = np.random.default_rng([10, N_c, N_s])
     P, K = 50, 2
-    draw = sample_channel(rng.standard_normal((P, 2, N_c, N_s)), K)
+    z_H = rng.standard_normal((P, 2, N_c, N_s))
+    H = (z_H[:, 0] + 1j * z_H[:, 1]) / np.sqrt(2.0)
+    V, Pi, Uh = np.linalg.svd(H, full_matrices=False)
+    U_K, V_K, Pi_K = Uh[:, :K].conj().swapaxes(1, 2), V[:, :, :K], sample_channel(z_H, K)
     F_s = rng.standard_normal((P, K, K))
-    F = draw.U_K @ F_s
+    F = U_K @ F_s
     q, g = rng.standard_normal((P, K)), rng.uniform(0.1, 2.0, P)
     z = rng.standard_normal((P, 2, N_c))
 
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    close(Pi_K, Pi[:, :K])
     s = (F_s @ q[:, :, None])[:, :, 0]
-    y = (draw.H @ F @ q[:, :, None])[:, :, 0] + (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    obs = receive(draw.V_K, draw.Pi_K, s, z)
-    close(obs, (draw.V_K.conj().swapaxes(1, 2) @ y[:, :, None])[:, :, 0].real)
-    G = (g[:, None] * draw.Pi_K)[:, :, None] * F_s
-    Ftilde = draw.H @ F * g[:, None, None]
+    n = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    y = (H @ F @ q[:, :, None])[:, :, 0] + n
+    # Re(V_K^H n) is N(0, I_K / 2), the law of receive's K normals over sqrt(2)
+    noise = (V_K.conj().swapaxes(1, 2) @ n[:, :, None])[:, :, 0].real
+    obs = receive(Pi_K, s, np.sqrt(2.0) * noise)
+    close(obs, (V_K.conj().swapaxes(1, 2) @ y[:, :, None])[:, :, 0].real)
+    G = (g[:, None] * Pi_K)[:, :, None] * F_s
+    Ftilde = H @ F * g[:, None, None]
     close(2.0 * G.swapaxes(1, 2) @ G, 2.0 * (Ftilde.conj().swapaxes(1, 2) @ Ftilde).real)
     close(precoder_budget(F_s, 1.5, 0.01), precoder_budget(F, 1.5, 0.01))
     X = rng.standard_normal((P, K, K))
@@ -307,8 +320,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name,guard,n_paths,n_slots,seed", [
         *((name, sim.DIVERGENCE_GUARD, 3, 12, 1) for name in POLICY_NAMES),
-        # path 2 alone trips this guard, after its slot 44
-        ("proposed", 580.0, 8, 60, 3)])
+        # path 2 alone trips this guard, after its slot 55
+        ("proposed", 900.0, 8, 60, 3)])
     def test_policy_called_as_the_bench_tracer_reads_it(self, name, guard, n_paths,
                                                          n_slots, seed, monkeypatch):
         # bench/tracing.py's traced_policy wraps the policy and reads one
@@ -326,7 +339,7 @@ class TestMonteCarlo:
             return decision
 
         run = run_monte_carlo(setup, recording, n_paths, n_slots, seed)
-        assert run.n_diverged == int(guard == 580.0)
+        assert run.n_diverged == int(guard == 900.0)
         assert all(len(args) == 1 and not kwargs and type(args[0]) is DriftContext
                    for args, kwargs in calls)
         # once per live path per slot: a path runs slots 0 .. n_run - 1
@@ -349,16 +362,17 @@ class TestMonteCarlo:
         assert len(digests) == 1, digests
 
     def test_columns_equal_their_trace_prefixes(self, monkeypatch):
-        # ||x||^2 peaks at 605 on path 2 (slot 44 is its first above 580) and
-        # at 549 or less on the other 7, so path 2 alone trips this guard
-        guard, n_slots = 580.0, 60
+        # ||x||^2 reaches 967 on path 2 at slot 55, its first above 900, and
+        # peaks at 804 or less on the other 7 (path 4, slot 57), so path 2
+        # alone trips this guard
+        guard, n_slots = 900.0, 60
         monkeypatch.setattr(sim, "DIVERGENCE_GUARD", guard)
         setup = small_setup(theta=40.0)
         run = run_monte_carlo(setup, solve_theorem1, 8, n_slots, seed=3,
                               keep_traces=True)
         paths, t = run.paths, run.traces
         assert paths.diverged.tolist() == [p == 2 for p in range(8)]
-        assert paths.n_run.tolist() == [n_slots] * 2 + [45] + [n_slots] * 5
+        assert paths.n_run.tolist() == [n_slots] * 2 + [56] + [n_slots] * 5
         for p, n in enumerate(paths.n_run.tolist()):
             # a path runs until the first slot over the guard, that one included
             over = np.flatnonzero(t.sq_state[p, :n] > guard).tolist()
@@ -373,6 +387,21 @@ class TestMonteCarlo:
             }
             for f, value in expected.items():
                 assert paths[f][p] == pytest.approx(value, rel=1e-12), (p, f)
+
+    @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
+    def test_every_sigma_is_symmetric_bit_for_bit(self, N_c, N_s, monkeypatch):
+        # eig_sym skips its asymmetry tolerance on an exactly symmetric
+        # stack; every Sigma a run forms is one, under every policy
+        seen = []
+        monkeypatch.setattr(sim, "eig_sym",
+                            lambda Sigma: (seen.append(Sigma.copy()), eig_sym(Sigma))[1])
+        for theta in (40.0, 120.0):
+            setup = replace(small_setup(theta=theta), N_c=N_c, N_s=N_s)
+            for name in POLICY_NAMES:
+                run_monte_carlo(setup, policy_factory(name)(setup), 6, 40, seed=11)
+        assert len(seen) == 2 * len(POLICY_NAMES) * 40
+        assert all(np.array_equal(S, S.swapaxes(1, 2)) for S in seen)
+        assert any(S.any() for S in seen)
 
     def test_policies_and_theta_share_their_draws(self):
         # no draw depends on a decision, so at one seed every policy and

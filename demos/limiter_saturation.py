@@ -33,7 +33,7 @@ def main():
                          arrivals=ArrivalModel(kind="poisson", mean=cfg.mean_alpha),
                          N_c=cfg.N_c, N_s=cfg.N_s, tau=cfg.tau, theta=cfg.theta)
         run = run_monte_carlo(setup, solve_theorem1, 40, 200, seed=1)
-        L0 = dynamic_range(model, params, model.W)
+        L0 = dynamic_range(model, params, model.tr_W)  # L at Sigma = W
         print(f"{eps:8.2f} {L0:10.4f} "
               f"{delta_constant(model, params):10.4f} "
               f"{run.saturation_rate.mean:10.4f}")

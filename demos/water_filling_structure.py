@@ -27,9 +27,9 @@ def main():
         ctx = make_ctx(E)
         d = solve_theorem1(ctx)
         y = d.allocations
-        # the stream factors F_s = scale diag(gains) basis^T: on this
-        # decoupled link U_K = I, so they are the precoder itself
-        F_s = d.scale * (d.gains[:, None] * d.basis.T)
+        # the stream factors F_s = diag(gains) basis^T: on this decoupled
+        # link U_K = I, so they are the precoder itself
+        F_s = d.gains[:, None] * d.basis.T
         print(f"{E:6.1f} {d.mode:>8} {d.beta:10.4f} {y[0]:10.4f} {y[1]:10.4f} "
               f"{precoder_budget(F_s, ctx.M, ctx.tau):10.4f}")
 

@@ -74,14 +74,19 @@ _STACK_LINE = (f"# numpy={np.__version__} blas={_BLAS.get('name', 'unknown')}-"
                f"{_BLAS.get('version', 'unknown')} simd={_SIMD}")
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows,
-               overrides=()) -> None:
+def _header(cfg: ExperimentConfig, overrides=()) -> list[str]:
+    """The comment lines that open every output file."""
     header = [f"# config_hash={cfg.config_hash}", f"# seed={cfg.seed}", _STACK_LINE]
     if overrides:
         header.append(f"# overrides={' '.join(overrides)}")
+    return header
+
+
+def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows,
+               overrides=()) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerows([line] for line in header)
+        writer.writerows([line] for line in _header(cfg, overrides))
         writer.writerow(columns)
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
@@ -97,15 +102,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, overrides=()) -> int:
     # tolist() hands _fmt the Python floats it writes by repr
     columns = [result.paths[f].tolist() for f in PATH_FIELDS[:7]]
     rows = [[p, *row, int(div)] for p, (*row, div) in enumerate(zip(*columns))]
-    rows.append(["mean", result.mse.mean, result.tr_sigma.mean,
-                 result.saturation_rate.mean, result.duty_cycle.mean, "", "",
-                 result.n_diverged])
-    rows.append(["ci95", result.mse.ci_half_width, result.tr_sigma.ci_half_width,
-                 result.saturation_rate.ci_half_width,
-                 result.duty_cycle.ci_half_width, "", "", ""])
-    _write_csv(out_dir / "run.csv", cfg,
-               ["path", "mse", "tr_sigma", "saturation_rate", "duty_cycle",
-                "energy_used", "energy_harvested", "diverged"], rows, overrides)
+    # the first four columns are also the run's Metric fields, by name
+    metrics = [getattr(result, f) for f in PATH_FIELDS[:4]]
+    rows.append(["mean", *(m.mean for m in metrics), "", "", result.n_diverged])
+    rows.append(["ci95", *(m.ci_half_width for m in metrics), "", "", ""])
+    _write_csv(out_dir / "run.csv", cfg, ["path", *PATH_FIELDS[:7]], rows, overrides)
     return EXIT_DIVERGENCE if result.n_diverged else EXIT_OK
 
 
@@ -116,12 +117,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, overrides=()) -> int:
     factories = {name: policy_factory(name, cfg.period) for name in POLICY_NAMES}
     rows = sweep(setup, factories, cfg.sweep_axis, cfg.sweep_values,
                  cfg.n_paths, cfg.n_slots, cfg.seed)
-    table = [[r["policy"], r["axis"], r["value"], r["mse"], r["mse_ci"],
-              r["tr_sigma"], r["saturation_rate"], r["duty_cycle"],
-              r["n_diverged"]] for r in rows]
-    _write_csv(out_dir / "sweep.csv", cfg,
-               ["policy", "axis", "value", "mse", "mse_ci", "tr_sigma",
-                "saturation_rate", "duty_cycle", "n_diverged"], table, overrides)
+    _write_csv(out_dir / "sweep.csv", cfg, list(rows[0]),
+               [list(r.values()) for r in rows], overrides)
     n_div = sum(r["n_diverged"] for r in rows)
     return EXIT_DIVERGENCE if n_div else EXIT_OK
 
@@ -136,9 +133,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path) -> int:
         np.random.default_rng([cfg.seed, _ALPHA_STREAM]))
     report = check_stability(model, params, stats, e_inv, cfg.theta, cfg.tau)
     lines = [
-        f"# config_hash={cfg.config_hash}",
-        f"# seed={cfg.seed}",
-        _STACK_LINE,
+        *_header(cfg),
         f"satisfied: {str(report.satisfied).lower()}",
         f"lhs: {report.lhs!r}",
         f"rhs_max: {report.rhs_max!r}",
@@ -169,6 +164,16 @@ _REGION_DEFAULTS = dict(h1=4.0, sigma1=70.0, theta=36.0, tau=1.0,
 
 def cmd_regions(cfg: ExperimentConfig, out_dir: Path, energies=None,
                 n_grid: int | None = None) -> int:
+    """Decision regions of the config's plant and limiter at the published
+    figure's h1 = 4, sigma1 = 70, theta = 36 and tau = 1 (`_REGION_DEFAULTS`).
+
+    The config supplies only the plant and limiter; its own theta, tau and
+    channel are not read.  On reference.cfg every grid point is dormant (all
+    active_streams 0): its plant and eps = 0.05 give L of about 520-680
+    over the default grid, so no breakpoint ||AA^T|| (sigma_i h_i)^2 /
+    (tau L^2) exceeds 2.5, far under theta - E = 24 and 16 at the default
+    energies.
+    """
     d = _REGION_DEFAULTS
     n = d["n_grid"] if n_grid is None else n_grid
     if n < 1:
@@ -177,14 +182,15 @@ def cmd_regions(cfg: ExperimentConfig, out_dir: Path, energies=None,
     params = build_limiter(cfg, model)
     h2_values = np.linspace(d["h2_max"] / n, d["h2_max"], n)
     sigma2_values = np.linspace(d["sigma2_max"] / n, d["sigma2_max"], n)
+    # one row per grid point, sigma2-major as the scan's counts are laid out
+    sigma2, h2 = (g.ravel().tolist() for g in np.meshgrid(sigma2_values, h2_values,
+                                                           indexing="ij"))
     rows = []
     for E in (energies or d["energies"]):
         scan = decision_region_scan(model, params, E, d["h1"], d["sigma1"],
                                     h2_values, sigma2_values, d["theta"], d["tau"])
-        for i, s2 in enumerate(sigma2_values):
-            for j, h2 in enumerate(h2_values):
-                rows.append([float(E), float(h2), float(s2),
-                             int(scan["active_streams"][i, j])])
+        rows += zip([float(E)] * len(h2), h2, sigma2,
+                    scan["active_streams"].ravel().tolist())
     _write_csv(out_dir / "regions.csv", cfg,
                ["E", "h2", "sigma2", "active_streams"], rows)
     return EXIT_OK

@@ -48,20 +48,22 @@ def spend_and_harvest(E, spend, alpha, theta):
     return np.minimum(np.maximum(E - spend, 0.0) + alpha, theta)
 
 
-def precoder_budget(F: np.ndarray, M: float, tau: float):
-    """M^2 Tr(F^H F) tau: the most a precoder F can spend in a slot, since
-    the limiter keeps ||q|| <= M.  F may stack precoders on leading axes."""
-    F = np.asarray(F)
-    return M**2 * (F.conj() * F).real.sum(axis=(-2, -1)) * tau
+def precoder_budget(F_s: np.ndarray, M: float, tau: float):
+    """M^2 ||F_s||^2 tau: the most a precoder F = U_K F_s can spend in a
+    slot, since the limiter keeps ||q|| <= M and U_K has orthonormal
+    columns.  The stream factors F_s are real and may stack on leading axes."""
+    F_s = np.asarray(F_s)
+    return M**2 * (F_s * F_s).sum(axis=(-2, -1)) * tau
 
 
-def check_feasible(E, F: np.ndarray, M: float, tau: float):
+def check_feasible(E, F_s: np.ndarray, M: float, tau: float):
     """Energy-availability test `precoder_budget` <= E, with a slack of
     1e-9 J plus 1e-12 E for the round-off of a budget computed at E's scale.
 
-    F may stack one precoder per path, against one battery per path.
+    F_s may stack one path's stream factors per path, against one battery
+    per path.
     """
-    return precoder_budget(F, M, tau) <= E + 1e-9 + 1e-12 * E
+    return precoder_budget(F_s, M, tau) <= E + 1e-9 + 1e-12 * E
 
 
 def estimate_inverse_mean(model: ArrivalModel, rng: np.random.Generator,

@@ -14,17 +14,9 @@ controller; it depends only on G, never on the realized state.
 measurement update (silent or saturated slot) carries G = 0.
 """
 
-from functools import cache
-
 import numpy as np
 
-
-@cache
-def _identity(K: int) -> np.ndarray:
-    """The K x K identity, built once per K and read-only."""
-    eye = np.eye(K)
-    eye.flags.writeable = False
-    return eye
+from .numerics import identity
 
 
 def filter_step(x_hat: np.ndarray, Sigma: np.ndarray, obs: np.ndarray,
@@ -46,7 +38,7 @@ def filter_step(x_hat: np.ndarray, Sigma: np.ndarray, obs: np.ndarray,
     Gt2 = 2.0 * G.swapaxes(-1, -2)
     innovation = obs - (G @ x_hat[..., None])[..., 0]
     r = (Gt2 @ innovation[..., None])[..., 0]
-    post = np.linalg.solve(_identity(len(A)) + Sigma @ (Gt2 @ G), Sigma)
+    post = np.linalg.solve(identity(len(A)) + Sigma @ (Gt2 @ G), Sigma)
 
     x_next = (x_hat + (post @ r[..., None])[..., 0]) @ A.T + u @ B.T
     Sigma_next = A @ post @ A.T + W

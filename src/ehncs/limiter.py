@@ -57,17 +57,18 @@ def make_params(model: PlantModel, M: float, eps: float) -> LimiterParams:
     return LimiterParams(M=M, eps=eps, Theta=compute_theta(model))
 
 
-def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
+def dynamic_range(model: PlantModel, params: LimiterParams, tr_Sigma,
                   gain_norm: str = "BPsiA") -> np.ndarray:
     """Adaptive dynamic range
 
         L = (1/sqrt(eps)) (1 + ||A-BPsiA|| Theta)
             (coeff sqrt(Tr(Sigma) - Tr(W)) + sqrt(Tr(W)))
 
-    with coeff = ||B Psi A|| (normative) or ||B Psi|| (gain_norm="BPsi",
-    the variant needed to reproduce some published constants).  The radicand
-    is clamped at 0, which only matters at the Sigma(0) = 0 start-up.  A
-    stack of covariances gives one range per covariance.
+    from tr_Sigma = Tr(Sigma), the one thing L reads of the covariance, with
+    coeff = ||B Psi A|| (normative) or ||B Psi|| (gain_norm="BPsi", the
+    variant needed to reproduce some published constants).  The radicand is
+    clamped at 0, which only matters at the Sigma(0) = 0 start-up.  An array
+    of traces gives one range per trace.
     """
     if gain_norm == "BPsiA":
         coeff = model.norm_BPsiA
@@ -75,7 +76,7 @@ def dynamic_range(model: PlantModel, params: LimiterParams, Sigma: np.ndarray,
         coeff = model.norm_BPsi
     else:
         raise InputDomainError(f"dynamic_range: unknown gain_norm {gain_norm!r}")
-    excess = np.maximum(Sigma.trace(axis1=-2, axis2=-1) - model.tr_W, 0.0)
+    excess = np.maximum(tr_Sigma - model.tr_W, 0.0)
     prefactor = (1.0 + model.norm_closed_loop * params.Theta) / math.sqrt(params.eps)
     return prefactor * (coeff * np.sqrt(excess) + model.sqrt_tr_W)
 

@@ -1,15 +1,19 @@
-"""Matrix decomposition and equation-solving kernels shared by several modules.
+"""Matrix decomposition and equation-solving kernels.
 
-The singular-value, symmetric-eigen and Stein kernels that the channel
-statistics, the per-slot loop and the limiter use live here, so each can
-be validated in isolation.  Algebra with one caller stays in its module:
-the channel draw's values-only SVD, the estimator's solve, the spectral norms
-in `plant`, `limiter` and `analysis`, and the gain design's Riccati solve.
+They live here, apart from their callers, so each can be validated in
+isolation against its own tests: the singular values of the channel
+statistics, the symmetric eigendecomposition of the per-slot loop, the
+Stein solve of the limiter's drift constant, and the cached identity that
+the precoder and the estimator share.  One-line library calls stay at
+their call site: the channel draw's values-only SVD, the estimator's
+solve, the spectral norms in `plant`, `limiter` and `analysis`, and the
+gain design's Riccati solve.
 Singular values and eigenvalues come out descending, so the per-stream
 pairing done by the precoder is deterministic.  Everything here is NumPy.
 """
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +43,15 @@ class EigSymResult(NamedTuple):
 
     def reconstruct(self) -> np.ndarray:
         return (self.S * self.Lam[..., None, :]) @ np.swapaxes(self.S, -1, -2)
+
+
+@cache
+def identity(K: int) -> np.ndarray:
+    """The K x K identity, built once per K and read-only, so every caller
+    shares it."""
+    eye = np.eye(K)
+    eye.flags.writeable = False
+    return eye
 
 
 def herm(X: np.ndarray) -> np.ndarray:

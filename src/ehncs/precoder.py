@@ -22,18 +22,18 @@ with other weights, so the scalar active-set walk `_walk` inverts the
 budget equation for one Theorem-1 context (`solve_theorem1`) and for both
 baseline power profiles; `theorem1_allocations` takes the same walk over
 stacked contexts as running sums over the sorted streams.  A policy does
-not form its precoder: it returns the per-stream factors of F = scale U_K
+not form its precoder: it returns the per-stream factors of F = U_K
 diag(gains) basis^T, on the channel's K leading right singular vectors
-U_K, which no context carries.  The slot never forms F: it gathers every
-path's real K x K stream factors F_s = scale diag(gains) basis^T, with
-F = U_K F_s, and works in the K-stream space (see `sim`).
+U_K, which no context carries; Theorem 1's gains carry its L/M.  The slot
+never forms F: it gathers every path's real K x K stream factors
+F_s = diag(gains) basis^T, with F = U_K F_s, and works in the K-stream
+space (see `sim`).
 
 The per-stream terms (the breakpoints, the walk weights, the water fill
 and `_seabed`) are NumPy expressions in `theorem1_allocations`, which runs
 stream-major, on (K, ...) arrays, so that each operation spans every
-context: a 50 x 50 region scan takes 0.18-0.19 ms, against 0.53-0.55 ms
-in the (..., K) layout with `take_along_axis` (timeit minima, 2-CPU
-x86-64 host, NumPy 2.4.6).  One context has only K values, so the
+context rather than gathering K values per context with
+`take_along_axis`.  One context has only K values, so the
 per-context solvers (`solve_theorem1` and the baselines' `_wf_powers`)
 restate those terms on Python floats after one `.tolist()` and share the
 float walk `_walk`.  Python float arithmetic
@@ -47,29 +47,26 @@ interchangeable here.  `solve_theorem1` unpacks its context once, and it
 and `_wf_powers` make one plain pass per stage over the streams (the
 breakpoints, then the walk's terms, then the allocations), not one
 comprehension per term; tests/oracles.py keeps the comprehension form, and
-the tests require the same bits from both.  With its clamps written as
-conditionals, this cut `solve_theorem1` by 28%, from 6.1-6.8 to 4.4-5.0 us
-per context, on a 2-CPU x86-64 host with Python 3.11 (four runs, each the
-median of 12 interleaved rounds over 400 closed-loop contexts of the
-reference).
+the tests require the same bits from both; the clamps are conditionals,
+which skip a builtin call per use.
 
 A slot builds one `DriftContext` and one `PrecoderDecision` per path, so
-both are immutable NamedTuples, built positionally: as frozen dataclasses,
-which set every field through object.__setattr__, the pair cost about 4 us
-per path and slot.  `DriftContext.__new__` keeps the L > 0 and E >= 0
+both are immutable NamedTuples, built positionally: a frozen dataclass
+sets every field through object.__setattr__, a fixed cost per record that
+a slot would pay per path.  CHANGES.md holds the timings behind these
+choices.  `DriftContext.__new__` keeps the L > 0 and E >= 0
 checks, and both records still take keywords.  The policy stays one call
 per path, returning one scalar mode and beta, which is what
 bench/tracing.py reads.
 """
 
 import math
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .limiter import LimiterParams, dynamic_range
-from .numerics import InputDomainError
+from .numerics import InputDomainError, identity
 from .plant import PlantModel
 
 ALLOC_TOL = 1e-12
@@ -112,29 +109,20 @@ class DriftContext(_DriftFields):
 
 class PrecoderDecision(NamedTuple):
     """A policy's precoder in Theorem 1's factored form,
-    F = scale U_K diag(gains) basis^T: Theorem 1 gives gains sqrt(y_i)/Pi_ii,
-    basis S and scale L/M; the baselines and dormant decisions give the
-    identity basis and scale 1.
+    F = U_K diag(gains) basis^T: Theorem 1 gives gains (L/M) sqrt(y_i)/Pi_ii
+    and basis S; the baselines and dormant decisions give the identity basis.
     """
 
     gains: np.ndarray  # (K,) per-stream amplitudes
     basis: np.ndarray  # (K, K)
-    scale: float
     mode: str  # "dormant" | "active"
     beta: float
     allocations: np.ndarray  # (K,) per-stream allocations (diag of Y*)
 
 
-@cache
-def _identity(K: int) -> np.ndarray:
-    eye = np.eye(K)
-    eye.flags.writeable = False  # shared by every decision with this K
-    return eye
-
-
 def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecision:
     K = len(ctx.Pi_K)
-    return PrecoderDecision(np.zeros(K), _identity(K), 1.0, mode, 0.0, np.zeros(K))
+    return PrecoderDecision(np.zeros(K), identity(K), mode, 0.0, np.zeros(K))
 
 
 def _seabed(Lam: np.ndarray) -> np.ndarray:
@@ -224,13 +212,14 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     s_star = t_last if t_last < s_star else s_star
     s_star = s0 if s0 > s_star else s_star
     level = math.sqrt(c / (s_star * tau))
+    scale = L / M
     y, gains = [], []
     for p, sb in zip(Pi_K, seabed):
         y_i = (p / L) * level - sb
         y_i = 0.5 * (0.0 if 0.0 > y_i else y_i)
         y.append(y_i)
-        gains.append(math.sqrt(y_i) / p)
-    return PrecoderDecision(np.array(gains), S, L / M, "active", s_star - s0, np.array(y))
+        gains.append(scale * (math.sqrt(y_i) / p))
+    return PrecoderDecision(np.array(gains), S, "active", s_star - s0, np.array(y))
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -316,7 +305,7 @@ def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,
     sigma2_values = np.asarray(sigma2_values, dtype=float)
     Lam = np.stack(np.broadcast_arrays(float(sigma1), sigma2_values), axis=-1)
     Pi_K = np.stack(np.broadcast_arrays(float(h1), h2_values), axis=-1)
-    L = dynamic_range(model, limiter, Lam[:, :, None] * np.eye(2), gain_norm="BPsi")
+    L = dynamic_range(model, limiter, Lam.sum(axis=-1), gain_norm="BPsi")
     y, _, _ = theorem1_allocations(Lam[:, None, :], Pi_K[None, :, :], E, L[:, None],
                                    theta, tau, model.norm_AAT)
     return {"h2": h2_values, "sigma2": sigma2_values,
@@ -354,7 +343,7 @@ def _baseline_decision(ctx: DriftContext, p: list) -> PrecoderDecision:
     """F = U_K diag(sqrt(p_i)) with p_i read as per-stream powers."""
     mode = "active" if sum(p) > 0 else "dormant"
     p = np.array(p)
-    return PrecoderDecision(np.sqrt(p), _identity(len(p)), 1.0, mode, 0.0, p)
+    return PrecoderDecision(np.sqrt(p), identity(len(p)), mode, 0.0, p)
 
 
 def baseline_capacity_wf(ctx: DriftContext) -> PrecoderDecision:

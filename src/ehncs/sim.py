@@ -5,9 +5,9 @@ transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
 call over all paths, except the random draws and the policy, which stay per
-path.  A policy returns per-stream factors (gains, basis, scale), and the
-slot gathers them, with each path's mode, in one transpose of the
-decisions, zip(*decisions).  At the top of each slot, one loop over the
+path.  A policy returns per-stream factors (gains, basis), and the slot
+gathers them, with each path's mode, in one transpose of the decisions,
+zip(*decisions).  At the top of each slot, one loop over the
 paths has each generator fill its row of normals (channel, receiver noise,
 plant noise, in that order) and then draw its arrival, before any policy
 decides.  So a path does not depend on the others in its run, and at one
@@ -17,7 +17,7 @@ path and, with traces kept, one SlotTrace of (P, n_slots) columns.
 
 The slot runs in the K-stream space and never forms the complex precoder.
 F = U_K F_s lies on the channel's K leading right singular vectors, with
-the real K x K stream factors F_s = scale diag(gains) basis^T, so
+the real K x K stream factors F_s = diag(gains) basis^T, so
 H F = V_K diag(Pi_K) F_s.  Every quantity the slot takes from F has a real
 K-dimensional form: the budget M^2 ||F_s||^2 tau, the spend
 ||F_s q||^2 tau, the matched-filter output Re(V_K^H y) =
@@ -31,23 +31,13 @@ receiver normals, so no singular vector is computed.
 At a few paths most of a slot is a fixed cost per stage call that does not
 grow with P, so each stage keeps its arithmetic and trims its calls: the
 per-model constants of the dynamic range are derived once in PlantModel,
-reductions are ndarray methods, eig_sym's finiteness check reads the
-max-|entry| it takes for its scale, filter_step adds a cached identity,
-and the per-slot records (EigSymResult, LimiterOutput, SlotTrace) are
-NamedTuples.  A frozen dataclass sets each field through
-object.__setattr__, which cost 0.5 us (3 fields) to 1.4 us (9 fields) more
-per record, about 3 us a slot.  A fit of the slot time at P = 1, 4 and 8
-(the six policies at theta 40 and 120, 100 slots; one process alternating
-the versions, minima; 2-CPU x86-64 host, NumPy 2.4.6) gives a fixed cost
-of about 156 us per slot, against about 181 us with the complex F, H F
-and receiver noise formed in the slot, and 16-18 us per path in both; a
-4-path slot takes 239 us, against 267 us.  The three LAPACK calls (one
-svd, eigh and solve over the stack: 19.5, 6.4 and 5.3 us at P = 4,
-timeit minima) took 31 us of that fixed cost, about 20%; most of the rest
-is small NumPy calls of 0.5-2 us each.  The svd computes singular values
-only: on the (P, 2, 3) stack it takes 11.3 us at P = 4 and 356 us at
-P = 200, against 18.7 and 599 us for the reduced SVD with vectors (timeit
-minima, same host).
+Tr(Sigma) is taken once for both L and SlotTrace.Tr_Sigma, reductions are
+ndarray methods, eig_sym's finiteness check reads the max-|entry| it takes
+for its scale, filter_step adds a cached identity, and the channel's svd
+computes singular values only.  The per-slot records (EigSymResult,
+LimiterOutput, SlotTrace) are NamedTuples: a frozen dataclass sets each
+field through object.__setattr__, a fixed cost per record and slot.
+CHANGES.md holds the timings behind these choices.
 """
 
 import math
@@ -179,16 +169,16 @@ def run_slot(setup: SimSetup, state: SimState, policy,
         alpha[p] = draw_arrival(arrivals, g)
 
     Pi_K = sample_channel(z[:, :n_H].reshape(P, 2, N_c, N_s), K)
-    L = dynamic_range(model, setup.limiter, state.Sigma)
+    tr_Sigma = state.Sigma.trace(axis1=1, axis2=2)
+    L = dynamic_range(model, setup.limiter, tr_Sigma)
     dec = eig_sym(state.Sigma)
     decisions = [policy(DriftContext(S, Lam, Pi_p, E_p, theta, tau, M, L_p, c, n))
                  for S, Lam, Pi_p, E_p, L_p in zip(
                      dec.S, dec.Lam, Pi_K, E.tolist(), L.tolist())]
-    gains, basis, scale, modes, _, _ = zip(*decisions)
-    # F = U_K F_s with F_s = scale diag(gains) basis^T; U_K has orthonormal
+    gains, basis, modes, _, _ = zip(*decisions)
+    # F = U_K F_s with F_s = diag(gains) basis^T; U_K has orthonormal
     # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
-    F_s = ((np.array(scale)[:, None] * np.array(gains))[:, :, None]
-           * np.array(basis).swapaxes(1, 2))
+    F_s = np.array(gains)[:, :, None] * np.array(basis).swapaxes(1, 2)
     feasible = check_feasible(E, F_s, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
@@ -216,13 +206,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     x_next = step(model, state.x, u, w)
     E_next = energy.spend_and_harvest(E, spend, alpha, theta)
 
-    trace = SlotTrace(E, L, active, (~lim.saturated).astype(int), spend,
-                      state.Sigma.trace(axis1=1, axis2=2), sq_error, sq_state, alpha)
+    trace = SlotTrace(E, L, active, (~lim.saturated).astype(int), spend, tr_Sigma,
+                      sq_error, sq_state, alpha)
     return SimState(n + 1, x_next, x_hat_next, Sigma_next, E_next), trace
 
 
 # per-path result columns of RunResult.paths
-PATH_FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle", "energy_used",
+PATH_FIELDS = ("mse", "tr_sigma", "saturation_rate", "duty_cycle", "energy_used",
                "energy_harvested", "diverged", "n_run")
 
 
@@ -237,9 +227,10 @@ class RunResult:
     """Means over paths, and the per-path results they come from.
 
     paths is a record array with one row per path and the fields of
-    PATH_FIELDS: mse is the time-averaged ||x - x_hat||^2 / K, duty_cycle
-    the fraction of active-mode slots, energy_used the realized spend, and
-    n_run the slots the path ran before leaving the run.  paths.mse is a
+    PATH_FIELDS: mse is the time-averaged ||x - x_hat||^2 / K, tr_sigma the
+    time-averaged Tr(Sigma), duty_cycle the fraction of active-mode slots,
+    energy_used the realized spend, and n_run the slots the path ran before
+    leaving the run.  paths.mse is a
     (P,) column, and iterating paths yields rows with one attribute per
     field.  Its rows are aligned to 64 bytes with zeroed padding, so the
     bytes of a run are the same in every process.  With keep_traces, traces
@@ -330,12 +321,12 @@ def run_monte_carlo(setup: SimSetup, policy, n_paths: int, n_slots: int,
     paths = np.zeros(P, dtype).view(np.recarray)
     for name, v in zip(PATH_FIELDS, values):
         paths[name] = v
+    # the first four path fields are the run's four Metric fields, by name
     return RunResult(
-        n_paths=n_paths, n_slots=n_slots, seed=seed, mse=_metric(paths.mse),
-        tr_sigma=_metric(paths.mean_tr_sigma),
-        saturation_rate=_metric(paths.saturation_rate),
-        duty_cycle=_metric(paths.duty_cycle), n_diverged=int(diverged.sum()),
-        paths=paths, traces=SlotTrace(*columns) if keep_traces else None,
+        n_paths=n_paths, n_slots=n_slots, seed=seed,
+        **{name: _metric(paths[name]) for name in PATH_FIELDS[:4]},
+        n_diverged=int(diverged.sum()), paths=paths,
+        traces=SlotTrace(*columns) if keep_traces else None,
     )
 
 

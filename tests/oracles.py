@@ -6,8 +6,8 @@ violation of the diagonalized KKT system of the drift program, and
 `drift_bound` evaluates the per-realization drift integrand at any
 candidate precoder.  Both it and `problem1_objective` take the channel H
 itself: a context carries only Pi_K, and a random candidate F need not
-lie in span(U_K).  A policy returns the factors of F = scale U_K
-diag(gains) basis^T and no context carries U_K, so `assemble_precoder`
+lie in span(U_K).  A policy returns the factors of F = U_K diag(gains)
+basis^T and no context carries U_K, so `assemble_precoder`
 forms the complex F from a channel's U_K (`right_singular_vectors`).
 The projected gradient solver works directly on the diagonalized convex
 program, without the closed-form precoder path, so the closed-form
@@ -246,21 +246,20 @@ def right_singular_vectors(H, K):
     return np.linalg.svd(H, full_matrices=False)[2][:K].conj().T
 
 
-def assemble_precoder(U_K, gains, basis, scale):
-    """F = scale U_K diag(gains) basis^T over any leading axes.
+def assemble_precoder(U_K, gains, basis):
+    """F = U_K diag(gains) basis^T over any leading axes.
 
-    U_K is (..., N_s, K), gains (..., K), basis (..., K, K) and scale (...);
-    returns the complex (..., N_s, K) precoders.
+    U_K is (..., N_s, K), gains (..., K) and basis (..., K, K); returns the
+    complex (..., N_s, K) precoders.
     """
-    top = gains[..., :, None] * np.swapaxes(basis, -1, -2)
-    return np.asarray(scale)[..., None, None] * (U_K @ top)
+    return U_K @ (gains[..., :, None] * np.swapaxes(basis, -1, -2))
 
 
 def stream_factors(decision):
-    """A decision's real K x K stream factors F_s = scale diag(gains)
-    basis^T, with F = U_K F_s: its precoder on U_K = I."""
+    """A decision's real K x K stream factors F_s = diag(gains) basis^T,
+    with F = U_K F_s: its precoder on U_K = I."""
     return assemble_precoder(np.eye(len(decision.gains)), decision.gains,
-                             decision.basis, decision.scale)
+                             decision.basis)
 
 
 # -- references of the channel statistics and the stability curve -----------
@@ -340,7 +339,8 @@ def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_value
     time: rows index sigma2_values, columns index h2_values."""
     counts = np.zeros((len(sigma2_values), len(h2_values)), dtype=int)
     for i, s2 in enumerate(sigma2_values):
-        L = dynamic_range(model, limiter, np.diag([sigma1, s2]), gain_norm="BPsi")
+        # Tr diag(sigma1, s2)
+        L = dynamic_range(model, limiter, sigma1 + s2, gain_norm="BPsi")
         for j, h2 in enumerate(h2_values):
             ctx = _diagonal_context(E, theta, tau, limiter.M, L, model.norm_AAT,
                                     h=np.array([h1, h2]), sigma=np.array([sigma1, s2]))
@@ -589,16 +589,19 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     H = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     V, Pi, Uh = np.linalg.svd(H)
     U_K = Uh[:K].conj().T
-    L = float(dynamic_range(model, setup.limiter, state.Sigma))
+    tr_Sigma = float(np.trace(state.Sigma))
+    L = float(dynamic_range(model, setup.limiter, tr_Sigma))
     dec = eig_sym(state.Sigma)
     ctx = DriftContext(
         S=dec.S, Lam=dec.Lam, Pi_K=Pi[:K], E=state.E,
         theta=setup.theta, tau=setup.tau, M=setup.limiter.M, L=L,
         norm_AAT=model.norm_AAT, slot=state.n)
     decision = policy(ctx)
-    # F = scale U_K diag(gains) basis^T, here as a column scaling and a product
-    F = decision.scale * ((U_K * decision.gains) @ decision.basis.T)
-    if not check_feasible(state.E, F, setup.limiter.M, setup.tau):
+    # F = U_K diag(gains) basis^T, here as a column scaling and a product;
+    # ||F|| = ||F_s||, so the budget of the stream factors is F's
+    F = (U_K * decision.gains) @ decision.basis.T
+    if not check_feasible(state.E, stream_factors(decision), setup.limiter.M,
+                          setup.tau):
         raise FeasibilityError(f"slot {state.n}: policy budget exceeds stored energy")
 
     lim = clip(state.x, L, setup.limiter.M)
@@ -624,8 +627,7 @@ def reference_slot(setup, state, policy, rng, noise_sqrt):
     alpha = float(rng.poisson(arrivals.mean) if arrivals.kind == "poisson"
                   else arrivals.mean)
     E_next = spend_and_harvest(state.E, spend, alpha, setup.theta)
-    record = (state.E, L, active, gamma, spend,
-              float(np.trace(state.Sigma)), sq_error, sq_state, alpha)
+    record = (state.E, L, active, gamma, spend, tr_Sigma, sq_error, sq_state, alpha)
     nxt = PathState(n=state.n + 1, x=x_next, x_hat=x_hat_next, Sigma=Sigma_next,
                     E=E_next,
                     diverged=state.diverged or sq_state > sim.DIVERGENCE_GUARD)
@@ -655,7 +657,7 @@ def reference_path(setup, policy, n_slots, rng):
         if state.diverged:
             break
     n = state.n
-    return dict(mse=sq_err / (n * K), mean_tr_sigma=tr_sigma / n,
+    return dict(mse=sq_err / (n * K), tr_sigma=tr_sigma / n,
                 saturation_rate=n_sat / n, duty_cycle=n_active / n,
                 energy_used=spent, energy_harvested=harvested,
                 diverged=state.diverged, n_run=n)

@@ -134,7 +134,7 @@ def test_criterion_02_precoder_oracle_equivalence():
                            M=rng.uniform(0.5, 2.0), L=rng.uniform(1.0, 30.0),
                            norm_AAT=rng.uniform(0.5, 5.0))
         d = solve_theorem1(ctx)
-        F = assemble_precoder(Uh[:K].conj().T, d.gains, d.basis, d.scale)
+        F = assemble_precoder(Uh[:K].conj().T, d.gains, d.basis)
         obj = problem1_objective(ctx, H, F)
         obj_oracle = p2_objective(ctx, solve_p2_projected_gradient(ctx, n_iter=5000))
         worst_obj = max(worst_obj, abs(obj - obj_oracle) / max(abs(obj_oracle), 1e-9))
@@ -187,7 +187,7 @@ def test_criterion_03_decoupled_closed_form():
         h = np.sort(rng.uniform(0.2, 8.0, 2))[::-1]
         sigma = np.sort(rng.uniform(2.0, 100.0, 2))[::-1]
         E = rng.uniform(1.0, 35.0)
-        L = dynamic_range(model, params, np.diag(sigma), gain_norm="BPsi")
+        L = dynamic_range(model, params, sigma.sum(), gain_norm="BPsi")
         ctx = DriftContext(S=eig_sym(np.diag(sigma)).S,
                            Lam=eig_sym(np.diag(sigma)).Lam,
                            Pi_K=h.copy(),

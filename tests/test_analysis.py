@@ -203,7 +203,7 @@ class TestDriftBound:
             ctx, H = make_ctx_and_channel(rng)
             d = solve_theorem1(ctx)
             U_K = right_singular_vectors(H, len(ctx.Pi_K))
-            best = drift_bound(ctx, H, assemble_precoder(U_K, d.gains, d.basis, d.scale))
+            best = drift_bound(ctx, H, assemble_precoder(U_K, d.gains, d.basis))
             for _ in range(100):
                 F = random_feasible_precoder(ctx, H, rng)
                 assert best <= drift_bound(ctx, H, F) + 1e-9 * max(1.0, abs(best))

@@ -11,9 +11,11 @@ from numpy.lib.introspect import opt_func_info
 
 from ehncs import cli
 from ehncs.cli import main
-from ehncs.config import ConfigError, build_setup, parse_config, parse_config_text
+from ehncs.config import (ConfigError, build_limiter, build_model, build_setup,
+                          parse_config, parse_config_text)
 from ehncs.numerics import spectral_radius
 from ehncs.plant import design_gain_ce
+from ehncs.precoder import decision_region_scan
 
 BUNDLED = Path(__file__).parent.parent / "src" / "ehncs" / "configs" / "reference.cfg"
 # the float and integer literals of an output line
@@ -209,6 +211,36 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4 + 6 * 2  # headers + column row + policies x values
 
+    def divergent_config(self, tmp_path):
+        # the reference at theta = 40, where baseline2's every-third-slot
+        # updates let the unstable plant run away on every path
+        path = tmp_path / "theta40.cfg"
+        path.write_text(small_config_text(seed=20260823, theta=40.0,
+                                          sweep_values="[40.0]"))
+        return path
+
+    def test_run_divergence_exits_three(self, tmp_path):
+        cfg = self.divergent_config(tmp_path)
+        code = main(["run", "--config", str(cfg), "--policy", "baseline2", "--paths",
+                     "4", "--slots", "300", "--out", str(tmp_path)])
+        assert code == cli.EXIT_DIVERGENCE == 3
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        column = lines[4].split(",").index("diverged")
+        assert [line.split(",")[column] for line in lines[5:9]] == ["1"] * 4
+        assert lines[9].startswith("mean,") and lines[9].endswith(",4")
+
+    def test_sweep_divergence_exits_three(self, tmp_path):
+        cfg = self.divergent_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg), "--paths", "4", "--slots", "300",
+                     "--out", str(tmp_path)])
+        assert code == cli.EXIT_DIVERGENCE
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        columns = lines[4].split(",")
+        n_diverged = {row[0]: row[columns.index("n_diverged")]
+                      for row in (line.split(",") for line in lines[5:])}
+        assert n_diverged == {name: "4" if name == "baseline2" else "0"
+                              for name in cli.POLICY_NAMES}
+
     def test_analyze_channel_fields_do_not_depend_on_the_seed(self, tmp_path):
         # the reference channel is 2 x 3, whose pi_tilde law is exact; only
         # the arrival-side fields (lhs, margin, eta) move with the seed
@@ -272,6 +304,17 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "regions.csv").read_text().splitlines()
         assert len(lines) == 4 + 25
+        # sigma2-major rows of (E, h2, sigma2, count), as the scan lays them out
+        parsed = parse_config(cfg)
+        model = build_model(parsed)
+        h2, sigma2 = np.linspace(1.6, 8.0, 5), np.linspace(20.0, 100.0, 5)
+        scan = decision_region_scan(model, build_limiter(parsed, model), 12.0, 4.0,
+                                    70.0, h2, sigma2, 36.0, 1.0)
+        assert lines[3] == "E,h2,sigma2,active_streams"
+        assert lines[4:] == [f"12.0,{h!r},{s!r},{scan['active_streams'][i, j]}"
+                             for i, s in enumerate(sigma2.tolist())
+                             for j, h in enumerate(h2.tolist())]
+        assert len(set(scan["active_streams"].ravel().tolist())) > 1
 
     @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-1"),
                                              ("--energy", "-5"), ("--energy", "nan")])

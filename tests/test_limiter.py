@@ -54,32 +54,31 @@ class TestDynamicRange:
         # coeff = prefactor ||B Psi|| = 7.906
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.1)
-        sigma = np.diag([10.0, 6.0])
+        # Sigma = diag(10, 6), so Tr Sigma = 16
         expected = (1.0 + 0.8 * 5.0) / np.sqrt(0.1) * (0.5 * np.sqrt(14.0) + np.sqrt(2.0))
-        assert dynamic_range(m, p, sigma, gain_norm="BPsi") == pytest.approx(expected)
-        base = dynamic_range(m, p, np.eye(2) * 1.0, gain_norm="BPsi")
+        assert dynamic_range(m, p, 16.0, gain_norm="BPsi") == pytest.approx(expected)
+        base = dynamic_range(m, p, 2.0, gain_norm="BPsi")  # Sigma = I
         assert base == pytest.approx(22.3607, abs=1e-3)
 
     def test_normative_coefficient(self):
         # strict reading uses ||B Psi A|| = 0.8 instead of ||B Psi|| = 0.5
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.1)
-        sigma = np.diag([3.0, 3.0])
-        l_norm = dynamic_range(m, p, sigma, gain_norm="BPsiA")
-        l_pub = dynamic_range(m, p, sigma, gain_norm="BPsi")
+        l_norm = dynamic_range(m, p, 6.0, gain_norm="BPsiA")  # Sigma = diag(3, 3)
+        l_pub = dynamic_range(m, p, 6.0, gain_norm="BPsi")
         assert l_norm == pytest.approx(22.3607 + 12.6491 * 2.0, abs=1e-3)
         assert l_pub == pytest.approx(22.3607 + 7.9057 * 2.0, abs=1e-3)
 
     def test_startup_radicand_clamped(self):
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.1)
-        assert dynamic_range(m, p, np.zeros((2, 2))) == pytest.approx(22.3607, abs=1e-3)
+        assert dynamic_range(m, p, 0.0) == pytest.approx(22.3607, abs=1e-3)
 
     def test_unknown_gain_norm(self):
         m = decoupled_model()
         p = make_params(m, M=1.0, eps=0.1)
         with pytest.raises(InputDomainError):
-            dynamic_range(m, p, np.eye(2), gain_norm="other")
+            dynamic_range(m, p, 2.0, gain_norm="other")
 
     def test_per_model_constants_do_not_go_stale(self):
         # Tr W and sqrt(Tr W) are derived once per PlantModel; models that
@@ -100,7 +99,7 @@ class TestDynamicRange:
         Sigma = np.stack([np.zeros((2, 2)), np.diag([2.0, 3.0]), np.diag([9.0, 7.0])])
         ranges = set()
         for m, p in ((m1, p1), (m2, p1), (m1, p2), (m2, p2)):
-            L = dynamic_range(m, p, Sigma)
+            L = dynamic_range(m, p, Sigma.trace(axis1=1, axis2=2))
             assert np.allclose(L, from_scratch(m, p, Sigma), rtol=1e-14, atol=0.0)
             ranges.add(L.tobytes())
         assert len(ranges) == 4

@@ -329,13 +329,14 @@ class TestFrozenStackedWalk:
 
 
 def assert_same_bits(decision, want):
-    """The decision's mode equals want's, and its beta, scale, gains, basis
-    and allocations have want's dtype, shape and bytes."""
-    mode, *values = want
+    """The decision's mode equals want's, and its beta, gains, basis and
+    allocations have the dtype, shape and bytes of want's beta, scale *
+    gains, basis and allocations."""
+    mode, beta, scale, gains, basis, allocations = want
     assert decision.mode == mode
-    got = (decision.beta, decision.scale, decision.gains, decision.basis,
-           decision.allocations)
-    for name, a, b in zip(("beta", "scale", "gains", "basis", "allocations"),
+    got = (decision.beta, decision.gains, decision.basis, decision.allocations)
+    values = (beta, scale * gains, basis, allocations)
+    for name, a, b in zip(("beta", "gains", "basis", "allocations"),
                           map(np.asarray, got), map(np.asarray, values)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
             (name, a, b)
@@ -480,12 +481,12 @@ class TestRecords:
         d = solve_theorem1(ctx)
         assert all(a is b
                    for a, b in zip(PrecoderDecision(*d), PrecoderDecision(**d._asdict())))
-        assert PrecoderDecision._fields == ("gains", "basis", "scale", "mode", "beta",
+        assert PrecoderDecision._fields == ("gains", "basis", "mode", "beta",
                                             "allocations")
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_precoder_is_its_policys_formula(self, name):
-        # bit for bit: Theorem 1 gives F = (L/M) U_K diag(sqrt(y_i)/Pi_ii) S^T
+        # bit for bit: Theorem 1 gives F = U_K diag((L/M) (sqrt(y_i)/Pi_ii)) S^T
         # and a baseline F = U_K diag(sqrt(p_i)), on every solver branch, with
         # U_K the leading right singular vectors of the context's channel
         rng = np.random.default_rng(22)
@@ -502,11 +503,11 @@ class TestRecords:
             modes.add((d.mode, bool(d.allocations.any())))
             amplitudes = np.sqrt(d.allocations)
             if name == "proposed" and d.allocations.any():
-                want = (ctx.L / ctx.M) * (U_K @ ((amplitudes / ctx.Pi_K)[:, None]
-                                                 * ctx.S.T))
+                gains = (ctx.L / ctx.M) * (amplitudes / ctx.Pi_K)
+                want = U_K @ (gains[:, None] * ctx.S.T)
             else:
-                want = 1.0 * (U_K @ (amplitudes[:, None] * np.eye(len(amplitudes))))
-            F = assemble_precoder(U_K, d.gains, d.basis, d.scale)
+                want = U_K @ (amplitudes[:, None] * np.eye(len(amplitudes)))
+            F = assemble_precoder(U_K, d.gains, d.basis)
             assert F.tobytes() == want.tobytes()
         assert ("active", True) in modes
 
@@ -596,7 +597,7 @@ class TestBaselines:
         ctx, H = make_ctx_and_channel(rng, E=2.0)
         d = baseline_capacity_wf(ctx)
         U_K = right_singular_vectors(H, len(ctx.Pi_K))
-        F = assemble_precoder(U_K, d.gains, d.basis, d.scale)
+        F = assemble_precoder(U_K, d.gains, d.basis)
         # F = U_K diag(sqrt(p)): back-rotating recovers the diagonal, and F
         # lies in span(U_K)
         block = U_K.conj().T @ F

@@ -42,7 +42,7 @@ def small_setup(theta=80.0, mean_alpha=40.0, eps=0.05):
 
 def zero_policy(ctx):
     K = len(ctx.Pi_K)
-    return PrecoderDecision(gains=np.zeros(K), basis=np.eye(K), scale=1.0, mode="dormant",
+    return PrecoderDecision(gains=np.zeros(K), basis=np.eye(K), mode="dormant",
                             beta=0.0, allocations=np.zeros(K))
 
 
@@ -78,7 +78,7 @@ class TestRunSlot:
         def greedy(ctx):
             K = len(ctx.Pi_K)
             return PrecoderDecision(gains=np.full(K, math.sqrt(3.0) * 1e6),
-                                    basis=np.eye(K), scale=1.0, mode="active",
+                                    basis=np.eye(K), mode="active",
                                     beta=0.0, allocations=np.zeros(K))
 
         # budget M^2 Tr(F^H F) tau = 1 * (2 * 3e12) * 0.01
@@ -195,9 +195,9 @@ class TestRunSlot:
             F_s = seen[-1]
             assert F_s.shape == (P, K, K)
             for p, d in enumerate(decisions):
-                own = (d.scale * d.gains)[:, None] * d.basis.T
+                own = d.gains[:, None] * d.basis.T
                 assert np.array_equal(F_s[p], own), (n, p)
-                F = assemble_precoder(U, d.gains, d.basis, d.scale)
+                F = assemble_precoder(U, d.gains, d.basis)
                 assert np.abs(U @ F_s[p] - F).max() <= 1e-15 * np.linalg.norm(F), (n, p)
             sends.update(F_s.any(axis=(1, 2)).tolist())
         assert sends == {False, True}
@@ -240,7 +240,9 @@ def test_stream_space_chain_is_the_complex_one(N_c, N_s):
     G = (g[:, None] * Pi_K)[:, :, None] * F_s
     Ftilde = H @ F * g[:, None, None]
     close(2.0 * G.swapaxes(1, 2) @ G, 2.0 * (Ftilde.conj().swapaxes(1, 2) @ Ftilde).real)
-    close(precoder_budget(F_s, 1.5, 0.01), precoder_budget(F, 1.5, 0.01))
+    # the budget of the stream factors is F's, M^2 Tr(F^H F) tau
+    close(precoder_budget(F_s, 1.5, 0.01),
+          1.5**2 * (F.conj() * F).real.sum(axis=(1, 2)) * 0.01)
     X = rng.standard_normal((P, K, K))
     Sigma = X @ X.swapaxes(1, 2) + 0.1 * np.eye(K)
     x_hat, u = rng.standard_normal((P, K)), rng.standard_normal((P, K))
@@ -379,7 +381,7 @@ class TestMonteCarlo:
             assert over == ([n - 1] if p == 2 else [])
             expected = {
                 "mse": t.sq_error[p, :n].sum() / (n * setup.K),
-                "mean_tr_sigma": t.Tr_Sigma[p, :n].mean(),
+                "tr_sigma": t.Tr_Sigma[p, :n].mean(),
                 "saturation_rate": (1 - t.gamma[p, :n]).mean(),
                 "duty_cycle": t.active[p, :n].mean(),
                 "energy_used": t.energy_used[p, :n].sum(),
@@ -442,7 +444,7 @@ class TestMonteCarlo:
 
 class TestStackedEngine:
     POLICIES = POLICY_NAMES
-    FIELDS = ("mse", "mean_tr_sigma", "saturation_rate", "duty_cycle",
+    FIELDS = ("mse", "tr_sigma", "saturation_rate", "duty_cycle",
               "energy_used", "energy_harvested")
     SEED = 3
     # at 60 slots no path reaches the default 1e12 guard; at 5e5 four

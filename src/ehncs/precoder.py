@@ -25,9 +25,12 @@ stacked contexts as running sums over the sorted streams.  A policy does
 not form its precoder: it returns the per-stream factors of F = U_K
 diag(gains) basis^T, on the channel's K leading right singular vectors
 U_K, which no context carries; Theorem 1's gains carry its L/M.  The slot
-never forms F: it gathers every path's real K x K stream factors
-F_s = diag(gains) basis^T, with F = U_K F_s, and works in the K-stream
-space (see `sim`).
+never forms F: it works in the K-stream space on the real K x K stream
+factors F_s = diag(gains) basis^T, with F = U_K F_s (see `sim`).
+`solve_theorem1.stacked` gives them for a whole slot from one
+`theorem1_allocations` call, and `run_slot` calls it in place of one
+`solve_theorem1` call per path; the two give the same F_s up to the sign
+of a silent path's zeros, and a run the same bytes.
 
 The per-stream terms (the breakpoints, the walk weights, the water fill
 and `_seabed`) are NumPy expressions in `theorem1_allocations`, which runs
@@ -39,25 +42,29 @@ restate those terms on Python floats after one `.tolist()` and share the
 float walk `_walk`.  Python float arithmetic
 is IEEE double, as NumPy's float64 is, and the floats keep NumPy's
 evaluation order, so the results are the same bits at a fraction of the
-per-element dispatch cost.  A per-stream square is written x * x, which is
-what NumPy's ** 2 computes on an array.  The squares of the scalars L and
-a/(E+b) are Python's ** 2, which is libm pow and rounds differently from
-x * x about once in a thousand, so the two spellings are not
-interchangeable here.  `solve_theorem1` unpacks its context once, and it
+per-element dispatch cost.  Every square is written x * x, the correctly
+rounded product that NumPy's ** 2 computes on an array: the per-stream
+squares, L^2 and the walk's root (a/(E+b))^2.  Python's ** 2 on a float
+calls libm pow, which rounds differently about once in 1200 squares, so
+spelling one of them ** 2 would part the per-path route from the stacked
+one.  `solve_theorem1` unpacks its context once, and it
 and `_wf_powers` make one plain pass per stage over the streams (the
 breakpoints, then the walk's terms, then the allocations), not one
-comprehension per term; tests/oracles.py keeps the comprehension form, and
-the tests require the same bits from both; the clamps are conditionals,
-which skip a builtin call per use.
+comprehension per term; tests/oracles.py keeps the baselines'
+comprehension form and the stacked walk's earlier form, and the tests
+require their bits; the clamps are conditionals, which skip a builtin call
+per use.
 
-A slot builds one `DriftContext` and one `PrecoderDecision` per path, so
-both are immutable NamedTuples, built positionally: a frozen dataclass
-sets every field through object.__setattr__, a fixed cost per record that
-a slot would pay per path.  CHANGES.md holds the timings behind these
-choices.  `DriftContext.__new__` keeps the L > 0 and E >= 0
-checks, and both records still take keywords.  The policy stays one call
-per path, returning one scalar mode and beta, which is what
-bench/tracing.py reads.
+On the per-path route a slot builds one `DriftContext` and one
+`PrecoderDecision` per path, so both are immutable NamedTuples, built
+positionally: a frozen dataclass sets every field through
+object.__setattr__, a fixed cost per record that a slot would pay per
+path.  CHANGES.md holds the timings behind these choices.
+`DriftContext.__new__` keeps the L > 0 and E >= 0 checks, which the
+stacked form repeats, and both records still take keywords.  Every policy
+is still callable on one context, returning one scalar mode and beta,
+which is what bench/tracing.py reads: its traced wrapper carries no
+stacked form, so a traced run takes the per-path route.
 """
 
 import math
@@ -128,7 +135,7 @@ def _dormant_decision(ctx: DriftContext, mode: str = "dormant") -> PrecoderDecis
 def _seabed(Lam: np.ndarray) -> np.ndarray:
     """1/Lam_ii with zero eigenvalues mapped to an infinite seabed (so the
     allocation on that stream is forced to 0)."""
-    return np.divide(1.0, Lam, out=np.full(np.shape(Lam), np.inf), where=Lam > 0)
+    return np.divide(1.0, Lam, np.full(Lam.shape, np.inf), where=Lam > 0.0)
 
 
 def _descending(t: np.ndarray) -> np.ndarray:
@@ -136,7 +143,7 @@ def _descending(t: np.ndarray) -> np.ndarray:
     first axis, the later stream first on a tie, as `_walk` orders them.
     The sort must be stable: NumPy's default sort does not keep ties in
     index order for 4 or more elements on every host."""
-    return np.argsort(t, axis=0, kind="stable")[::-1]
+    return t.argsort(axis=0, kind="stable")[::-1]
 
 
 def _streams_first(x, ndim: int) -> np.ndarray:
@@ -164,7 +171,8 @@ def _walk(a_terms: list, b_terms: list, t: list,
     for m, i in enumerate(order):
         a += a_terms[i]
         b += b_terms[i]
-        if (a / (budget + b)) ** 2 >= (t[order[m + 1]] if m + 1 < len(t) else 0.0):
+        root = a / (budget + b)
+        if root * root >= (t[order[m + 1]] if m + 1 < len(t) else 0.0):
             break
     return a, b, t[i]
 
@@ -196,7 +204,7 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
 
     # the walk finds s_E, clamped to the breakpoint of its last stream to
     # absorb round-off
-    a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
+    a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * (L * L) * tau
     seabed, a_terms, b_terms = [], [], []
     for p, lam in zip(Pi_K, Lam):
         sb = 1.0 / lam if lam > 0 else math.inf
@@ -208,7 +216,8 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
     # signed zeros included; the conditionals skip a builtin call per use
     s0 = theta - E
     s0 = 0.0 if 0.0 > s0 else s0
-    s_star = (a / (E + b)) ** 2
+    s_star = a / (E + b)
+    s_star *= s_star
     s_star = t_last if t_last < s_star else s_star
     s_star = s0 if s0 > s_star else s_star
     level = math.sqrt(c / (s_star * tau))
@@ -220,6 +229,28 @@ def solve_theorem1(ctx: DriftContext) -> PrecoderDecision:
         y.append(y_i)
         gains.append(scale * (math.sqrt(y_i) / p))
     return PrecoderDecision(np.array(gains), S, "active", s_star - s0, np.array(y))
+
+
+def _solve_theorem1_stacked(S, Lam, Pi_K, E, L, theta: float, tau: float, M: float,
+                            norm_AAT: float) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_theorem1` over a stack of P contexts in one
+    `theorem1_allocations` call: S (P, K, K), Lam and Pi_K (P, K), E and L
+    (P,).  Returns the stream factors F_s = (L/M) diag(sqrt(y)/Pi_K) S^T
+    (P, K, K) and the active flags (P,): the F_s and modes that `run_slot`
+    gathers from `solve_theorem1`'s decisions, equal as numbers (a silent
+    path's zeros carry the signs of S, not of the identity).  The stack
+    must not hold a context that DriftContext rejects: the first such path
+    raises DriftContext's error."""
+    valid = (L > 0.0) & (E >= 0.0)
+    if not valid.all():
+        p = int(np.argmin(valid))
+        DriftContext(S[p], Lam[p], Pi_K[p], E[p], theta, tau, M, L[p], norm_AAT)
+    y, _, active = theorem1_allocations(Lam, Pi_K, E, L, theta, tau, norm_AAT)
+    gains = (L / M)[:, None] * (np.sqrt(y) / Pi_K)
+    return gains[:, :, None] * S.swapaxes(1, 2), active
+
+
+solve_theorem1.stacked = _solve_theorem1_stacked
 
 
 def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
@@ -234,40 +265,46 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
     empty-battery and Sigma = 0 contexts allocate 0.
 
     The work runs stream-major, on (K, ...) copies of Lam and Pi_K, so E, L
-    and the water level broadcast along contiguous context rows and each
-    per-stream term keeps its own broadcast shape.  The sorted breakpoints
-    and walk weights are gathered by one flat index, and the walk loops
-    over the K sorted positions, each step one operation over every
-    context.  The operations on each value are those of the float walk, in
-    its order, so the results are the same bits at any layout.
+    and the water level broadcast along contiguous context rows.  The
+    breakpoints and walk weights share one buffer on the shape of Lam,
+    Pi_K and L (E enters at the walk's root), so one flat index gathers
+    them sorted, and the walk loops over the K sorted positions, each step
+    one operation over every context.  The operations on each value are
+    those of the float walk, in its order, so the results are the same bits
+    at any layout.  At a few contexts the cost is one fixed charge per
+    NumPy call, so the function makes few calls: in-place arithmetic, no
+    reduction across streams, and no mask it can do without.
     """
     E, L = np.asarray(E, dtype=float), np.asarray(L, dtype=float)
     ndim = max(np.ndim(Lam), np.ndim(Pi_K), E.ndim + 1, L.ndim + 1)
     Lam, Pi_K = _streams_first(Lam, ndim), _streams_first(Pi_K, ndim)
     seabed = _seabed(Lam)
-    # the breakpoints t_i: stream i is active iff the water level s is below t_i
-    t = norm_AAT * (Pi_K * Lam / L) ** 2 / tau
-    active = ~(theta - (t + E) > ALLOC_TOL).all(axis=0)
-    s0 = np.maximum(theta - E, 0.0)
     # entries outside their own branch see 1/0, inf - inf and the like; the
     # masks below drop them
     with np.errstate(divide="ignore", invalid="ignore"):
-        # t and the walk weights a_i, b_i on the full shape: on a fixed active
-        # set the budget L^2 tau sum_i y_i(s) / Pi_ii^2 is a/sqrt(s) - b, with
-        # a and b the sums over the set (math.sqrt and np.sqrt both round
-        # correctly)
-        terms = np.empty((3, *np.broadcast(t, E).shape))
-        terms[0] = t
-        terms[1] = 0.5 * L * math.sqrt(norm_AAT * tau) / Pi_K
-        terms[2] = 0.5 * L**2 * tau * seabed / Pi_K**2
+        # the breakpoints t_i (stream i is active iff the water level s is
+        # below t_i) and the walk weights a_i, b_i, in one buffer: on a fixed
+        # active set the budget L^2 tau sum_i y_i(s) / Pi_ii^2 is
+        # a/sqrt(s) - b, with a and b the sums over the set (math.sqrt and
+        # np.sqrt both round correctly)
+        q = Pi_K * Lam / L
+        terms = np.empty((3, *q.shape))
+        q *= q
+        q *= norm_AAT
+        t = np.divide(q, tau, terms[0])
+        np.divide(0.5 * L * math.sqrt(norm_AAT * tau), Pi_K, terms[1])
+        np.divide(0.5 * (L * L) * tau * seabed, Pi_K * Pi_K, terms[2])
         # walk the active sets in descending-breakpoint order: stream order[m]
         # of context j of n sits at flat index order[m] * n + j
-        contexts = np.arange(terms[0, 0].size).reshape(terms.shape[2:])
-        order = _descending(terms[0]) * contexts.size + contexts
+        n = t[0].size
+        order = _descending(t) * n
+        order += np.arange(n).reshape(t.shape[1:])
         t_sorted, a, b = walk = terms.reshape(3, -1).take(order, axis=1)
+        ab = walk[1:]
         for m in range(1, len(a)):  # a and b become their running sums
-            walk[1:, m] += walk[1:, m - 1]
-        s = (a / (E + b)) ** 2
+            np.add(ab[:, m], ab[:, m - 1], ab[:, m])
+        s = a / (E + b)
+        s *= s
         # the first size whose candidate reaches the next breakpoint, found
         # from the last size down (the last always ends the walk: its
         # breakpoint is 0); one np.where per size costs less than an argmax
@@ -276,12 +313,21 @@ def theorem1_allocations(Lam, Pi_K, E, L, theta: float, tau: float,
         s_star = capped[-1]
         for m in range(len(s) - 2, -1, -1):
             s_star = np.where(s[m] >= t_sorted[m + 1], capped[m], s_star)
+        s0 = np.maximum(theta - E, 0.0)
         s_star = np.maximum(s_star, s0)
         # y_i(s*) = (1/2)[(Pi_ii/L) sqrt(c/(s* tau)) - 1/Lam_ii]^+, c = ||AA^T||
-        y = 0.5 * np.maximum((Pi_K / L) * np.sqrt(norm_AAT / (s_star * tau)) - seabed, 0.0)
-    spends = active & (E > 0.0) & (t_sorted[0] > 0.0)
-    return (np.where(spends, y, 0.0).transpose((*range(1, y.ndim), 0)),
-            np.where(spends, s_star - s0, 0.0), active)
+        y = (Pi_K / L) * np.sqrt(norm_AAT / (s_star * tau))
+        y -= seabed
+        y = np.maximum(y, 0.0)
+        y *= 0.5
+    # every stream is dormant iff the largest breakpoint is (a NaN one sorts
+    # first and makes the context active, as it fails the test itself)
+    t_max = t_sorted[0]
+    active = ~(theta - (t_max + E) > ALLOC_TOL)
+    spends = active & (np.minimum(E, t_max) > 0.0)  # E > 0 and t_max > 0
+    y = np.where(spends, y, 0.0)
+    return (y.transpose((*range(1, y.ndim), 0)), np.where(spends, s_star - s0, 0.0),
+            active)
 
 
 def decision_region_scan(model: PlantModel, limiter: LimiterParams, E: float,

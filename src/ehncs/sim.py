@@ -4,16 +4,20 @@ A slot runs: channel draw, dynamic range, precoding decision, limiter,
 transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
-call over all paths, except the random draws and the policy, which stay per
-path.  A policy returns per-stream factors (gains, basis), and the slot
-gathers them, with each path's mode, in one transpose of the decisions,
-zip(*decisions).  At the top of each slot, one loop over the
-paths has each generator fill its row of normals (channel, receiver noise,
-plant noise, in that order) and then draw its arrival, before any policy
-decides.  So a path does not depend on the others in its run, and at one
-seed every policy and swept value sees the same draws.  `run_monte_carlo`
-keeps its per-path results as columns: one record array with a row per
-path and, with traces kept, one SlotTrace of (P, n_slots) columns.
+call over all paths, except the random draws, which stay per path.  A
+policy that carries a stacked form (`solve_theorem1.stacked`) is called
+once per slot and returns the stream factors and active flags of every
+path.  Any other policy is called once per path and returns per-stream
+factors (gains, basis), and the slot gathers them, with each path's mode,
+in one transpose of the decisions, zip(*decisions).  For `proposed` the
+two routes give a run the same bytes.  At the top of each slot, one loop
+over the paths has each generator fill its row of normals (channel,
+receiver noise, plant noise, in that order) and then draw its arrival,
+before any policy decides.  So a path does not depend on the others in
+its run, and at one seed every policy and swept value sees the same draws.
+`run_monte_carlo` keeps its per-path results as columns: one record array
+with a row per path and, with traces kept, one SlotTrace of (P, n_slots)
+columns.
 
 The slot runs in the K-stream space and never forms the complex precoder.
 F = U_K F_s lies on the channel's K leading right singular vectors, with
@@ -142,11 +146,14 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     row of 2 N_c N_s channel, 2 N_c receiver-noise and K plant-noise normals,
     then its arrival (none when deterministic).  The matched filter reads
     the first K receiver-noise normals, and a silent path's go unused.
-    theta, tau, M, ||A A^T|| and the slot index are read once per slot;
-    each path's DriftContext (a NamedTuple) is built from them
-    positionally.  The policy is called once per path with its context
-    and returns the factors of its F; one zip(*decisions) gathers the
-    factors and modes into the stacked stream factors F_s, with F = U_K F_s.
+    theta, tau, M, ||A A^T|| and the slot index are read once per slot.
+    A policy with a `stacked` attribute is called once as
+    policy.stacked(S, Lam, Pi_K, E, L, theta, tau, M, ||A A^T||) on the
+    (P, ...) stacks and returns the stream factors F_s (P, K, K), with
+    F = U_K F_s, and the active flags (P,).  Any other policy is called once
+    per path with its DriftContext (a NamedTuple built positionally from
+    the slot's values) and returns the factors of its F; one
+    zip(*decisions) gathers the factors and modes into F_s.
     The control u(n) = -Psi A x_hat(n) uses the estimate formed from
     measurements through slot n-1; the same u(n) drives the estimator
     prediction and the plant.  Energy spent on air is the realized
@@ -172,13 +179,18 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     tr_Sigma = state.Sigma.trace(axis1=1, axis2=2)
     L = dynamic_range(model, setup.limiter, tr_Sigma)
     dec = eig_sym(state.Sigma)
-    decisions = [policy(DriftContext(S, Lam, Pi_p, E_p, theta, tau, M, L_p, c, n))
-                 for S, Lam, Pi_p, E_p, L_p in zip(
-                     dec.S, dec.Lam, Pi_K, E.tolist(), L.tolist())]
-    gains, basis, modes, _, _ = zip(*decisions)
-    # F = U_K F_s with F_s = diag(gains) basis^T; U_K has orthonormal
-    # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
-    F_s = np.array(gains)[:, :, None] * np.array(basis).swapaxes(1, 2)
+    stacked = getattr(policy, "stacked", None)
+    if stacked is not None:
+        F_s, active = stacked(dec.S, dec.Lam, Pi_K, E, L, theta, tau, M, c)
+    else:
+        decisions = [policy(DriftContext(S, Lam, Pi_p, E_p, theta, tau, M, L_p, c, n))
+                     for S, Lam, Pi_p, E_p, L_p in zip(
+                         dec.S, dec.Lam, Pi_K, E.tolist(), L.tolist())]
+        gains, basis, modes, _, _ = zip(*decisions)
+        # F = U_K F_s with F_s = diag(gains) basis^T; U_K has orthonormal
+        # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
+        F_s = np.array(gains)[:, :, None] * np.array(basis).swapaxes(1, 2)
+        active = np.array([mode == "active" for mode in modes])
     feasible = check_feasible(E, F_s, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))
@@ -187,7 +199,6 @@ def run_slot(setup: SimSetup, state: SimState, policy,
                                f"exceeds stored energy {E[p]:.6g} J")
 
     lim = limiter.clip(state.x, L, M)
-    active = np.array([mode == "active" for mode in modes])
     s = (F_s @ lim.q[:, :, None])[:, :, 0]
     obs = receive(Pi_K, s, z[:, n_H:n_H + K])
     # an active path with F_s = 0 spends 0 and measures with G = 0, exactly

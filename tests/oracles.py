@@ -17,10 +17,12 @@ The channel statistics and the stability curve have their per-draw-SVD and
 per-xi references, and the MSE bound its term-by-term formula at a given
 xi.  The per-point decision-region scan is the reference the one-call scan
 is checked against: one `DriftContext` and one scalar `solve_theorem1`
-walk per grid point.  The per-context policies keep their float walks
-frozen here, one comprehension per per-stream term as they were before
-their loops were fused, so the solvers must give the same bits on every
-context.  Theorem 1's dormancy test has its threshold-matrix
+walk per grid point.  The baselines keep their float walks frozen here,
+one comprehension per per-stream term as they were before their loops
+were fused, so their solvers must give the same bits on every context;
+`solve_theorem1` must give the bits of the frozen stacked walk
+`reference_theorem1_allocations`, whose squares it shares.  Theorem 1's
+dormancy test has its threshold-matrix
 form, the information-form estimator update its augmented-stack solve, and
 the certainty-equivalent gain a Riccati value iteration.
 The per-path slot loop at the end is the reference the stacked simulation
@@ -348,7 +350,7 @@ def reference_region_scan(model, limiter, E, h1, sigma1, h2_values, sigma2_value
     return counts
 
 
-# -- frozen float walks of the per-context policies ------------------------
+# -- frozen float walks of the baselines ----------------------------------
 
 def _reference_walk(a_terms, b_terms, t, budget):
     """The active-set walk of the budget equation a/sqrt(s) - b = budget:
@@ -366,38 +368,6 @@ def _reference_walk(a_terms, b_terms, t, budget):
 
 def _reference_silent(K, mode="dormant"):
     return mode, 0.0, 1.0, np.zeros(K), np.eye(K), np.zeros(K)
-
-
-def reference_theorem1(ctx):
-    """Theorem 1 for one context on Python floats, one list comprehension
-    per per-stream term, as the per-context solver computed it before its
-    loops were fused.  Returns (mode, beta, scale, gains, basis,
-    allocations), the factors of F = scale U_K diag(gains) basis^T; the
-    solver must give the same bits."""
-    c, E, L, tau, theta = ctx.norm_AAT, ctx.E, ctx.L, ctx.tau, ctx.theta
-    Lam, Pi_K = ctx.Lam.tolist(), ctx.Pi_K.tolist()
-    t = []
-    dormant = True
-    for p, lam in zip(Pi_K, Lam):
-        q = p * lam / L
-        t_i = c * (q * q) / tau
-        t.append(t_i)
-        dormant = dormant and theta - (t_i + E) > ALLOC_TOL
-    if dormant:
-        return _reference_silent(len(Pi_K))
-    if E <= 0.0 or max(t) <= 0:
-        return _reference_silent(len(Pi_K), mode="active")
-    seabed = [1.0 / lam if lam > 0 else math.inf for lam in Lam]
-    a_scale, b_scale = 0.5 * L * math.sqrt(c * tau), 0.5 * L**2 * tau
-    a, b, t_last = _reference_walk(
-        [a_scale / p for p in Pi_K],
-        [b_scale * sb / (p * p) for p, sb in zip(Pi_K, seabed)], t, E)
-    s0 = max(theta - E, 0.0)
-    s_star = max(min((a / (E + b)) ** 2, t_last), s0)
-    level = math.sqrt(c / (s_star * tau))
-    y = [0.5 * max((p / L) * level - sb, 0.0) for p, sb in zip(Pi_K, seabed)]
-    gains = np.array([math.sqrt(y_i) / p for y_i, p in zip(y, Pi_K)])
-    return "active", s_star - s0, L / ctx.M, gains, ctx.S, np.array(y)
 
 
 def reference_wf_powers(pi, budget, profile):
@@ -422,10 +392,10 @@ def reference_wf_powers(pi, budget, profile):
 
 
 def reference_policy(name, ctx, mean_alpha, period):
-    """(mode, beta, scale, gains, basis, allocations) of the named policy of
-    `cli.policy_factory` on one context, from the frozen walks above."""
-    if name == "proposed":
-        return reference_theorem1(ctx)
+    """(mode, beta, scale, gains, basis, allocations) of the named baseline
+    of `cli.policy_factory` on one context, from the frozen walks above.
+    `proposed` is held to the frozen stacked walk below, which `run_slot`
+    runs through `solve_theorem1.stacked`."""
     if name == "baseline2" and ctx.slot % period != 0:
         return _reference_silent(len(ctx.Pi_K))
     budget = ctx.E

@@ -9,7 +9,7 @@ import pytest
 from ehncs.cli import policy_factory
 from ehncs.config import POLICY_NAMES, build_setup, parse_config
 from ehncs.energy import ArrivalModel, precoder_budget
-from ehncs.numerics import InputDomainError, eig_sym
+from ehncs.numerics import InputDomainError, eig_sym, identity
 from ehncs.precoder import (DriftContext, PrecoderDecision, _descending, _seabed,
                             baseline_capacity_wf, baseline_constant_power,
                             baseline_mmse_wf, baseline_periodic_wf, solve_theorem1,
@@ -342,9 +342,38 @@ def assert_same_bits(decision, want):
             (name, a, b)
 
 
+def assert_theorem1_bits(decision, ctx):
+    """`solve_theorem1`'s decision on ctx has the bits of the frozen stacked
+    walk on that one context: its mode and beta, its allocations y, its
+    gains (L/M) sqrt(y_i)/Pi_ii and the basis S.  A decision with every gain
+    zero has F = 0 whatever its basis, and there the basis may be the
+    identity of a silent decision."""
+    y, beta, active = reference_theorem1_allocations(
+        ctx.Lam, ctx.Pi_K, ctx.E, ctx.L, ctx.theta, ctx.tau, ctx.norm_AAT)
+    gains = (ctx.L / ctx.M) * (np.sqrt(y) / ctx.Pi_K)
+    assert decision.mode == ("active" if active else "dormant")
+    got = (decision.beta, decision.gains, decision.allocations)
+    for name, a, b in zip(("beta", "gains", "allocations"),
+                          map(np.asarray, got), (beta, gains, y)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+            (name, a, b)
+    if decision.gains.any() or decision.basis is not identity(len(y)):
+        assert decision.basis is ctx.S
+
+
+def assert_policy_bits(name, decision, ctx, mean_alpha, period):
+    """`proposed` against the frozen stacked walk, as `run_slot` also runs
+    it; a baseline against its frozen float walk."""
+    if name == "proposed":
+        assert_theorem1_bits(decision, ctx)
+    else:
+        assert_same_bits(decision, reference_policy(name, ctx, mean_alpha, period))
+
+
 class TestFrozenFloatWalks:
-    """Every policy gives the bits of the frozen float walks in the oracles:
-    fusing the per-stream passes must not move a result."""
+    """Every policy gives the bits of its frozen walk in the oracles: fusing
+    the per-stream passes must not move a result, and `proposed`, whose
+    stacked form `run_slot` calls, must give the bits of the stacked walk."""
 
     def test_kernel_contexts(self):
         # the stacked kernel's contexts, with the baselines' E[alpha] on both
@@ -360,15 +389,15 @@ class TestFrozenFloatWalks:
                     ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=theta, tau=tau,
                                        L=L[j], norm_AAT=norm_AAT, slot=j)
                     for name, policy in policies.items():
-                        assert_same_bits(policy(ctx),
-                                         reference_policy(name, ctx, mean_alpha, 3))
+                        assert_policy_bits(name, policy(ctx), ctx, mean_alpha, 3)
 
     def test_many_binding_contexts(self):
-        # Python's x ** 2 and x * x differ in about one float in a thousand.
-        # A binding context's water level is the square (a/(E+b)) ** 2, so a
-        # swap of the two spellings moves few results: the sets above miss
-        # it, and these 20000 two-stream contexts, three in four binding,
-        # catch it
+        # Python's x ** 2 (libm pow) and x * x differ in about one float in a
+        # thousand, and NumPy's ** 2 on an array is x * x.  A binding
+        # context's water level is the square of a/(E+b), so a float walk
+        # that spelled a square as ** 2 would leave the stacked walk in few
+        # results: the sets above miss it, and these 20000 two-stream
+        # contexts, three in four binding, catch it
         rng = np.random.default_rng(12)
         n = 20_000
         E = rng.uniform(0.9, 1.0, n)
@@ -383,9 +412,33 @@ class TestFrozenFloatWalks:
             ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=1.0, L=L[j])
             for name, policy in zip(names, policies):
                 decision = policy(ctx)
-                assert_same_bits(decision, reference_policy(name, ctx, 0.5, 3))
+                assert_policy_bits(name, decision, ctx, 0.5, 3)
                 n_binding += decision.beta > 0
         assert n_binding > 0.7 * n
+
+    def test_walk_stops_where_its_root_squares_onto_the_next_breakpoint(self):
+        # c = tau = L = 1 and the second stream at (Pi, Lam) = (r, 1) put its
+        # breakpoint at exactly r * r, with r = a/(E + b) the root of the
+        # first stream alone.  E is drawn until libm's r ** 2 rounds below
+        # r * r and the root of both streams squares below r * r too, so a
+        # walk that went on to the second stream would not be clamped back
+        # to r * r.  The walk stops at one stream only if it squares its root
+        # as NumPy's stacked walk does.  With glibc's pow the first such E of
+        # this seed is at index 35472; a correctly rounded pow has none
+        rng = np.random.default_rng(15)
+        p0, lam0 = 2.0, 3.0
+        for E in rng.uniform(0.5, 2.0, 200_000).tolist():
+            a, b = 0.5 / p0, 0.5 * (1.0 / lam0) / (p0 * p0)
+            r = a / (E + b)
+            r2 = (a + 0.5 / r) / (E + (b + 0.5 * 1.0 / (r * r)))
+            if r ** 2 < r * r and r2 * r2 < r * r:
+                break
+        else:
+            pytest.skip("this libm's pow squared every drawn root as x * x does")
+        ctx = diagonal_ctx([p0, r], [lam0, 1.0], E=E, theta=E, L=1.0, norm_AAT=1.0)
+        decision = solve_theorem1(ctx)
+        assert_theorem1_bits(decision, ctx)
+        assert decision.beta == r * r
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_closed_loop_contexts(self, name):
@@ -404,11 +457,30 @@ class TestFrozenFloatWalks:
         run = run_monte_carlo(setup, recording, 20, 60, cfg.seed)
         assert len(seen) == run.paths.n_run.sum()
         for ctx, decision in seen:
-            assert_same_bits(decision,
-                             reference_policy(name, ctx, setup.arrivals.mean, cfg.period))
+            assert_policy_bits(name, decision, ctx, setup.arrivals.mean, cfg.period)
         if name == "proposed":
             assert {d.mode for _, d in seen} == {"dormant", "active"}
             assert any(d.beta > 0 for _, d in seen)
+
+
+class TestStackedForm:
+    def test_matches_the_per_context_decisions(self):
+        # solve_theorem1.stacked over each group of the kernel's contexts
+        # (E = 0, Sigma = 0, ties, dormant rows) gives the stream factors
+        # diag(gains) basis^T and the modes of the per-context decisions,
+        # equal as numbers (a silent row is +-0 against S or the identity)
+        rng = np.random.default_rng(14)
+        for K in range(1, 5):
+            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K, n_groups=10):
+                S = np.linalg.qr(rng.standard_normal((len(E), K, K)))[0]
+                M = rng.uniform(0.5, 2.0)
+                F_s, active = solve_theorem1.stacked(S, Lam, Pi_K, E, L, theta, tau, M,
+                                                     norm_AAT)
+                for j in range(len(E)):
+                    d = solve_theorem1(DriftContext(S[j], Lam[j], Pi_K[j], E[j], theta,
+                                                    tau, M, L[j], norm_AAT))
+                    assert active[j] == (d.mode == "active")
+                    assert np.array_equal(F_s[j], d.gains[:, None] * d.basis.T), (K, j)
 
 
 class TestDecoupledStructure:

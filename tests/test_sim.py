@@ -16,7 +16,7 @@ import ehncs
 from ehncs import sim
 from ehncs.channel import receive, sample_channel
 from ehncs.cli import policy_factory
-from ehncs.config import POLICY_NAMES
+from ehncs.config import POLICY_NAMES, build_setup, parse_config
 from ehncs.energy import ArrivalModel, check_feasible, precoder_budget
 from ehncs.estimator import filter_step
 from ehncs.limiter import make_params
@@ -442,6 +442,65 @@ class TestMonteCarlo:
             replace(small_setup(), model=model)
 
 
+class TestStackedPolicy:
+    """`run_slot` calls a policy's stacked form once per slot, and any other
+    callable once per live path; for `proposed` both routes give the same
+    bytes."""
+
+    @pytest.mark.parametrize("E0", [None, 0.0])
+    @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
+    def test_routes_give_the_same_bytes(self, N_c, N_s, E0, monkeypatch):
+        # ||x||^2 peaks at 592 and 624 on the two highest paths of the (2, 3)
+        # run from a half-full battery, so this guard trips some paths but
+        # not all in each of the four runs; slot 0 has Sigma = 0 (and E = 0
+        # from an empty battery), and the small arrivals leave dormant slots
+        monkeypatch.setattr(sim, "DIVERGENCE_GUARD", 600.0)
+        setup = replace(small_setup(theta=40.0, mean_alpha=5.0), N_c=N_c, N_s=N_s, E0=E0)
+        stacked = solve_theorem1.stacked
+        calls = []
+
+        def counting(S, *args):
+            calls.append(len(S))
+            return stacked(S, *args)
+
+        monkeypatch.setattr(solve_theorem1, "stacked", counting)
+        n_paths, n_slots = 8, 60
+        runs = [run_monte_carlo(setup, policy, n_paths, n_slots, seed=3, keep_traces=True)
+                for policy in (solve_theorem1, lambda ctx: solve_theorem1(ctx))]
+        run, per_path = runs
+        n_run = run.paths.n_run
+        # one stacked call per slot, over the paths still live
+        assert calls == [int((n_run > j).sum()) for j in range(n_run.max())]
+        assert 0 < run.n_diverged < n_paths and calls[-1] < n_paths
+        assert run.paths.tobytes() == per_path.paths.tobytes()
+        for a, b in zip(run.traces, per_path.traces, strict=True):
+            assert a.tobytes() == b.tobytes()
+        t = run.traces
+        live = np.arange(n_slots) < n_run[:, None]
+        assert (t.Tr_Sigma[:, 0] == 0).all() and not t.active[:, 0].any()
+        assert (t.E_before[:, 0] == setup.E0).all()
+        assert (live & ~t.active & (t.Tr_Sigma > 0)).any() and t.active.any()
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("L", 0.0, "L must be > 0"), ("L", -1.0, "L must be > 0"),
+        ("L", np.nan, "L must be > 0"), ("E", -1.0, "E must be >= 0"),
+        ("E", np.nan, "E must be >= 0")])
+    def test_stacked_form_rejects_what_a_context_rejects(self, field, value, match):
+        # the error DriftContext raises for the first path it rejects
+        rng = np.random.default_rng(5)
+        P, K = 4, 2
+        args = {"S": np.broadcast_to(np.eye(K), (P, K, K)),
+                "Lam": rng.uniform(1.0, 5.0, (P, K)), "Pi_K": rng.uniform(0.5, 2.0, (P, K)),
+                "E": np.full(P, 10.0), "L": np.full(P, 30.0)}
+        args[field][2] = value
+        with pytest.raises(InputDomainError, match=match):
+            solve_theorem1.stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
+        other = "E" if field == "L" else "L"
+        args[other][1] = -1.0
+        with pytest.raises(InputDomainError, match=f"{other} must be"):
+            solve_theorem1.stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
+
+
 class TestStackedEngine:
     POLICIES = POLICY_NAMES
     FIELDS = ("mse", "tr_sigma", "saturation_rate", "duty_cycle",
@@ -530,6 +589,23 @@ class TestSweep:
         assert rows[0]["value"] == 5.0
         # starved sensor spends less often
         assert rows[0]["duty_cycle"] <= rows[1]["duty_cycle"] + 0.05
+
+    def test_constant_power_baselines_repeat_the_full_budget_ones_up_to_mean_alpha(self):
+        # at theta <= E[alpha] the battery never holds more than E[alpha], so
+        # min(E[alpha], E) = E: baseline4 runs baseline1 and baseline5 runs
+        # baseline3, bit for bit, at the reference's first sweep value; at
+        # theta = 120 the nominal budget binds and the rows part
+        package = Path(ehncs.__file__).parent
+        cfg = parse_config(package / "configs" / "reference.cfg")
+        setup = build_setup(cfg)
+        assert setup.arrivals.mean == 40.0
+        factories = {name: policy_factory(name, cfg.period) for name in POLICY_NAMES}
+        rows = sweep(setup, factories, "theta", [40.0, 120.0], 4, 60, cfg.seed)
+        cells = {(r["policy"], r["value"]): {k: v for k, v in r.items() if k != "policy"}
+                 for r in rows}
+        for full, constant in (("baseline1", "baseline4"), ("baseline3", "baseline5")):
+            assert cells[full, 40.0] == cells[constant, 40.0]
+            assert cells[full, 120.0]["mse"] != cells[constant, 120.0]["mse"]
 
     def test_unknown_axis(self):
         with pytest.raises(InputDomainError):

@@ -30,7 +30,7 @@ from .config import (POLICY_NAMES, ConfigError, ExperimentConfig, build_limiter,
 from .energy import ArrivalModel, estimate_inverse_mean
 from .numerics import InputDomainError
 from .precoder import (baseline_capacity_wf, baseline_constant_power,
-                       baseline_mmse_wf, baseline_periodic_wf,
+                       baseline_mmse_wf, baseline_periodic_wf, bind,
                        decision_region_scan, solve_theorem1)
 from .sim import PATH_FIELDS, run_monte_carlo, sweep
 
@@ -47,21 +47,22 @@ _N_CHANNEL_SAMPLES = 100_000
 
 
 def policy_factory(name: str, period: int = 3):
-    """callable(setup) -> per-slot policy for each named scheme."""
+    """callable(setup) -> per-slot policy for each named scheme, its
+    parameters bound once per setup."""
     if name == "proposed":
         return lambda setup: solve_theorem1
     if name == "baseline1":
         return lambda setup: baseline_capacity_wf
     if name == "baseline2":
-        return lambda setup: (lambda ctx: baseline_periodic_wf(ctx, period))
+        return lambda setup: bind(baseline_periodic_wf, period_slots=period)
     if name == "baseline3":
         return lambda setup: baseline_mmse_wf
     if name == "baseline4":
-        return lambda setup: (
-            lambda ctx: baseline_constant_power(ctx, setup.arrivals.mean, "capacity"))
+        return lambda setup: bind(baseline_constant_power, mean_alpha=setup.arrivals.mean,
+                                  profile="capacity")
     if name == "baseline5":
-        return lambda setup: (
-            lambda ctx: baseline_constant_power(ctx, setup.arrivals.mean, "mmse"))
+        return lambda setup: bind(baseline_constant_power, mean_alpha=setup.arrivals.mean,
+                                  profile="mmse")
     raise ConfigError([f"policy: unknown policy {name!r}"])
 
 

@@ -4,13 +4,15 @@ A slot runs: channel draw, dynamic range, precoding decision, limiter,
 transmission, estimator and covariance updates, control, plant step, energy
 spend and harvest.  `run_slot` advances every live path of a run at once:
 the state is stacked along a leading path axis and each stage is one NumPy
-call over all paths, except the random draws, which stay per path.  A
-policy that carries a stacked form (`solve_theorem1.stacked`) is called
-once per slot and returns the stream factors and active flags of every
-path.  Any other policy is called once per path and returns per-stream
-factors (gains, basis), and the slot gathers them, with each path's mode,
-in one transpose of the decisions, zip(*decisions).  For `proposed` the
-two routes give a run the same bytes.  At the top of each slot, one loop
+call over all paths, except the random draws, which stay per path.  Every
+policy `cli.policy_factory` returns carries a stacked form (see
+`precoder`), which is called once per slot and returns the per-stream
+factors (gains, basis) and active flags of every path.  Any other callable,
+such as the benchmark's traced wrapper, is called once per path and
+returns one decision, and the slot gathers the factors and modes in one
+transpose of the decisions, zip(*decisions).  The two routes give a run
+the same bytes, and the slot forms the stream factors from either the same
+way.  At the top of each slot, one loop
 over the paths has each generator fill its row of normals (channel,
 receiver noise, plant noise, in that order) and then draw its arrival,
 before any policy decides.  So a path does not depend on the others in
@@ -148,12 +150,13 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     the first K receiver-noise normals, and a silent path's go unused.
     theta, tau, M, ||A A^T|| and the slot index are read once per slot.
     A policy with a `stacked` attribute is called once as
-    policy.stacked(S, Lam, Pi_K, E, L, theta, tau, M, ||A A^T||) on the
-    (P, ...) stacks and returns the stream factors F_s (P, K, K), with
-    F = U_K F_s, and the active flags (P,).  Any other policy is called once
-    per path with its DriftContext (a NamedTuple built positionally from
-    the slot's values) and returns the factors of its F; one
-    zip(*decisions) gathers the factors and modes into F_s.
+    policy.stacked(S, Lam, Pi_K, E, L, theta, tau, M, ||A A^T||, n) on the
+    (P, ...) stacks and returns the gains (P, K), the basis and the active
+    flags (P,) of every path.  Any other policy is called once per path with
+    its DriftContext (a NamedTuple built positionally from the slot's
+    values) and returns the factors of its F; one zip(*decisions) gathers
+    the factors and modes.  Either way the slot forms the stream factors
+    F_s = diag(gains) basis^T (P, K, K) once, with F = U_K F_s.
     The control u(n) = -Psi A x_hat(n) uses the estimate formed from
     measurements through slot n-1; the same u(n) drives the estimator
     prediction and the plant.  Energy spent on air is the realized
@@ -181,16 +184,18 @@ def run_slot(setup: SimSetup, state: SimState, policy,
     dec = eig_sym(state.Sigma)
     stacked = getattr(policy, "stacked", None)
     if stacked is not None:
-        F_s, active = stacked(dec.S, dec.Lam, Pi_K, E, L, theta, tau, M, c)
+        gains, basis, active, _, _ = stacked(dec.S, dec.Lam, Pi_K, E, L, theta, tau, M,
+                                             c, n)
     else:
         decisions = [policy(DriftContext(S, Lam, Pi_p, E_p, theta, tau, M, L_p, c, n))
                      for S, Lam, Pi_p, E_p, L_p in zip(
                          dec.S, dec.Lam, Pi_K, E.tolist(), L.tolist())]
         gains, basis, modes, _, _ = zip(*decisions)
-        # F = U_K F_s with F_s = diag(gains) basis^T; U_K has orthonormal
-        # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
-        F_s = np.array(gains)[:, :, None] * np.array(basis).swapaxes(1, 2)
+        gains, basis = np.array(gains), np.array(basis)
         active = np.array([mode == "active" for mode in modes])
+    # F = U_K F_s with F_s = diag(gains) basis^T; U_K has orthonormal
+    # columns, so ||F|| = ||F_s|| and ||F q|| = ||F_s q||
+    F_s = gains[:, :, None] * basis.swapaxes(1, 2)
     feasible = check_feasible(E, F_s, M, tau)
     if not feasible.all():
         p = int(np.argmin(feasible))

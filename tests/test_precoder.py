@@ -72,7 +72,7 @@ class TestDormantActive:
         # the breakpoint form of the dormancy test against the threshold
         # matrix's diagonal, on random contexts (no constructed ties) with
         # some zero eigenvalues; the stacked kernel decides every context,
-        # the scalar walk the first ten of each group
+        # and the first ten of each group are also decided one at a time
         rng = np.random.default_rng(14)
         n_dormant = n_contexts = 0
         for K in range(1, 5):
@@ -248,7 +248,8 @@ class TestStackedKernel:
     def test_matches_scalar_walk(self):
         # Per K, groups of contexts share (theta, tau, ||AA^T||) and go
         # through the kernel in one stacked call; each context also goes
-        # through the scalar walk, which is the reference
+        # through `solve_theorem1` alone, a stack of one, which must not
+        # depend on the contexts beside it
         rng = np.random.default_rng(11)
         for K in range(1, 5):
             branches = {"dormant": 0, "slack": 0, "binding": 0}
@@ -275,8 +276,9 @@ class TestStackedKernel:
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_ties_walk_in_the_float_walks_order(self, K):
         # every tie pattern of K breakpoints: descending, the later stream
-        # first on a tie, as the float walk `_walk` orders them, both for a
-        # stream-major stack of contexts and for one alone
+        # first on a tie, as the frozen float walks of tests/oracles.py
+        # order them, both for a stream-major stack of contexts and for one
+        # alone
         t = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=K)))
         want = [sorted(range(K), key=row.__getitem__)[::-1] for row in t.tolist()]
         assert _descending(t.T).T.tolist() == want
@@ -328,16 +330,10 @@ class TestFrozenStackedWalk:
                                       reference_theorem1_allocations(*args))
 
 
-def assert_same_bits(decision, want):
-    """The decision's mode equals want's, and its beta, gains, basis and
-    allocations have the dtype, shape and bytes of want's beta, scale *
-    gains, basis and allocations."""
-    mode, beta, scale, gains, basis, allocations = want
-    assert decision.mode == mode
-    got = (decision.beta, decision.gains, decision.basis, decision.allocations)
-    values = (beta, scale * gains, basis, allocations)
-    for name, a, b in zip(("beta", "gains", "basis", "allocations"),
-                          map(np.asarray, got), map(np.asarray, values)):
+def assert_same_bits(got, want):
+    """Each (name, array) of got has the dtype, shape and bytes of want's."""
+    for name, a, b in zip(("active", "beta", "gains", "basis", "allocations"),
+                          map(np.asarray, got), map(np.asarray, want), strict=True):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
             (name, a, b)
 
@@ -345,58 +341,69 @@ def assert_same_bits(decision, want):
 def assert_theorem1_bits(decision, ctx):
     """`solve_theorem1`'s decision on ctx has the bits of the frozen stacked
     walk on that one context: its mode and beta, its allocations y, its
-    gains (L/M) sqrt(y_i)/Pi_ii and the basis S.  A decision with every gain
-    zero has F = 0 whatever its basis, and there the basis may be the
-    identity of a silent decision."""
+    gains (L/M) sqrt(y_i)/Pi_ii and the basis S, or the identity of a silent
+    decision where every gain is zero."""
     y, beta, active = reference_theorem1_allocations(
         ctx.Lam, ctx.Pi_K, ctx.E, ctx.L, ctx.theta, ctx.tau, ctx.norm_AAT)
     gains = (ctx.L / ctx.M) * (np.sqrt(y) / ctx.Pi_K)
     assert decision.mode == ("active" if active else "dormant")
-    got = (decision.beta, decision.gains, decision.allocations)
-    for name, a, b in zip(("beta", "gains", "allocations"),
-                          map(np.asarray, got), (beta, gains, y)):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
-            (name, a, b)
-    if decision.gains.any() or decision.basis is not identity(len(y)):
-        assert decision.basis is ctx.S
+    assert_same_bits(
+        (active, decision.beta, decision.gains, decision.basis, decision.allocations),
+        (active, beta, gains, ctx.S if gains.any() else identity(len(y)), y))
 
 
-def assert_policy_bits(name, decision, ctx, mean_alpha, period):
-    """`proposed` against the frozen stacked walk, as `run_slot` also runs
-    it; a baseline against its frozen float walk."""
+def assert_rows_match_oracles(name, decision, args, mean_alpha, period):
+    """Every row of a policy's stacked decision on the stack `args` has the
+    bits of its frozen oracle: `proposed` those of the frozen stacked walk
+    on the whole stack, a baseline those of its frozen float walk, context
+    by context."""
+    S, Lam, Pi_K, E, L, theta, tau, M, norm_AAT, slot = args
+    P, K = Pi_K.shape
+    gains, basis, active, beta, allocations = decision
     if name == "proposed":
-        assert_theorem1_bits(decision, ctx)
+        y, want_beta, want_active = reference_theorem1_allocations(Lam, Pi_K, E, L, theta,
+                                                                   tau, norm_AAT)
+        want = (want_active, want_beta, (L / M)[:, None] * (np.sqrt(y) / Pi_K), S, y)
     else:
-        assert_same_bits(decision, reference_policy(name, ctx, mean_alpha, period))
+        rows = [reference_policy(name, DriftContext(S[j], Lam[j], Pi_K[j], E[j], theta,
+                                                    tau, M, L[j], norm_AAT, slot),
+                                 mean_alpha, period) for j in range(P)]
+        modes, betas, _, want_gains, bases, ys = zip(*rows)
+        want = (np.array([mode == "active" for mode in modes]), np.array(betas),
+                np.array(want_gains), np.array(bases), np.array(ys))
+    assert_same_bits((active, beta, gains, np.broadcast_to(basis, (P, K, K)), allocations),
+                     want)
 
 
 class TestFrozenFloatWalks:
-    """Every policy gives the bits of its frozen walk in the oracles: fusing
-    the per-stream passes must not move a result, and `proposed`, whose
-    stacked form `run_slot` calls, must give the bits of the stacked walk."""
+    """Every policy gives the bits of its frozen walk in the oracles: the
+    baselines those of their float walks, `proposed` those of the stacked
+    walk.  Each stack goes through a policy's stacked form in one call, as
+    `run_slot` makes it."""
 
     def test_kernel_contexts(self):
         # the stacked kernel's contexts, with the baselines' E[alpha] on both
-        # sides of their battery levels
+        # sides of their battery levels, and each group's slot index on and
+        # off baseline2's schedule
         rng = np.random.default_rng(11)
         for K in range(1, 5):
-            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K):
+            for slot, (theta, tau, norm_AAT, L, Pi_K, Lam, E) in enumerate(
+                    kernel_groups(rng, K)):
                 mean_alpha = 0.5 * theta
                 setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson",
                                                               mean=mean_alpha))
-                policies = {name: policy_factory(name)(setup) for name in POLICY_NAMES}
-                for j in range(len(E)):
-                    ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=theta, tau=tau,
-                                       L=L[j], norm_AAT=norm_AAT, slot=j)
-                    for name, policy in policies.items():
-                        assert_policy_bits(name, policy(ctx), ctx, mean_alpha, 3)
+                args = (np.broadcast_to(identity(K), (len(E), K, K)), Lam, Pi_K, E, L,
+                        theta, tau, 1.0, norm_AAT, slot)
+                for name in POLICY_NAMES:
+                    decision = policy_factory(name)(setup).stacked(*args)
+                    assert_rows_match_oracles(name, decision, args, mean_alpha, 3)
 
     def test_many_binding_contexts(self):
         # Python's x ** 2 (libm pow) and x * x differ in about one float in a
         # thousand, and NumPy's ** 2 on an array is x * x.  A binding
-        # context's water level is the square of a/(E+b), so a float walk
-        # that spelled a square as ** 2 would leave the stacked walk in few
-        # results: the sets above miss it, and these 20000 two-stream
+        # context's water level is the square of a/(E+b), so a walk that
+        # rounded a square otherwise would leave the frozen stacked walk in
+        # few results: the sets above miss it, and these 20000 two-stream
         # contexts, three in four binding, catch it
         rng = np.random.default_rng(12)
         n = 20_000
@@ -405,16 +412,13 @@ class TestFrozenFloatWalks:
         Pi_K = log_uniform(rng, 0.05, 5.0, (n, 2))
         Lam = log_uniform(rng, 1e-2, 1e2, (n, 2))
         setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson", mean=0.5))
-        names = ("proposed", "baseline1", "baseline3")
-        policies = [policy_factory(name)(setup) for name in names]
-        n_binding = 0
-        for j in range(n):
-            ctx = diagonal_ctx(Pi_K[j], Lam[j], E=E[j], theta=1.0, L=L[j])
-            for name, policy in zip(names, policies):
-                decision = policy(ctx)
-                assert_policy_bits(name, decision, ctx, 0.5, 3)
-                n_binding += decision.beta > 0
-        assert n_binding > 0.7 * n
+        args = (np.broadcast_to(identity(2), (n, 2, 2)), Lam, Pi_K, E, L, 1.0, 1.0, 1.0,
+                2.56, 0)
+        for name in ("proposed", "baseline1", "baseline3"):
+            decision = policy_factory(name)(setup).stacked(*args)
+            assert_rows_match_oracles(name, decision, args, 0.5, 3)
+            if name == "proposed":
+                assert (decision.beta > 0).sum() > 0.7 * n
 
     def test_walk_stops_where_its_root_squares_onto_the_next_breakpoint(self):
         # c = tau = L = 1 and the second stream at (Pi, Lam) = (r, 1) put its
@@ -443,44 +447,59 @@ class TestFrozenFloatWalks:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_closed_loop_contexts(self, name):
         # every context a 20-path x 60-slot run on the reference config
-        # visits, recorded through a wrapper policy
+        # visits, recorded at the one stacked call a slot makes
         cfg = parse_config(BUNDLED)
         setup = build_setup(cfg)
         policy = policy_factory(name, cfg.period)(setup)
         seen = []
 
-        def recording(ctx):
-            decision = policy(ctx)
-            seen.append((ctx, decision))
-            return decision
+        def recording(*args):
+            seen.append((args, policy.stacked(*args)))
+            return seen[-1][1]
 
-        run = run_monte_carlo(setup, recording, 20, 60, cfg.seed)
-        assert len(seen) == run.paths.n_run.sum()
-        for ctx, decision in seen:
-            assert_policy_bits(name, decision, ctx, setup.arrivals.mean, cfg.period)
+        run = run_monte_carlo(setup, SimpleNamespace(stacked=recording), 20, 60, cfg.seed)
+        assert [len(args[3]) for args, _ in seen] == [
+            int((run.paths.n_run > j).sum()) for j in range(60)]
+        for args, decision in seen:
+            assert_rows_match_oracles(name, decision, args, setup.arrivals.mean,
+                                      cfg.period)
         if name == "proposed":
-            assert {d.mode for _, d in seen} == {"dormant", "active"}
-            assert any(d.beta > 0 for _, d in seen)
+            active = np.concatenate([d.active for _, d in seen])
+            assert active.any() and not active.all()
+            assert any((d.beta > 0).any() for _, d in seen)
 
 
 class TestStackedForm:
     def test_matches_the_per_context_decisions(self):
-        # solve_theorem1.stacked over each group of the kernel's contexts
-        # (E = 0, Sigma = 0, ties, dormant rows) gives the stream factors
-        # diag(gains) basis^T and the modes of the per-context decisions,
-        # equal as numbers (a silent row is +-0 against S or the identity)
+        # each policy's stacked form over each group of the kernel's
+        # contexts (E = 0, Sigma = 0, ties, dormant rows), with a random
+        # basis S and M and the group's slot index, gives every context the
+        # decision of its own per-context call, bit for bit: the mode as a
+        # str, beta as a float, the gains and allocations, and the basis, the
+        # identity where every gain is zero
         rng = np.random.default_rng(14)
         for K in range(1, 5):
-            for theta, tau, norm_AAT, L, Pi_K, Lam, E in kernel_groups(rng, K, n_groups=10):
-                S = np.linalg.qr(rng.standard_normal((len(E), K, K)))[0]
+            for slot, (theta, tau, norm_AAT, L, Pi_K, Lam, E) in enumerate(
+                    kernel_groups(rng, K, n_groups=10)):
+                P = len(E)
+                S = np.linalg.qr(rng.standard_normal((P, K, K)))[0]
                 M = rng.uniform(0.5, 2.0)
-                F_s, active = solve_theorem1.stacked(S, Lam, Pi_K, E, L, theta, tau, M,
-                                                     norm_AAT)
-                for j in range(len(E)):
-                    d = solve_theorem1(DriftContext(S[j], Lam[j], Pi_K[j], E[j], theta,
-                                                    tau, M, L[j], norm_AAT))
-                    assert active[j] == (d.mode == "active")
-                    assert np.array_equal(F_s[j], d.gains[:, None] * d.basis.T), (K, j)
+                setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson",
+                                                              mean=0.5 * theta))
+                for name in POLICY_NAMES:
+                    policy = policy_factory(name)(setup)
+                    gains, basis, active, beta, y = policy.stacked(
+                        S, Lam, Pi_K, E, L, theta, tau, M, norm_AAT, slot)
+                    basis = np.broadcast_to(basis, (P, K, K))
+                    for j in range(P):
+                        d = policy(DriftContext(S[j], Lam[j], Pi_K[j], E[j], theta, tau,
+                                                M, L[j], norm_AAT, slot))
+                        assert type(d.mode) is str and type(d.beta) is float
+                        assert d.mode == ("active" if active[j] else "dormant")
+                        assert_same_bits(
+                            (active[j], d.beta, d.gains, d.basis, d.allocations),
+                            (active[j], beta[j], gains[j],
+                             basis[j] if gains[j].any() else identity(K), y[j]))
 
 
 class TestDecoupledStructure:
@@ -606,6 +625,21 @@ class TestBaselines:
                 p = fn(ctx).allocations
                 assert p.sum() == pytest.approx(b, abs=1e-9 * max(1.0, b))
                 assert (p >= 0).all()
+        # every baseline's stacked form, on stacks that lead with an empty
+        # battery: that context gets zero powers and is not active, and no
+        # RuntimeWarning (an error under this suite) is raised on the way
+        setup = SimpleNamespace(arrivals=ArrivalModel(kind="poisson", mean=20.0))
+        for K in range(1, 5):
+            pi = rng.uniform(0.05, 5.0, (25, K))
+            E = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 24)])
+            args = (np.broadcast_to(identity(K), (25, K, K)), np.ones((25, K)), pi, E,
+                    np.full(25, 20.0), 40.0, 1.0, 1.0, 2.56, 0)
+            for name in POLICY_NAMES[1:]:
+                gains, _, active, _, p = policy_factory(name)(setup).stacked(*args)
+                b = np.minimum(20.0, E) if name in ("baseline4", "baseline5") else E
+                assert (np.abs(p.sum(axis=1) - b) <= 1e-9 * np.maximum(1.0, b)).all()
+                assert (p >= 0).all() and active.tolist() == (b > 0).tolist()
+                assert not (gains[0].any() or p[0].any() or active[0])
 
     def test_matches_bisection_oracle(self):
         # p_i = [gamma w_i - 1/pi_i]^+ with gamma found by bisection, over

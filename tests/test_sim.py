@@ -444,61 +444,75 @@ class TestMonteCarlo:
 
 class TestStackedPolicy:
     """`run_slot` calls a policy's stacked form once per slot, and any other
-    callable once per live path; for `proposed` both routes give the same
-    bytes."""
+    callable once per live path; both routes give the same bytes."""
 
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     @pytest.mark.parametrize("E0", [None, 0.0])
     @pytest.mark.parametrize("N_c, N_s", [(2, 3), (3, 3)])
-    def test_routes_give_the_same_bytes(self, N_c, N_s, E0, monkeypatch):
-        # ||x||^2 peaks at 592 and 624 on the two highest paths of the (2, 3)
-        # run from a half-full battery, so this guard trips some paths but
-        # not all in each of the four runs; slot 0 has Sigma = 0 (and E = 0
-        # from an empty battery), and the small arrivals leave dormant slots
+    def test_routes_give_the_same_bytes(self, N_c, N_s, E0, name, monkeypatch):
+        # the per-path route is the one a traced benchmark pass takes.  Under
+        # `proposed`, ||x||^2 peaks at 592 and 624 on the two highest paths of
+        # the (2, 3) run from a half-full battery, so this guard trips some
+        # paths but not all in each of the four runs; slot 0 has Sigma = 0
+        # (and E = 0 from an empty battery), and the small arrivals leave
+        # dormant slots
         monkeypatch.setattr(sim, "DIVERGENCE_GUARD", 600.0)
         setup = replace(small_setup(theta=40.0, mean_alpha=5.0), N_c=N_c, N_s=N_s, E0=E0)
-        stacked = solve_theorem1.stacked
+        policy = policy_factory(name)(setup)
+        stacked = policy.stacked
         calls = []
 
         def counting(S, *args):
             calls.append(len(S))
             return stacked(S, *args)
 
-        monkeypatch.setattr(solve_theorem1, "stacked", counting)
+        monkeypatch.setattr(policy, "stacked", counting)
         n_paths, n_slots = 8, 60
-        runs = [run_monte_carlo(setup, policy, n_paths, n_slots, seed=3, keep_traces=True)
-                for policy in (solve_theorem1, lambda ctx: solve_theorem1(ctx))]
+        runs = [run_monte_carlo(setup, p, n_paths, n_slots, seed=3, keep_traces=True)
+                for p in (policy, lambda ctx: policy(ctx))]
         run, per_path = runs
         n_run = run.paths.n_run
         # one stacked call per slot, over the paths still live
         assert calls == [int((n_run > j).sum()) for j in range(n_run.max())]
-        assert 0 < run.n_diverged < n_paths and calls[-1] < n_paths
         assert run.paths.tobytes() == per_path.paths.tobytes()
         for a, b in zip(run.traces, per_path.traces, strict=True):
             assert a.tobytes() == b.tobytes()
         t = run.traces
         live = np.arange(n_slots) < n_run[:, None]
-        assert (t.Tr_Sigma[:, 0] == 0).all() and not t.active[:, 0].any()
-        assert (t.E_before[:, 0] == setup.E0).all()
-        assert (live & ~t.active & (t.Tr_Sigma > 0)).any() and t.active.any()
+        assert (t.Tr_Sigma[:, 0] == 0).all() and (t.E_before[:, 0] == setup.E0).all()
+        assert t.active.any()
+        if name == "proposed":
+            assert 0 < run.n_diverged < n_paths and calls[-1] < n_paths
+            assert not t.active[:, 0].any()
+        if name in ("proposed", "baseline2"):
+            # dormant slots, and for baseline2 the slots off its schedule
+            assert (live & ~t.active & (t.Tr_Sigma > 0)).any()
+        if name in ("baseline4", "baseline5") and E0 == 0.0:
+            # batteries below and above E[alpha]
+            assert (live & (t.E_before < 5.0)).any() and (live & (t.E_before > 5.0)).any()
 
     @pytest.mark.parametrize("field, value, match", [
         ("L", 0.0, "L must be > 0"), ("L", -1.0, "L must be > 0"),
         ("L", np.nan, "L must be > 0"), ("E", -1.0, "E must be >= 0"),
         ("E", np.nan, "E must be >= 0")])
     def test_stacked_form_rejects_what_a_context_rejects(self, field, value, match):
-        # the error DriftContext raises for the first path it rejects
+        # the error DriftContext raises for the first path it rejects, from
+        # every policy's stacked form
         rng = np.random.default_rng(5)
         P, K = 4, 2
         args = {"S": np.broadcast_to(np.eye(K), (P, K, K)),
                 "Lam": rng.uniform(1.0, 5.0, (P, K)), "Pi_K": rng.uniform(0.5, 2.0, (P, K)),
                 "E": np.full(P, 10.0), "L": np.full(P, 30.0)}
+        setup = small_setup()
         args[field][2] = value
-        with pytest.raises(InputDomainError, match=match):
-            solve_theorem1.stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
+        for name in POLICY_NAMES:
+            with pytest.raises(InputDomainError, match=match):
+                policy_factory(name)(setup).stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
         other = "E" if field == "L" else "L"
         args[other][1] = -1.0
-        with pytest.raises(InputDomainError, match=f"{other} must be"):
-            solve_theorem1.stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
+        for name in POLICY_NAMES:
+            with pytest.raises(InputDomainError, match=f"{other} must be"):
+                policy_factory(name)(setup).stacked(*args.values(), 40.0, 0.01, 1.0, 2.0)
 
 
 class TestStackedEngine:
